@@ -10,7 +10,8 @@
 //   (d) through a SharedBatchCache feed   (BatchTraceSource, the sweep
 //       fan-out path — measured cold, decoding every chunk, and warm,
 //       replaying cached SoA batches),
-// reporting records/s and decoded-wire MB/s for each, plus a full engine
+// each through fetch_view/consume_view (the protocol the engine reads
+// by), reporting records/s and decoded-wire MB/s for each, plus a full engine
 // run on every source as a bit-identity self-check (exit 1 on mismatch).
 //
 // Besides the table, the run is saved as machine-readable
@@ -57,28 +58,12 @@ struct DrainResult {
   }
 };
 
+/// Drain through the view protocol the engine reads by: whole SoA
+/// batches consumed per call.
 DrainResult drain(trace::TraceSource& src) {
   DrainResult d;
   const auto t0 = Clock::now();
-  while (src.peek() != nullptr) (void)src.next();
-  d.secs = std::chrono::duration<double>(Clock::now() - t0).count();
-  d.records = src.records_consumed();
-  d.bits = src.bits_consumed();
-  return d;
-}
-
-/// Drain through the columnar view interface (the engine's fast path):
-/// whole SoA batches consumed per call instead of one record per next().
-DrainResult drain_views(trace::TraceSource& src) {
-  DrainResult d;
-  const auto t0 = Clock::now();
-  for (;;) {
-    const auto v = src.fetch_view();
-    if (v.count == 0) {
-      if (src.peek() == nullptr) break;
-      (void)src.next();
-      continue;
-    }
+  for (auto v = src.fetch_view(); !v.empty(); v = src.fetch_view()) {
     src.consume_view(v.count);
   }
   d.secs = std::chrono::duration<double>(Clock::now() - t0).count();
@@ -182,7 +167,7 @@ int run(int reps) {
       const auto cache = std::make_shared<trace::SharedBatchCache>(
           lz_path, /*expected_consumers=*/1, /*capacity=*/1);
       trace::BatchTraceSource src(cache);
-      const auto d = drain_views(src);
+      const auto d = drain(src);
       if (cold.secs == 0 || d.secs < cold.secs) cold = d;
     }
     cold.name = "shared/cold";
@@ -196,12 +181,12 @@ int run(int reps) {
         /*capacity=*/std::numeric_limits<std::size_t>::max());
     {
       trace::BatchTraceSource warmup(cache);
-      (void)drain_views(warmup);
+      (void)drain(warmup);
     }
     DrainResult warm;
     for (int i = 0; i < reps; ++i) {
       trace::BatchTraceSource src(cache);
-      const auto d = drain_views(src);
+      const auto d = drain(src);
       if (warm.secs == 0 || d.secs < warm.secs) warm = d;
     }
     warm.name = "shared/warm";

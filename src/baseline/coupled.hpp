@@ -11,7 +11,7 @@
 #ifndef RESIM_BASELINE_COUPLED_H
 #define RESIM_BASELINE_COUPLED_H
 
-#include <deque>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "core/perf.hpp"
@@ -20,39 +20,33 @@
 
 namespace resim::baseline {
 
-/// TraceSource that pulls records from a live TraceGenerator.
+/// TraceSource that pulls records from a live TraceGenerator, up to one
+/// container chunk at a time, into a reused batch.
 class StreamingTraceSource final : public trace::TraceSource {
  public:
   explicit StreamingTraceSource(trace::TraceGenerator& gen) : gen_(gen) {}
 
-  [[nodiscard]] const trace::TraceRecord* peek() override {
-    fill();
-    return buffer_.empty() ? nullptr : &buffer_.front();
+  [[nodiscard]] trace::BatchView fetch_view() override {
+    if (batch_.drained()) {
+      staging_.clear();
+      while (staging_.size() < trace::kDefaultChunkRecords && gen_.step(staging_) != 0) {
+      }
+      batch_.fill(staging_.data(), staging_.size());
+    }
+    return batch_.view();
   }
 
-  trace::TraceRecord next() override {
-    fill();
-    trace::TraceRecord r = buffer_.front();
-    buffer_.pop_front();
-    ++records_;
-    bits_ += trace::encoded_bits(r);
-    return r;
+  void consume_view(std::size_t n) override {
+    bits_ += batch_.consume(n);
+    records_ += n;
   }
 
   [[nodiscard]] std::uint64_t bits_consumed() const override { return bits_; }
   [[nodiscard]] std::uint64_t records_consumed() const override { return records_; }
 
  private:
-  void fill() {
-    while (buffer_.empty()) {
-      staging_.clear();
-      if (gen_.step(staging_) == 0) return;
-      buffer_.insert(buffer_.end(), staging_.begin(), staging_.end());
-    }
-  }
-
   trace::TraceGenerator& gen_;
-  std::deque<trace::TraceRecord> buffer_;
+  trace::CopiedBatch batch_;
   std::vector<trace::TraceRecord> staging_;
   std::uint64_t records_ = 0;
   std::uint64_t bits_ = 0;

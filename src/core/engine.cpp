@@ -26,7 +26,8 @@ ReSimEngine::ReSimEngine(const CoreConfig& cfg, trace::TraceSource& source)
       lstat_(stats_),
       wstat_(stats_),
       cstat_(stats_),
-      ostat_(stats_) {
+      ostat_(stats_),
+      fetch_(source) {
   cfg_.validate();
   issue_cands_.reserve(cfg_.rob_size);
   // The first record carries no PC context: PCs are implicit from the
@@ -44,8 +45,9 @@ bool ReSimEngine::pipeline_empty() const {
 }
 
 bool ReSimEngine::finished() {
-  // The virtual peek() last: while anything is in flight it is not needed.
-  return pipeline_empty() && !mispredict_inflight_ && src_.peek() == nullptr;
+  // The virtual fetch_view() last: while anything is in flight it is not
+  // needed.
+  return pipeline_empty() && !mispredict_inflight_ && src_.fetch_view().empty();
 }
 
 bool ReSimEngine::step_major_cycle() {
@@ -110,10 +112,12 @@ void ReSimEngine::squash_and_redirect(Addr resume_pc) {
   rename_.clear();
 
   // Discard tagged records not fetched by the resolution point (§V.A).
-  while (src_.peek() != nullptr && src_.peek()->wrong_path) {
-    (void)src_.next();
+  for (const trace::TraceRecord* r = fetch_.peek(); r != nullptr && r->wrong_path;
+       r = fetch_.peek()) {
+    (void)fetch_.next();
     cstat_.discarded_tagged.add();
   }
+  fetch_.flush();
 
   wrong_path_active_ = false;
   awaiting_resolution_ = false;

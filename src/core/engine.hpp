@@ -244,18 +244,7 @@ class ReSimEngine {
   void stage_dispatch();
   void stage_fetch();
 
-  // --- fetch's columnar fast path ------------------------------------------
-  // When the source exposes SoA batch views (trace/batch.hpp), fetch
-  // walks the batch with an index bump and an inlined column gather
-  // instead of a virtual peek()+next() pair per record. The view is
-  // flushed (consumed back into the source) at the end of every
-  // stage_fetch call, so between stages/cycles the source's counters
-  // and cursor are exact and every other src_ caller (finished(),
-  // squash_and_redirect, result()) is oblivious to the batching.
-  void fetch_cycle();                                 ///< stage_fetch body
-  [[nodiscard]] const trace::TraceRecord* fetch_peek();
-  trace::TraceRecord fetch_next();
-  void flush_view();
+  void fetch_cycle();  ///< stage_fetch body
 
   // Mis-speculation recovery at branch resolution (Commit).
   void squash_and_redirect(Addr resume_pc);
@@ -304,11 +293,14 @@ class ReSimEngine {
   std::uint64_t squashed_ = 0;
   Cycle last_commit_cycle_ = 0;
 
-  // Fetch's view cursor (valid only inside stage_fetch; see above).
-  trace::BatchView view_{};
-  std::size_t view_pos_ = 0;                  ///< next unread record in view_
-  std::size_t view_mat_ = ~std::size_t{0};    ///< view_pos_ that view_rec_ holds
-  trace::TraceRecord view_rec_{};             ///< fetch_peek materialization target
+  // Every record the engine reads comes through this cursor over src_'s
+  // SoA batch views (trace/reader.hpp): an index bump and an inlined
+  // column gather per record, one virtual fetch_view() per batch. Each
+  // reader (stage_fetch, squash_and_redirect, functional_warmup)
+  // flushes it before returning, so between stages and cycles the
+  // source's counters and position are exact and result() and the
+  // sampling driver see no batching.
+  trace::ViewCursor fetch_;
 
   // Fetch state.
   Addr fetch_pc_ = 0;

@@ -30,49 +30,11 @@ FetchStats::FetchStats(StatsRegistry& reg)
       resolution_stall_cycles(reg.counter("fetch.resolution_stall_cycles")),
       ifq_full(reg.counter("fetch.ifq_full")) {}
 
-// --- columnar fast-path helpers --------------------------------------------
-
-void ReSimEngine::flush_view() {
-  if (view_.batch != nullptr) {
-    if (view_pos_ != 0) src_.consume_view(view_pos_);
-    view_ = {};
-    view_pos_ = 0;
-    view_mat_ = ~std::size_t{0};
-  }
-}
-
-const trace::TraceRecord* ReSimEngine::fetch_peek() {
-  if (view_pos_ == view_.count) {
-    flush_view();
-    view_ = src_.fetch_view();
-    if (view_.count == 0) return src_.peek();
-  }
-  if (view_mat_ != view_pos_) {
-    view_.batch->get(view_.first + view_pos_, view_rec_);
-    view_mat_ = view_pos_;
-  }
-  return &view_rec_;
-}
-
-trace::TraceRecord ReSimEngine::fetch_next() {
-  if (view_pos_ == view_.count) {
-    flush_view();
-    view_ = src_.fetch_view();
-    if (view_.count == 0) return src_.next();
-  }
-  if (view_mat_ != view_pos_) {
-    view_.batch->get(view_.first + view_pos_, view_rec_);
-    view_mat_ = view_pos_;
-  }
-  ++view_pos_;
-  return view_rec_;
-}
-
 void ReSimEngine::stage_fetch() {
   fetch_cycle();
-  // Settle the view before any other stage (or finished()/result())
-  // observes the source: counters and the cursor are exact here.
-  flush_view();
+  // Settle the cursor before any other stage (or finished()/result())
+  // observes the source: its counters and position are exact here.
+  fetch_.flush();
 }
 
 void ReSimEngine::fetch_cycle() {
@@ -93,12 +55,12 @@ void ReSimEngine::fetch_cycle() {
 
     // Skip stale tagged blocks: the trace generator mispredicted where our
     // commit-time-trained predictor did not (DESIGN.md §5).
-    while (!wrong_path_active_ && fetch_peek() != nullptr && fetch_peek()->wrong_path) {
-      (void)fetch_next();
+    while (!wrong_path_active_ && fetch_.peek() != nullptr && fetch_.peek()->wrong_path) {
+      (void)fetch_.next();
       fstat_.skipped_tagged.add();
     }
 
-    const trace::TraceRecord* rec = fetch_peek();
+    const trace::TraceRecord* rec = fetch_.peek();
     if (rec == nullptr) {
       if (wrong_path_active_) {
         // Trace ended inside a tagged block: wait for branch resolution.
@@ -125,7 +87,7 @@ void ReSimEngine::fetch_cycle() {
         break;
       }
       FetchedInst fi;
-      fi.rec = fetch_next();
+      fi.rec = fetch_.next();
       fi.pc = wrong_path_pc_;
       fi.seq = next_seq_++;
       fi.fetched_at = cycle_;
@@ -157,7 +119,7 @@ void ReSimEngine::fetch_cycle() {
     }
 
     FetchedInst fi;
-    fi.rec = fetch_next();
+    fi.rec = fetch_.next();
     fi.pc = pc;
     fi.seq = next_seq_++;
     fi.fetched_at = cycle_;
@@ -205,7 +167,7 @@ void ReSimEngine::fetch_cycle() {
         fstat_.mispredicts.add();
         mispredict_inflight_ = true;
         resume_pc_ = actual_next;
-        const trace::TraceRecord* nxt = fetch_peek();
+        const trace::TraceRecord* nxt = fetch_.peek();
         if (nxt != nullptr && nxt->wrong_path) {
           // Follow the tagged wrong-path block down our predicted path.
           wrong_path_active_ = true;

@@ -58,8 +58,8 @@ std::uint64_t ReSimEngine::functional_warmup(std::uint64_t max_records) {
 
   Addr pc = fetch_pc_;
   std::uint64_t done = 0;
-  while (done < max_records && fetch_peek() != nullptr) {
-    const trace::TraceRecord rec = fetch_next();
+  while (done < max_records && fetch_.peek() != nullptr) {
+    const trace::TraceRecord rec = fetch_.next();
     ++done;
     if (rec.wrong_path) continue;  // tagged: no architectural effect
 
@@ -86,7 +86,7 @@ std::uint64_t ReSimEngine::functional_warmup(std::uint64_t max_records) {
       pc += kInstBytes;
     }
   }
-  flush_view();
+  fetch_.flush();
 
   fetch_pc_ = pc;
   if (done != 0) stats_.counter("sample.warmup_records").add(done);

@@ -57,16 +57,15 @@ void use_streamed_sources(std::vector<SimJob>& jobs, const std::string& tag) {
   }
 }
 
-namespace {
-
-/// Opens an on-disk .rsim through the requested file-reading backend.
-std::unique_ptr<trace::TraceSource> open_backend(const std::string& path,
-                                                 core::TraceBackend backend) {
+std::unique_ptr<trace::FileTraceSource> open_backend(const std::string& path,
+                                                    core::TraceBackend backend) {
   if (backend == core::TraceBackend::kMmap) {
     return std::make_unique<trace::MmapTraceSource>(path);
   }
   return std::make_unique<trace::FileTraceSource>(path);
 }
+
+namespace {
 
 /// Worker-private temp .rsim path: pid + a process-wide counter, so
 /// concurrent processes and worker threads never collide.
@@ -139,10 +138,29 @@ struct GroupShare {
   std::string workload;                           ///< generated groups
   trace::TraceGenConfig gen{};
 
-  // Resolved by the first member:
+  // Resolved by the first member, released by the last to finish:
   std::shared_ptr<const trace::Trace> trace;       ///< memory groups: the one decode
   std::shared_ptr<trace::SharedBatchCache> cache;  ///< file groups (null: v1 fallback)
+
+  std::atomic<std::size_t> finished{0};  ///< members done
+  GroupDecodeStats decoded;  ///< decode counters, copied out on release
 };
+
+/// Runs once the group's last member finishes: copies the decode
+/// counters out and frees the decoded trace or batch cache, so a long
+/// run holds only the groups still in flight.
+void release_group(GroupShare& g) {
+  if (g.cache) {
+    g.decoded.chunks_in_trace = g.cache->chunk_count();
+    g.decoded.chunks_decoded = g.cache->chunks_decoded();
+    g.decoded.cache_hits = g.cache->hits();
+    g.decoded.cache_evictions = g.cache->evictions();
+  } else if (g.trace) {
+    g.decoded.chunks_decoded = 1;  // the single shared load/generate
+  }
+  g.cache.reset();
+  g.trace.reset();
+}
 
 void init_group(GroupShare& g) {
   if (g.backend == core::TraceBackend::kMemory) {
@@ -208,6 +226,7 @@ JobResult run_one_with_share(const SimJob& job, GroupShare& g) {
         open_backend(g.src_path, job.config.trace_backend);
     out.result = run_engine(job.config, *src);
   }
+  if (g.finished.fetch_add(1) + 1 == g.members) release_group(g);
   return out;
 }
 
@@ -408,18 +427,10 @@ std::vector<JobResult> BatchRunner::run(const std::vector<SimJob>& jobs,
     decode_stats->clear();
     for (const auto& share : plan.shares) {
       if (share->members < 2) continue;  // dissolved singleton group
-      GroupDecodeStats s;
+      GroupDecodeStats s = share->decoded;
       s.workload = !share->workload.empty() ? share->workload : share->src_path;
       s.members = share->members;
       s.consumers = share->expected;
-      if (share->cache) {
-        s.chunks_in_trace = share->cache->chunk_count();
-        s.chunks_decoded = share->cache->chunks_decoded();
-        s.cache_hits = share->cache->hits();
-        s.cache_evictions = share->cache->evictions();
-      } else if (share->trace) {
-        s.chunks_decoded = 1;  // the single shared load/generate
-      }
       decode_stats->push_back(std::move(s));
     }
   }

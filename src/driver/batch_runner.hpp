@@ -22,6 +22,7 @@
 
 #include "core/config.hpp"
 #include "core/engine.hpp"
+#include "trace/file_source.hpp"
 #include "trace/reader.hpp"
 #include "trace/tracegen.hpp"
 #include "trace/writer.hpp"
@@ -33,6 +34,12 @@ namespace resim::driver {
 /// constant-memory trace::FileTraceSource over a shared .rsim file
 /// instead of every worker sharing one giant decoded vector.
 using TraceSourceFactory = std::function<std::unique_ptr<trace::TraceSource>()>;
+
+/// Opens an on-disk .rsim through a file backend: kMmap maps it
+/// (trace::MmapTraceSource), any other backend streams it
+/// (trace::FileTraceSource).
+[[nodiscard]] std::unique_ptr<trace::FileTraceSource> open_backend(const std::string& path,
+                                                                   core::TraceBackend backend);
 
 /// Factory that generates `workload`'s trace with `gen`, round-trips it
 /// through a private .rsim file at `path`, and reads it back through

@@ -44,9 +44,9 @@
 #include "trace/file_source.hpp"
 #include "trace/mmap_source.hpp"
 #include "trace/reader.hpp"
+#include "trace/segment.hpp"
 #include "trace/trace_stats.hpp"
 #include "trace/tracegen.hpp"
-#include "trace/window.hpp"
 #include "trace/writer.hpp"
 #include "workload/micro.hpp"
 #include "workload/suite.hpp"

@@ -184,37 +184,27 @@ void run_sim(const SimRequest& req, SharedTraceCache& traces, const Sink& sink) 
   // instead of re-decoding per request.
   std::shared_ptr<const trace::Trace> shared;
   std::optional<trace::VectorTraceSource> vec;
-  std::optional<trace::FileTraceSource> file;
-  std::optional<trace::MmapTraceSource> mapped;
+  std::unique_ptr<trace::FileTraceSource> file;  // stream or mmap
   std::string name;
   trace::TraceSource* base = nullptr;
-  switch (cfg.trace_backend) {
-    case core::TraceBackend::kStream:
-      file.emplace(req.trace_path);
-      name = file->trace_name();
-      base = &*file;
-      break;
-    case core::TraceBackend::kMmap:
-      mapped.emplace(req.trace_path);
-      name = mapped->trace_name();
-      base = &*mapped;
-      break;
-    case core::TraceBackend::kMemory:
-      shared = traces.get(req.trace_path);
-      name = shared->name;
-      vec.emplace(*shared);
-      base = &*vec;
-      break;
+  if (cfg.trace_backend == core::TraceBackend::kMemory) {
+    shared = traces.get(req.trace_path);
+    name = shared->name;
+    vec.emplace(*shared);
+    base = &*vec;
+  } else {
+    file = driver::open_backend(req.trace_path, cfg.trace_backend);
+    name = file->trace_name();
+    base = file.get();
   }
 
-  const bool windowed = req.skip != 0 || req.warmup != 0 || req.max_records.has_value();
-  const std::uint64_t simulate =
-      req.max_records ? *req.max_records - req.warmup : trace::TraceWindow::kAll;
-  std::optional<trace::TraceWindow> win;
-  if (windowed) win.emplace(*base, req.skip, req.warmup, simulate);
-  trace::TraceSource& src = win ? static_cast<trace::TraceSource&>(*win) : *base;
+  // The window (the whole trace by default) is one segment after one
+  // chunk-hopping gap, as in `sim`.
+  trace::SegmentedTraceSource win(*base);
+  (void)win.skip_gap(req.skip);
+  win.open_segment(req.max_records.value_or(trace::SegmentedTraceSource::kAll));
 
-  core::ReSimEngine eng(cfg, src);
+  core::ReSimEngine eng(cfg, win);
   driver::JobResult jr;
   jr.label = name;
   jr.workload = name;

@@ -1,16 +1,17 @@
 // RecordBatch: one decoded container chunk in structure-of-arrays form.
 //
-// The shared batch cache (batch_cache.hpp) decodes each chunk exactly
-// once and hands the result to every consumer; keeping the decoded form
-// columnar instead of vector<TraceRecord> does two things:
+// Every TraceSource lends out its records as views into RecordBatches
+// (reader.hpp), and the one chunk decoder (container.hpp) writes them.
+// Keeping the decoded form columnar instead of vector<TraceRecord> does
+// two things:
 //
-//  * the engine's fetch stage can walk a batch linearly through a
+//  * the engine's fetch stage walks a batch linearly through a
 //    BatchView — one virtual fetch_view() per batch instead of a
-//    virtual peek()+next() pair per record — materializing records with
-//    an inlined column gather;
+//    virtual call per record — materializing records with an inlined
+//    column gather;
 //  * a resident batch costs 29 bytes/record instead of
-//    sizeof(TraceRecord), so the cache's LRU window holds more chunks
-//    in the same budget.
+//    sizeof(TraceRecord), so the shared cache's LRU window
+//    (batch_cache.hpp) holds more chunks in the same budget.
 //
 // Exactness contract: get() must reproduce the decoded TraceRecord
 // bit-for-bit (the byte-identity guarantee of the shared-decode path
@@ -36,32 +37,40 @@ class RecordBatch {
   [[nodiscard]] std::size_t size() const { return kind_.size(); }
   [[nodiscard]] bool empty() const { return kind_.empty(); }
 
-  void reserve(std::size_t n) {
-    kind_.reserve(n);
-    aux_.reserve(n);
-    out_.reserve(n);
-    in1_.reserve(n);
-    in2_.reserve(n);
-    pc_.reserve(n);
-    target_.reserve(n);
-    addr_.reserve(n);
+  /// Resizes to `n` records; set() fills the new ones.
+  void resize(std::size_t n) {
+    kind_.resize(n);
+    aux_.resize(n);
+    out_.resize(n);
+    in1_.resize(n);
+    in2_.resize(n);
+    pc_.resize(n);
+    target_.resize(n);
+    addr_.resize(n);
   }
 
-  void push(const TraceRecord& r) {
+  /// Replaces the contents with copies of records[0, n).
+  void assign(const TraceRecord* records, std::size_t n) {
+    resize(n);
+    for (std::size_t i = 0; i < n; ++i) set(i, records[i]);
+  }
+
+  /// Stores `r` as record `i` (< size()).
+  void set(std::size_t i, const TraceRecord& r) {
     std::uint8_t k = static_cast<std::uint8_t>(r.fmt);
     if (r.wrong_path) k |= kWrongPathBit;
     if (r.is_store) k |= kIsStoreBit;
     if (r.taken) k |= kTakenBit;
-    kind_.push_back(k);
-    aux_.push_back(r.fmt == RecFormat::kOther    ? static_cast<std::uint8_t>(r.fu)
-                   : r.fmt == RecFormat::kBranch ? static_cast<std::uint8_t>(r.ctrl)
-                                                 : std::uint8_t{0});
-    out_.push_back(r.out);
-    in1_.push_back(r.in1);
-    in2_.push_back(r.in2);
-    pc_.push_back(r.pc);
-    target_.push_back(r.target);
-    addr_.push_back(r.addr);
+    kind_[i] = k;
+    aux_[i] = r.fmt == RecFormat::kOther    ? static_cast<std::uint8_t>(r.fu)
+              : r.fmt == RecFormat::kBranch ? static_cast<std::uint8_t>(r.ctrl)
+                                            : std::uint8_t{0};
+    out_[i] = r.out;
+    in1_[i] = r.in1;
+    in2_[i] = r.in2;
+    pc_[i] = r.pc;
+    target_[i] = r.target;
+    addr_[i] = r.addr;
   }
 
   /// Materializes record `i` exactly as the chunk decoder produced it.
@@ -84,13 +93,10 @@ class RecordBatch {
   }
 
   /// Wire size of record `i` — the format constant, so consuming through
-  /// a view accounts bits exactly like encoded_bits() per record.
-  [[nodiscard]] unsigned bits_at(std::size_t i) const {
-    const auto fmt = static_cast<RecFormat>(kind_[i] & kFmtMask);
-    return fmt == RecFormat::kBranch ? kBranchBits
-           : fmt == RecFormat::kMem  ? kMemBits
-                                     : kOtherBits;
-  }
+  /// a view accounts bits exactly like encoded_bits() per record. A table
+  /// lookup, not a branch: the format sequence is data, and mispredicts
+  /// otherwise dominate a view's bit count.
+  [[nodiscard]] unsigned bits_at(std::size_t i) const { return kBitsByFmt[kind_[i] & kFmtMask]; }
 
   /// Sum of bits_at over [first, first + n).
   [[nodiscard]] std::uint64_t bits_in(std::size_t first, std::size_t n) const {
@@ -104,6 +110,8 @@ class RecordBatch {
   static constexpr std::uint8_t kWrongPathBit = 0x04;
   static constexpr std::uint8_t kIsStoreBit = 0x08;
   static constexpr std::uint8_t kTakenBit = 0x10;
+  /// Indexed by fmt; the reserved value 3 never occurs.
+  static constexpr std::uint8_t kBitsByFmt[4] = {kOtherBits, kMemBits, kBranchBits, kOtherBits};
 
   std::vector<std::uint8_t> kind_;  ///< fmt (2 bits) | wrong_path | is_store | taken
   std::vector<std::uint8_t> aux_;   ///< O: fu; B: ctrl; M: 0
@@ -117,7 +125,7 @@ class RecordBatch {
 
 /// A borrowed run of not-yet-consumed records inside a RecordBatch.
 /// Returned by TraceSource::fetch_view(); valid until the next mutating
-/// call on the source that produced it.
+/// call on the source that produced it. Empty means end of stream.
 struct BatchView {
   const RecordBatch* batch = nullptr;
   std::size_t first = 0;  ///< index of the first unconsumed record

@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/bitstream.hpp"
-
 namespace resim::trace {
 
 namespace {
@@ -22,15 +20,12 @@ SharedBatchCache::SharedBatchCache(std::string path, std::size_t expected_consum
     : path_(std::move(path)),
       expected_(expected_consumers == 0 ? 1 : expected_consumers),
       capacity_(capacity == 0 ? 1 : capacity),
+      bytes_(path_),
+      decoder_(path_),
       decoded_ctr_(stats_.counter("cache.chunks_decoded")),
       hits_ctr_(stats_.counter("cache.hits")),
       evictions_ctr_(stats_.counter("cache.evictions")) {
-  is_.open(path_, std::ios::binary);
-  if (!is_) throw std::runtime_error("SharedBatchCache: cannot open " + path_);
-  is_.seekg(0, std::ios::end);
-  file_size_ = static_cast<std::uint64_t>(is_.tellg());
-  is_.seekg(0, std::ios::beg);
-  hdr_ = read_container_header(is_, file_size_, path_);
+  hdr_ = read_container_header(bytes_);
   if (hdr_.version == kContainerV1) {
     throw std::invalid_argument("SharedBatchCache: container v1 has no chunk index in " +
                                 path_ + "; use a private source");
@@ -41,21 +36,12 @@ SharedBatchCache::SharedBatchCache(std::string path, std::size_t expected_consum
   chunks_.reserve(hdr_.chunk_count);
   std::uint64_t first = 0;
   for (std::uint32_t i = 0; i < hdr_.chunk_count; ++i) {
-    const ChunkHeader ch =
-        read_chunk_header(is_, hdr_, hdr_.record_count - first, file_size_, path_);
-    ChunkInfo info;
-    info.payload_offset = static_cast<std::uint64_t>(is_.tellg());
-    info.first_record = first;
-    info.record_count = ch.record_count;
-    info.flags = ch.flags;
-    info.raw_bytes = ch.raw_bytes;
-    info.payload_bytes = ch.payload_bytes;
-    chunks_.push_back(info);
+    const ChunkHeader ch = read_chunk_header(bytes_, hdr_, hdr_.record_count - first);
+    chunks_.push_back({ch, bytes_.pos(), first});
     first += ch.record_count;
-    is_.seekg(static_cast<std::streamoff>(ch.payload_bytes), std::ios::cur);
-    if (!is_) throw std::runtime_error("load_trace: truncated chunk in " + path_);
+    bytes_.seek(bytes_.pos() + ch.payload_bytes);
   }
-  if (static_cast<std::uint64_t>(is_.tellg()) != file_size_) {
+  if (bytes_.pos() != bytes_.size()) {
     throw std::runtime_error("load_trace: trailing garbage after last chunk in " + path_);
   }
 }
@@ -161,7 +147,7 @@ std::shared_ptr<const RecordBatch> SharedBatchCache::acquire(std::size_t chunk_i
     // stream and scratch buffers across producers.
     std::shared_ptr<const RecordBatch> batch;
     try {
-      batch = decode_chunk(chunk_idx);
+      batch = produce(chunk_idx);
     } catch (...) {
       const std::lock_guard<std::mutex> lk(mu_);
       producing_ = false;
@@ -182,39 +168,12 @@ std::shared_ptr<const RecordBatch> SharedBatchCache::acquire(std::size_t chunk_i
   }
 }
 
-std::shared_ptr<const RecordBatch> SharedBatchCache::decode_chunk(std::size_t idx) {
+std::shared_ptr<const RecordBatch> SharedBatchCache::produce(std::size_t idx) {
   const ChunkInfo& info = chunks_[idx];
-  ChunkHeader ch;
-  ch.record_count = info.record_count;
-  ch.flags = info.flags;
-  ch.raw_bytes = info.raw_bytes;
-  ch.payload_bytes = info.payload_bytes;
-
-  is_.clear();
-  is_.seekg(static_cast<std::streamoff>(info.payload_offset));
-  encoded_.resize(ch.payload_bytes);
-  is_.read(reinterpret_cast<char*>(encoded_.data()),
-           static_cast<std::streamsize>(encoded_.size()));
-  if (!is_) throw std::runtime_error("load_trace: truncated chunk in " + path_);
-
-  BitReader br(chunk_raw_payload(encoded_, ch, idx, raw_, path_));
-  recs_.clear();
-  recs_.reserve(ch.record_count);
-  decode_records(br, ch.record_count, info.first_record, recs_, "load_trace",
-                 " in " + path_);
-  if (br.bits_remaining() >= 8) {
-    throw std::runtime_error("load_trace: trailing garbage in chunk " +
-                             std::to_string(idx) + " of " + path_);
-  }
-  if (ch.delta_filtered()) {
-    // v4: invert the delta pre-filter; its state is chunk-local.
-    DeltaCodec delta;
-    for (auto& r : recs_) delta.unfilter(r);
-  }
-
+  bytes_.seek(info.payload_offset);
   auto batch = std::make_shared<RecordBatch>();
-  batch->reserve(recs_.size());
-  for (const auto& r : recs_) batch->push(r);
+  decoder_.open(bytes_.take(info.header.payload_bytes), info.header, idx, info.first_record);
+  decoder_.decode_next(info.header.record_count, *batch);
   return batch;
 }
 
@@ -235,108 +194,35 @@ std::uint64_t SharedBatchCache::evictions() const {
 
 // --- BatchTraceSource ------------------------------------------------------
 
-BatchTraceSource::BatchTraceSource(std::shared_ptr<SharedBatchCache> cache)
-    : cache_(std::move(cache)) {
-  if (!cache_) {
-    throw std::invalid_argument("BatchTraceSource: null cache");
-  }
-  id_ = cache_->register_consumer();
+namespace {
+
+const ContainerHeader& header_of(const std::shared_ptr<SharedBatchCache>& cache) {
+  if (!cache) throw std::invalid_argument("BatchTraceSource: null cache");
+  return cache->header();
 }
+
+}  // namespace
+
+BatchTraceSource::BatchTraceSource(std::shared_ptr<SharedBatchCache> cache)
+    : ChunkCursor(header_of(cache)), cache_(std::move(cache)), id_(cache_->register_consumer()) {}
 
 BatchTraceSource::~BatchTraceSource() { cache_->deregister_consumer(id_); }
 
-bool BatchTraceSource::ensure_batch() {
-  while (batch_ == nullptr || pos_ >= batch_->size()) {
-    if (batch_ != nullptr) {
-      batch_.reset();
-      ++chunk_;
-      pos_ = 0;
-    }
-    if (chunk_ >= cache_->chunk_count()) {
-      // Exhausted: park the position past every chunk so this consumer
-      // never blocks eviction for the others.
-      cache_->update_position(id_, cache_->chunk_count());
-      return false;
-    }
-    batch_ = cache_->acquire(chunk_, id_);
-    pos_ = 0;
-  }
-  return true;
-}
-
-const TraceRecord* BatchTraceSource::peek() {
-  if (!ensure_batch()) return nullptr;
-  batch_->get(pos_, cur_);
-  return &cur_;
-}
-
-TraceRecord BatchTraceSource::next() {
-  if (peek() == nullptr) {
-    throw std::out_of_range("BatchTraceSource::next: past end of trace");
-  }
-  bits_ += batch_->bits_at(pos_);
-  ++consumed_;
-  ++pos_;
-  return cur_;
-}
-
-BatchView BatchTraceSource::fetch_view() {
-  if (!ensure_batch()) return {};
-  return {batch_.get(), pos_, batch_->size() - pos_};
-}
-
-void BatchTraceSource::consume_view(std::size_t n) {
-  if (n == 0) return;
-  if (batch_ == nullptr || n > batch_->size() - pos_) {
-    throw std::logic_error("BatchTraceSource::consume_view: more than the view holds");
-  }
-  bits_ += batch_->bits_in(pos_, n);
-  consumed_ += n;
-  pos_ += n;
-}
-
-std::uint64_t BatchTraceSource::skip(std::uint64_t n) {
-  std::uint64_t done = 0;
-  // The already-acquired batch is consumed normally (it was paid for;
-  // this keeps bits_ per-record exact for it).
-  while (done < n && batch_ != nullptr && pos_ < batch_->size()) {
-    (void)next();
-    ++done;
-  }
-  if (batch_ != nullptr && pos_ >= batch_->size()) {
-    batch_.reset();
-    ++chunk_;
-    pos_ = 0;
-  }
-  // Whole chunks inside the remaining skip region hop through the chunk
-  // directory without acquiring — the same frame-granular accounting as
-  // skip_whole_chunks (consumed counts records, bits counts
-  // raw_bytes * 8).
-  while (chunk_ < cache_->chunk_count() &&
-         n - done >= cache_->chunk(chunk_).record_count) {
-    const SharedBatchCache::ChunkInfo& info = cache_->chunk(chunk_);
-    done += info.record_count;
-    consumed_ += info.record_count;
-    bits_ += std::uint64_t{info.raw_bytes} * 8;
-    ++chunks_skipped_;
-    ++chunk_;
-  }
-  cache_->update_position(id_, chunk_);
-  // Remainder (a partial chunk): acquire it and discard per record.
-  while (done < n && peek() != nullptr) {
-    (void)next();
-    ++done;
-  }
-  return done;
-}
-
-void BatchTraceSource::rewind() {
+const RecordBatch& BatchTraceSource::load_chunk(std::uint64_t idx, std::uint64_t /*first*/) {
   batch_.reset();
-  chunk_ = 0;
-  pos_ = 0;
-  consumed_ = 0;
-  bits_ = 0;
-  chunks_skipped_ = 0;
+  batch_ = cache_->acquire(idx, id_);
+  return *batch_;
+}
+
+std::uint64_t BatchTraceSource::hop_chunk(std::uint64_t idx, std::uint64_t /*first*/) {
+  // Moving the position past the hopped chunk lets the others evict it.
+  batch_.reset();
+  cache_->update_position(id_, idx + 1);
+  return cache_->chunk(idx).header.raw_bytes;
+}
+
+void BatchTraceSource::restart() {
+  batch_.reset();
   cache_->update_position(id_, 0);
 }
 

@@ -28,11 +28,13 @@
 //    evicted chunks (counted in chunks_decoded) instead of the cache
 //    holding the whole trace resident.
 //
-// Decode work is observable through the handle-based stats plane
-// (docs/STATS.md): the cache owns a StatsRegistry and resolves its
-// counters once at construction. chunks_decoded() == chunk_count() is
-// the decode-once property the CI assertion checks for a same-workload
-// sweep whose point count fits the worker pool (docs/CI.md).
+// Chunks are decoded by the same ChunkDecoder every file reader uses
+// (container.hpp). Decode work is observable through the handle-based
+// stats plane (docs/STATS.md): the cache owns a StatsRegistry and
+// resolves its counters once at construction. chunks_decoded() ==
+// chunk_count() is the decode-once property the CI assertion checks for
+// a same-workload sweep whose point count fits the worker pool
+// (docs/CI.md).
 //
 // Container v2/v3/v4 only: v1 has no chunk directory to index, so v1
 // inputs keep their private sources (the constructor throws
@@ -42,7 +44,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -76,12 +77,9 @@ class SharedBatchCache {
 
   /// One chunk directory entry, recorded during the constructor scan.
   struct ChunkInfo {
+    ChunkHeader header;
     std::uint64_t payload_offset = 0;  ///< file offset just past the chunk header
     std::uint64_t first_record = 0;    ///< global index of the chunk's first record
-    std::uint32_t record_count = 0;
-    std::uint32_t flags = 0;
-    std::uint32_t raw_bytes = 0;
-    std::uint32_t payload_bytes = 0;
   };
 
   // --- immutable container metadata ----------------------------------------
@@ -121,10 +119,10 @@ class SharedBatchCache {
     std::uint64_t last_use = 0;
   };
 
-  /// Decodes chunk `idx` into a fresh batch. Touches is_/encoded_/raw_/
-  /// recs_, so the caller must hold the producer role (producing_ set
-  /// by this thread) — NOT the mutex; decode runs unlocked.
-  [[nodiscard]] std::shared_ptr<const RecordBatch> decode_chunk(std::size_t idx);
+  /// Decodes chunk `idx` into a fresh batch. Touches bytes_/decoder_,
+  /// so the caller must hold the producer role (producing_ set by this
+  /// thread) — NOT the mutex; decode runs unlocked.
+  [[nodiscard]] std::shared_ptr<const RecordBatch> produce(std::size_t idx);
 
   // Locked helpers (caller holds mu_).
   [[nodiscard]] std::uint64_t min_position_locked() const;
@@ -132,7 +130,6 @@ class SharedBatchCache {
   bool try_evict_locked();
 
   std::string path_;
-  std::uint64_t file_size_ = 0;
   ContainerHeader hdr_;
   std::vector<ChunkInfo> chunks_;
   std::size_t expected_;
@@ -149,10 +146,8 @@ class SharedBatchCache {
 
   // Producer-only state (guarded by producing_, not mu_: the flag's
   // mutex-protected handoff orders access between successive producers).
-  std::ifstream is_;
-  std::vector<std::uint8_t> encoded_;  ///< chunk payload as stored
-  std::vector<std::uint8_t> raw_;      ///< decompression scratch (reused)
-  std::vector<TraceRecord> recs_;      ///< decode scratch (reused)
+  StreamByteSource bytes_;
+  ChunkDecoder decoder_;
 
   // Handle-based stats plane: resolved once here, bumped under mu_.
   StatsRegistry stats_;
@@ -161,13 +156,12 @@ class SharedBatchCache {
   Counter& evictions_ctr_;
 };
 
-/// TraceSource over a SharedBatchCache: the per-consumer cursor. Keeps
-/// at most one batch alive (shared, refcounted) and mirrors
-/// FileTraceSource's accounting exactly — per-record encoded bits when
-/// decoding, raw_bytes * 8 frame-granular bits for chunks skip() seeks
-/// past without acquiring — so swapping a private file source for a
-/// shared one changes no simulation output byte.
-class BatchTraceSource final : public TraceSource {
+/// The chunk cursor (reader.hpp) over a SharedBatchCache: one per
+/// consumer. Holds at most one batch alive (shared, refcounted); chunks
+/// skip() hops pass through the cache's chunk directory without being
+/// acquired. The accounting is the cursor's, so swapping a private file
+/// source for a shared one changes no simulation output byte.
+class BatchTraceSource final : public ChunkCursor {
  public:
   explicit BatchTraceSource(std::shared_ptr<SharedBatchCache> cache);
   ~BatchTraceSource() override;
@@ -175,45 +169,14 @@ class BatchTraceSource final : public TraceSource {
   BatchTraceSource(const BatchTraceSource&) = delete;
   BatchTraceSource& operator=(const BatchTraceSource&) = delete;
 
-  [[nodiscard]] const TraceRecord* peek() override;
-  TraceRecord next() override;
-  std::uint64_t skip(std::uint64_t n) override;
-  [[nodiscard]] BatchView fetch_view() override;
-  void consume_view(std::size_t n) override;
-  [[nodiscard]] std::uint64_t bits_consumed() const override { return bits_; }
-  [[nodiscard]] std::uint64_t records_consumed() const override { return consumed_; }
-
-  /// Restart from the first record, resetting the consumption counters.
-  /// Chunks evicted since the first pass are re-decoded (and counted).
-  void rewind();
-
-  // --- container metadata --------------------------------------------------
-  [[nodiscard]] const std::string& trace_name() const { return cache_->header().name; }
-  [[nodiscard]] Addr start_pc() const { return cache_->header().start_pc; }
-  [[nodiscard]] std::uint64_t total_records() const override {
-    return cache_->header().record_count;
-  }
-  [[nodiscard]] std::uint32_t container_version() const { return cache_->header().version; }
-
-  /// Chunks seeked past (never acquired) by skip().
-  [[nodiscard]] std::uint64_t chunks_skipped() const { return chunks_skipped_; }
-
  private:
-  /// Positions batch_/pos_ on the next unconsumed record; false at end.
-  bool ensure_batch();
+  const RecordBatch& load_chunk(std::uint64_t idx, std::uint64_t first) override;
+  std::uint64_t hop_chunk(std::uint64_t idx, std::uint64_t first) override;
+  void restart() override;
 
   std::shared_ptr<SharedBatchCache> cache_;
   std::size_t id_;
-
-  std::shared_ptr<const RecordBatch> batch_;  ///< chunk chunk_'s batch, if acquired
-  std::size_t chunk_ = 0;                     ///< chunk the cursor is in / will acquire
-  std::size_t pos_ = 0;                       ///< next record within batch_
-
-  TraceRecord cur_{};  ///< peek() materialization target
-
-  std::uint64_t consumed_ = 0;
-  std::uint64_t bits_ = 0;
-  std::uint64_t chunks_skipped_ = 0;
+  std::shared_ptr<const RecordBatch> batch_;  ///< the open chunk's batch
 };
 
 }  // namespace resim::trace

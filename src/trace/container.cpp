@@ -1,11 +1,12 @@
 #include "trace/container.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
-#include <istream>
 #include <ostream>
 #include <stdexcept>
 
+#include "common/bitstream.hpp"
 #include "common/lz.hpp"
 #include "trace/format.hpp"
 
@@ -19,21 +20,33 @@ namespace {
 
 }  // namespace
 
+StreamByteSource::StreamByteSource(const std::string& path)
+    : ByteSource(path), is_(path, std::ios::binary) {
+  if (!is_) throw std::runtime_error("load_trace: cannot open " + path);
+  is_.seekg(0, std::ios::end);
+  set_size(static_cast<std::uint64_t>(is_.tellg()));
+  is_.seekg(0, std::ios::beg);
+}
+
 void StreamByteSource::read(void* dst, std::size_t n, const char* field) {
   is_.read(static_cast<char*>(dst), static_cast<std::streamsize>(n));
   if (!is_) throw std::runtime_error(std::string("load_trace: truncated field ") + field);
+  pos_ += n;
 }
 
-std::uint64_t StreamByteSource::pos() const { return static_cast<std::uint64_t>(is_.tellg()); }
+std::span<const std::uint8_t> StreamByteSource::take(std::size_t n) {
+  buf_.resize(n);
+  is_.read(reinterpret_cast<char*>(buf_.data()), static_cast<std::streamsize>(n));
+  if (!is_) fail(path(), "truncated chunk");
+  pos_ += n;
+  return buf_;
+}
 
-void SpanByteSource::read(void* dst, std::size_t n, const char* field) {
-  // offset_ may sit past the end after an advance() over lying framing;
-  // order the comparison so it cannot underflow.
-  if (offset_ > data_.size() || n > data_.size() - offset_) {
-    throw std::runtime_error(std::string("load_trace: truncated field ") + field);
-  }
-  std::memcpy(dst, data_.data() + offset_, n);
-  offset_ += n;
+void StreamByteSource::seek(std::uint64_t pos) {
+  is_.clear();
+  is_.seekg(static_cast<std::streamoff>(pos));
+  if (!is_) fail(path(), "seek to offset " + std::to_string(pos) + " failed");
+  pos_ = pos;
 }
 
 void write_u32le(std::ostream& os, std::uint32_t v) {
@@ -64,57 +77,6 @@ std::uint64_t read_u64le(ByteSource& src, const char* field) {
   return v;
 }
 
-std::uint32_t read_u32le(std::istream& is, const char* field) {
-  StreamByteSource src(is);
-  return read_u32le(src, field);
-}
-
-std::uint64_t read_u64le(std::istream& is, const char* field) {
-  StreamByteSource src(is);
-  return read_u64le(src, field);
-}
-
-void decode_records(BitReader& br, std::uint64_t count, std::uint64_t first_index,
-                    std::vector<TraceRecord>& out, const std::string& prefix,
-                    const std::string& suffix) {
-  const std::size_t start = out.size();
-  try {
-    for (std::uint64_t i = 0; i < count; ++i) out.push_back(decode(br));
-  } catch (const std::out_of_range&) {
-    throw std::runtime_error(prefix + ": truncated payload at record " +
-                             std::to_string(first_index + (out.size() - start)) +
-                             suffix);
-  }
-}
-
-std::uint64_t skip_whole_chunks(ByteSource& src, const ContainerHeader& hdr,
-                                std::uint64_t want, std::uint64_t file_size,
-                                const std::string& path,
-                                const std::function<void(const ChunkHeader&)>& hop,
-                                ChunkProgress& prog, std::uint64_t& consumed,
-                                std::uint64_t& bits) {
-  std::uint64_t done = 0;
-  while (done < want && prog.next_record < hdr.record_count) {
-    const std::uint64_t remaining = hdr.record_count - prog.next_record;
-    const std::uint64_t chunk_records =
-        remaining < hdr.chunk_records ? remaining : hdr.chunk_records;
-    if (want - done < chunk_records) break;  // partial chunk: caller decodes
-    const ChunkHeader ch = read_chunk_header(src, hdr, remaining, file_size, path);
-    hop(ch);
-    prog.next_record += ch.record_count;
-    consumed += ch.record_count;
-    bits += std::uint64_t{ch.raw_bytes} * 8;
-    done += ch.record_count;
-    ++prog.chunks_read;
-    ++prog.chunks_skipped;
-    if (prog.chunks_read == hdr.chunk_count && src.pos() != file_size) {
-      throw std::runtime_error("load_trace: trailing garbage after last chunk in " +
-                               path);
-    }
-  }
-  return done;
-}
-
 std::uint64_t min_payload_bytes(std::uint64_t records) {
   return (records * kOtherBits + 7) / 8;
 }
@@ -123,24 +85,52 @@ std::uint64_t max_payload_bytes(std::uint64_t records) {
   return (records * kBranchBits + 7) / 8;
 }
 
-std::span<const std::uint8_t> chunk_raw_payload(std::span<const std::uint8_t> payload,
-                                                const ChunkHeader& ch,
-                                                std::uint64_t chunk_index,
-                                                std::vector<std::uint8_t>& scratch,
-                                                const std::string& path) {
-  if (!ch.compressed()) return payload;
-  scratch.resize(ch.raw_bytes);
-  try {
-    lz::decompress(payload, scratch);
-  } catch (const std::runtime_error& e) {
-    fail(path, "corrupt compressed payload in chunk " + std::to_string(chunk_index) +
-                   " (" + e.what() + ")");
+void ChunkDecoder::open(std::span<const std::uint8_t> payload, const ChunkHeader& ch,
+                        std::uint64_t idx, std::uint64_t first_record) {
+  if (ch.compressed()) {
+    scratch_.resize(ch.raw_bytes);
+    try {
+      lz::decompress(payload, scratch_);
+    } catch (const std::runtime_error& e) {
+      fail(path_, "corrupt compressed payload in chunk " + std::to_string(idx) + " (" +
+                      e.what() + ")");
+    }
+    payload = scratch_;
   }
-  return scratch;
+  br_ = BitReader(payload);
+  delta_.reset();  // v4 filter state is chunk-local
+  delta_filtered_ = ch.delta_filtered();
+  idx_ = idx;
+  next_record_ = first_record;
+  left_ = ch.record_count;
 }
 
-ContainerHeader read_container_header(ByteSource& src, std::uint64_t file_size,
-                                      const std::string& path) {
+void ChunkDecoder::decode_next(std::uint64_t n, RecordBatch& out) {
+  const auto k = static_cast<std::size_t>(std::min(n, left_));
+  const std::uint64_t left = left_ - k;
+  left_ = 0;  // a record that fails to decode closes the chunk
+  out.resize(k);
+  TraceRecord r;
+  for (std::size_t i = 0; i < k; ++i) {
+    try {
+      r = decode(br_);
+    } catch (const std::out_of_range&) {
+      fail(path_, "truncated payload at record " + std::to_string(next_record_ + i));
+    }
+    if (delta_filtered_) delta_.unfilter(r);
+    out.set(i, r);
+  }
+  next_record_ += k;
+  left_ = left;
+  // Only byte-alignment padding may follow the last record.
+  if (left_ == 0 && br_.bits_remaining() >= 8) {
+    fail(path_, "trailing garbage in chunk " + std::to_string(idx_));
+  }
+}
+
+ContainerHeader read_container_header(ByteSource& src) {
+  const std::string& path = src.path();
+  const std::uint64_t file_size = src.size();
   char magic[4];
   src.read(magic, sizeof magic, "magic");
   if (std::memcmp(magic, kContainerMagic, sizeof magic) != 0) {
@@ -185,6 +175,12 @@ ContainerHeader read_container_header(ByteSource& src, std::uint64_t file_size,
       fail(path, "payload_len " + std::to_string(h.payload_len) +
                      " inconsistent with count " + std::to_string(h.record_count));
     }
+    const std::uint64_t pieces = (h.record_count + kDefaultChunkRecords - 1) / kDefaultChunkRecords;
+    if (pieces > 0xFFFF'FFFFULL) {
+      fail(path, "count " + std::to_string(h.record_count) + " out of range");
+    }
+    h.chunk_records = kDefaultChunkRecords;
+    h.chunk_count = static_cast<std::uint32_t>(pieces);
     return h;
   }
 
@@ -217,9 +213,15 @@ ContainerHeader read_container_header(ByteSource& src, std::uint64_t file_size,
 }
 
 ChunkHeader read_chunk_header(ByteSource& src, const ContainerHeader& hdr,
-                              std::uint64_t records_remaining, std::uint64_t file_size,
-                              const std::string& path) {
+                              std::uint64_t records_remaining) {
   ChunkHeader c;
+  if (hdr.version == kContainerV1) {
+    c.record_count = hdr.record_count;
+    c.raw_bytes = hdr.payload_len;
+    c.payload_bytes = c.raw_bytes;
+    return c;
+  }
+  const std::string& path = src.path();
   c.record_count = read_u32le(src, "chunk record_count");
   const std::uint64_t expected =
       records_remaining < hdr.chunk_records ? records_remaining : hdr.chunk_records;
@@ -278,24 +280,11 @@ ChunkHeader read_chunk_header(ByteSource& src, const ContainerHeader& hdr,
 
   const char* size_field =
       hdr.version >= kContainerV3 ? "chunk compressed_bytes " : "chunk payload_bytes ";
-  if (c.payload_bytes > file_size - src.pos()) {
+  if (c.payload_bytes > src.size() - src.pos()) {
     fail(path, size_field + std::to_string(c.payload_bytes) + " exceeds file size " +
-                   std::to_string(file_size));
+                   std::to_string(src.size()));
   }
   return c;
-}
-
-ContainerHeader read_container_header(std::istream& is, std::uint64_t file_size,
-                                      const std::string& path) {
-  StreamByteSource src(is);
-  return read_container_header(src, file_size, path);
-}
-
-ChunkHeader read_chunk_header(std::istream& is, const ContainerHeader& hdr,
-                              std::uint64_t records_remaining, std::uint64_t file_size,
-                              const std::string& path) {
-  StreamByteSource src(is);
-  return read_chunk_header(src, hdr, records_remaining, file_size, path);
 }
 
 }  // namespace resim::trace

@@ -6,7 +6,9 @@
 //   | u64 start_pc | u64 record_count | u64 payload_len | payload
 // The whole record stream is one byte-aligned payload; the fields were
 // historically written in host byte order, which on the little-endian
-// hosts every trace was produced on matches this spec exactly.
+// hosts every trace was produced on matches this spec exactly. Readers
+// treat that payload as the container's single chunk, decoded
+// kDefaultChunkRecords records at a time.
 //
 // Version 2 (default output of save_trace):
 //   magic "RSIM" | u32 version=2 | u32 name_len | name bytes
@@ -16,7 +18,7 @@
 // Every chunk holds exactly chunk_records records except the last, and
 // every chunk payload is independently byte-aligned, so a reader can
 // skip a chunk by seeking payload_bytes without decoding it — the basis
-// of the constant-memory FileTraceSource.
+// of the constant-memory chunk cursor (reader.hpp).
 //
 // Version 3 (written by save_trace with compression requested): same
 // header as v2 but version=3, and each chunk header grows to
@@ -48,14 +50,16 @@
 #define RESIM_TRACE_CONTAINER_H
 
 #include <cstdint>
-#include <functional>
+#include <fstream>
 #include <iosfwd>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bitstream.hpp"
 #include "common/types.hpp"
+#include "trace/batch.hpp"
 #include "trace/record.hpp"
 
 namespace resim::trace {
@@ -82,26 +86,30 @@ inline constexpr std::uint32_t kDefaultChunkRecords = 4096;
 inline constexpr std::uint32_t kMaxNameLen = 4096;
 inline constexpr std::uint32_t kMaxChunkRecords = 1u << 20;
 
-/// Everything before the first payload byte (v1) / first chunk header (v2+).
+/// Everything before the first payload byte (v1) / first chunk header
+/// (v2+). A v1 payload is one chunk on the wire, but readers decode it
+/// in pieces of kDefaultChunkRecords records, and chunk_records and
+/// chunk_count describe those pieces.
 struct ContainerHeader {
   std::uint32_t version = kContainerV2;
   std::string name;
   Addr start_pc = 0;
   std::uint64_t record_count = 0;
   std::uint64_t payload_len = 0;       ///< v1 only: bytes of the single payload
-  std::uint32_t chunk_records = 0;     ///< v2+: records per full chunk
-  std::uint32_t chunk_count = 0;       ///< v2+
+  std::uint32_t chunk_records = 0;     ///< records per full chunk (v1: per piece)
+  std::uint32_t chunk_count = 0;       ///< chunks (v1: pieces)
   std::uint64_t payload_start = 0;     ///< file offset just past this header
 };
 
-/// Per-chunk framing, normalized across versions: a v2 chunk reads as
-/// flags == 0 with raw_bytes == payload_bytes, so consumers only ever
-/// branch on kChunkFlagCompressed.
+/// Per-chunk framing, normalized across versions: a v1 payload and a v2
+/// chunk read as flags == 0 with raw_bytes == payload_bytes, so
+/// consumers only ever branch on the flags. The counts are u32 on the
+/// wire for v2+; a v1 payload, the whole trace, may exceed that.
 struct ChunkHeader {
-  std::uint32_t record_count = 0;
-  std::uint32_t flags = 0;          ///< v3 only on the wire; 0 for v2
-  std::uint32_t raw_bytes = 0;      ///< decoded (bit-packed) payload bytes
-  std::uint32_t payload_bytes = 0;  ///< bytes stored in the file
+  std::uint64_t record_count = 0;
+  std::uint32_t flags = 0;          ///< v3+ only on the wire; 0 for v1/v2
+  std::uint64_t raw_bytes = 0;      ///< decoded (bit-packed) payload bytes
+  std::uint64_t payload_bytes = 0;  ///< bytes stored in the file
   [[nodiscard]] bool compressed() const { return (flags & kChunkFlagCompressed) != 0; }
   [[nodiscard]] bool delta_filtered() const { return (flags & kChunkFlagDelta) != 0; }
 };
@@ -154,49 +162,54 @@ struct DeltaCodec {
 }
 
 // --- byte sources ----------------------------------------------------------
-// The header parsers read through this minimal abstraction so one
-// validation implementation serves both the seekable-stream reader
-// (FileTraceSource) and the memory-mapped reader (MmapTraceSource).
-// Every read checks for truncation and throws std::runtime_error naming
-// the field on a short read.
+// Every container read goes through this abstraction: the header parsers,
+// the chunk cursor (file_source.hpp) and the shared cache's producer
+// (batch_cache.hpp). The stream and mmap backends differ only in the
+// ByteSource that hands over payload bytes.
 
 class ByteSource {
  public:
   virtual ~ByteSource() = default;
-  /// Reads exactly `n` bytes into `dst` or throws
+  /// Reads exactly `n` bytes into `dst` or throws std::runtime_error
   /// "load_trace: truncated field <field>".
   virtual void read(void* dst, std::size_t n, const char* field) = 0;
+  /// The next `n` payload bytes, in place for a mapping or through a
+  /// reused buffer for a stream; valid until the next call. Throws
+  /// std::runtime_error "load_trace: truncated chunk" on a short read.
+  [[nodiscard]] virtual std::span<const std::uint8_t> take(std::size_t n) = 0;
+  /// Moves to absolute offset `pos` without reading (chunk-skipping
+  /// seek, rewind). May land exactly at the end; read() and take()
+  /// treat any overshoot as truncation.
+  virtual void seek(std::uint64_t pos) = 0;
   /// Bytes consumed since the start of the container.
   [[nodiscard]] virtual std::uint64_t pos() const = 0;
+
+  [[nodiscard]] std::uint64_t size() const { return size_; }
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ protected:
+  explicit ByteSource(std::string path) : path_(std::move(path)) {}
+  void set_size(std::uint64_t size) { size_ = size; }
+
+ private:
+  std::string path_;
+  std::uint64_t size_ = 0;
 };
 
-/// ByteSource over a std::istream (checks stream state after each read).
+/// ByteSource over a buffered file stream.
 class StreamByteSource final : public ByteSource {
  public:
-  explicit StreamByteSource(std::istream& is) : is_(is) {}
+  /// Throws std::runtime_error "load_trace: cannot open <path>".
+  explicit StreamByteSource(const std::string& path);
   void read(void* dst, std::size_t n, const char* field) override;
-  [[nodiscard]] std::uint64_t pos() const override;
+  [[nodiscard]] std::span<const std::uint8_t> take(std::size_t n) override;
+  void seek(std::uint64_t pos) override;
+  [[nodiscard]] std::uint64_t pos() const override { return pos_; }
 
  private:
-  std::istream& is_;
-};
-
-/// ByteSource over an in-memory byte range (an mmap'd file).
-class SpanByteSource final : public ByteSource {
- public:
-  explicit SpanByteSource(std::span<const std::uint8_t> data, std::size_t offset = 0)
-      : data_(data), offset_(offset) {}
-  void read(void* dst, std::size_t n, const char* field) override;
-  [[nodiscard]] std::uint64_t pos() const override { return offset_; }
-
-  /// Hop past bytes without reading them (chunk-skipping seek). May
-  /// legally land exactly at the end; read() treats any overshoot as
-  /// truncation.
-  void advance(std::size_t n) { offset_ += n; }
-
- private:
-  std::span<const std::uint8_t> data_;
-  std::size_t offset_ = 0;
+  std::ifstream is_;
+  std::uint64_t pos_ = 0;
+  std::vector<std::uint8_t> buf_;  ///< take()'s reused buffer
 };
 
 // --- little-endian primitives (byte-shift, no reinterpret_cast) ------------
@@ -205,85 +218,68 @@ void write_u32le(std::ostream& os, std::uint32_t v);
 void write_u64le(std::ostream& os, std::uint64_t v);
 [[nodiscard]] std::uint32_t read_u32le(ByteSource& src, const char* field);
 [[nodiscard]] std::uint64_t read_u64le(ByteSource& src, const char* field);
-[[nodiscard]] std::uint32_t read_u32le(std::istream& is, const char* field);
-[[nodiscard]] std::uint64_t read_u64le(std::istream& is, const char* field);
 
 /// Reads and validates the magic, version and per-version header fields.
-/// Every length/count is checked against `file_size` before any
+/// Every length/count is checked against the container size before any
 /// allocation sized from it. Throws std::runtime_error naming the
 /// offending field.
-[[nodiscard]] ContainerHeader read_container_header(ByteSource& src,
-                                                    std::uint64_t file_size,
-                                                    const std::string& path);
-[[nodiscard]] ContainerHeader read_container_header(std::istream& is,
-                                                    std::uint64_t file_size,
-                                                    const std::string& path);
+[[nodiscard]] ContainerHeader read_container_header(ByteSource& src);
 
-/// Reads and validates one v2/v3 chunk header at the current position.
-/// `records_remaining` is the count of records the container still owes;
-/// the chunk must deliver min(records_remaining, hdr.chunk_records) of
-/// them, its raw_bytes must fit the record count, and its stored payload
-/// must fit the file. For v3+, flag bits the container version does not
+/// Reads and validates the header of the next chunk. `records_remaining`
+/// is the count of records the container still owes; the chunk must
+/// deliver min(records_remaining, hdr.chunk_records) of them, its
+/// raw_bytes must fit the record count, and its stored payload must fit
+/// the container. For v3+, flag bits the container version does not
 /// define are rejected (the delta bit is v4-only, and only legal
 /// together with the compressed bit), a compressed chunk's
 /// compressed_bytes must be non-zero and smaller than raw_bytes, and a
-/// raw chunk's compressed_bytes must equal raw_bytes.
+/// raw chunk's compressed_bytes must equal raw_bytes. A v1 container's
+/// one chunk has no header on the wire: it is derived from the
+/// (already validated) container header without reading.
 [[nodiscard]] ChunkHeader read_chunk_header(ByteSource& src, const ContainerHeader& hdr,
-                                            std::uint64_t records_remaining,
-                                            std::uint64_t file_size,
-                                            const std::string& path);
-[[nodiscard]] ChunkHeader read_chunk_header(std::istream& is, const ContainerHeader& hdr,
-                                            std::uint64_t records_remaining,
-                                            std::uint64_t file_size,
-                                            const std::string& path);
+                                            std::uint64_t records_remaining);
 
 /// Inclusive wire-size bounds for `records` byte-aligned records
 /// (all-Other vs all-Branch); used to reject impossible payload lengths.
 [[nodiscard]] std::uint64_t min_payload_bytes(std::uint64_t records);
 [[nodiscard]] std::uint64_t max_payload_bytes(std::uint64_t records);
 
-/// Chunk bookkeeping shared by the file-backed sources (stream + mmap).
-struct ChunkProgress {
-  std::uint64_t next_record = 0;     ///< records decoded or seeked past so far
-  std::uint64_t chunks_read = 0;     ///< chunks consumed (decoded or seeked)
-  std::uint64_t chunks_skipped = 0;  ///< chunks seeked past unread
-  void reset() { *this = ChunkProgress{}; }
+/// The one chunk decoder. open() starts on a chunk's stored payload,
+/// inflating an LZ-compressed one into a reused scratch buffer (raw
+/// payloads, mmap'd in place, are read directly); decode_next() then
+/// bit-decodes its records, all at once or a piece at a time, inverting
+/// the v4 delta pre-filter, and after the chunk's last record rejects
+/// more than alignment padding. Every corruption throws
+/// std::runtime_error "load_trace: ... in <path>".
+class ChunkDecoder {
+ public:
+  explicit ChunkDecoder(std::string path) : path_(std::move(path)) {}
+
+  /// Starts on chunk `idx`, whose first global record index is
+  /// `first_record` (both only name things in errors). A raw `payload`
+  /// must stay valid until the chunk is decoded.
+  void open(std::span<const std::uint8_t> payload, const ChunkHeader& ch, std::uint64_t idx,
+            std::uint64_t first_record);
+
+  /// Replaces `out` with the open chunk's next min(n, left()) records.
+  void decode_next(std::uint64_t n, RecordBatch& out);
+
+  /// Records of the open chunk not decoded yet (0: no chunk open).
+  [[nodiscard]] std::uint64_t left() const { return left_; }
+
+  /// Drops the open chunk.
+  void close() { left_ = 0; }
+
+ private:
+  std::string path_;
+  std::vector<std::uint8_t> scratch_;  ///< LZ inflate buffer (reused)
+  BitReader br_{std::span<const std::uint8_t>{}};
+  DeltaCodec delta_;
+  bool delta_filtered_ = false;
+  std::uint64_t idx_ = 0;
+  std::uint64_t next_record_ = 0;  ///< global index of the next record
+  std::uint64_t left_ = 0;
 };
-
-/// The chunk-skipping seek loop shared by FileTraceSource and
-/// MmapTraceSource: for each whole chunk inside the remaining skip
-/// region, validates its header, calls `hop(ch)` to advance the backend
-/// past the stored payload (after which src.pos() must sit past it),
-/// and applies the frame-granular accounting — consumed counts the
-/// records, bits counts raw_bytes * 8, so compressed and raw containers
-/// agree on bits_consumed. Enforces the trailing-garbage check after
-/// the last chunk. Stops before a chunk the caller must decode
-/// partially; returns records skipped.
-std::uint64_t skip_whole_chunks(ByteSource& src, const ContainerHeader& hdr,
-                                std::uint64_t want, std::uint64_t file_size,
-                                const std::string& path,
-                                const std::function<void(const ChunkHeader&)>& hop,
-                                ChunkProgress& prog, std::uint64_t& consumed,
-                                std::uint64_t& bits);
-
-/// Decompresses a kChunkFlagCompressed payload into `scratch` (resized
-/// to ch.raw_bytes) and returns the bit-packed bytes to decode — the
-/// payload itself for raw chunks, so raw mmap'd chunks decode in place
-/// with zero copies. LZ corruption is converted to the container's
-/// std::runtime_error contract naming chunk `chunk_index`.
-[[nodiscard]] std::span<const std::uint8_t> chunk_raw_payload(
-    std::span<const std::uint8_t> payload, const ChunkHeader& ch,
-    std::uint64_t chunk_index, std::vector<std::uint8_t>& scratch,
-    const std::string& path);
-
-/// Appends `count` decoded records to `out`, converting the codec's
-/// std::out_of_range (truncated bit stream) into the container level's
-/// std::runtime_error contract: "<prefix>: truncated payload at record
-/// <first_index + n><suffix>". The single home of that conversion for
-/// every container reader.
-void decode_records(BitReader& br, std::uint64_t count, std::uint64_t first_index,
-                    std::vector<TraceRecord>& out, const std::string& prefix,
-                    const std::string& suffix);
 
 }  // namespace resim::trace
 

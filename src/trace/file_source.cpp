@@ -1,146 +1,48 @@
 #include "trace/file_source.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
 namespace resim::trace {
 
-FileTraceSource::FileTraceSource(std::string path) : path_(std::move(path)) {
-  is_.open(path_, std::ios::binary);
-  if (!is_) throw std::runtime_error("FileTraceSource: cannot open " + path_);
-  is_.seekg(0, std::ios::end);
-  file_size_ = static_cast<std::uint64_t>(is_.tellg());
-  is_.seekg(0, std::ios::beg);
-  hdr_ = read_container_header(is_, file_size_, path_);
+FileTraceSource::FileTraceSource(const std::string& path)
+    : FileTraceSource(std::make_unique<StreamByteSource>(path)) {}
 
-  if (hdr_.version == kContainerV1) {
-    // v1 has one monolithic payload: keep its (compact) encoded bytes
-    // resident and decode in bounded batches.
-    encoded_.resize(hdr_.payload_len);
-    is_.read(reinterpret_cast<char*>(encoded_.data()),
-             static_cast<std::streamsize>(encoded_.size()));
-    if (!is_) throw std::runtime_error("load_trace: truncated payload in " + path_);
-    reader_.emplace(encoded_);
-  } else if (hdr_.chunk_count == 0 && hdr_.payload_start != file_size_) {
-    // Non-empty traces detect trailing bytes after the last chunk; an
-    // empty trace must end right after the header.
+FileTraceSource::FileTraceSource(std::unique_ptr<ByteSource> bytes)
+    : ChunkCursor(read_container_header(*bytes)),
+      bytes_(std::move(bytes)),
+      decoder_(bytes_->path()) {
+  check_end(0);  // an empty trace must end right after its header
+}
+
+const RecordBatch& FileTraceSource::load_chunk(std::uint64_t idx, std::uint64_t first) {
+  // A v2+ chunk is one piece; a v1 payload is opened once and read in
+  // chunk_records pieces.
+  if (decoder_.left() == 0) {
+    const ChunkHeader ch = read_chunk_header(*bytes_, header(), header().record_count - first);
+    decoder_.open(bytes_->take(ch.payload_bytes), ch, idx, first);
+  }
+  decoder_.decode_next(header().chunk_records, batch_);
+  check_end(idx + 1);
+  return batch_;
+}
+
+std::uint64_t FileTraceSource::hop_chunk(std::uint64_t idx, std::uint64_t first) {
+  const ChunkHeader ch = read_chunk_header(*bytes_, header(), header().record_count - first);
+  bytes_->seek(bytes_->pos() + ch.payload_bytes);
+  check_end(idx + 1);
+  return ch.raw_bytes;
+}
+
+void FileTraceSource::restart() {
+  decoder_.close();
+  bytes_->seek(header().payload_start);
+}
+
+void FileTraceSource::check_end(std::uint64_t idx) const {
+  if (idx == header().chunk_count && bytes_->pos() != bytes_->size()) {
     throw std::runtime_error("load_trace: trailing garbage after last chunk in " +
-                             path_);
-  }
-}
-
-void FileTraceSource::decode_batch(BitReader& br, std::uint64_t n) {
-  buf_.clear();
-  buf_pos_ = 0;
-  buf_.reserve(n);  // no-op after the first chunk: capacity is reused
-  decode_records(br, n, prog_.next_record, buf_, "load_trace", " in " + path_);
-  prog_.next_record += n;
-  max_buffered_ = std::max(max_buffered_, buf_.size());
-}
-
-void FileTraceSource::refill() {
-  if (hdr_.version == kContainerV1) {
-    const std::uint64_t n = std::min<std::uint64_t>(
-        kDefaultChunkRecords, hdr_.record_count - prog_.next_record);
-    decode_batch(*reader_, n);
-    if (prog_.next_record == hdr_.record_count && reader_->bits_remaining() >= 8) {
-      throw std::runtime_error("load_trace: trailing garbage after record " +
-                               std::to_string(hdr_.record_count) + " in " + path_);
-    }
-  } else {
-    const std::uint64_t remaining = hdr_.record_count - prog_.next_record;
-    const ChunkHeader ch = read_chunk_header(is_, hdr_, remaining, file_size_, path_);
-    encoded_.resize(ch.payload_bytes);
-    is_.read(reinterpret_cast<char*>(encoded_.data()),
-             static_cast<std::streamsize>(encoded_.size()));
-    if (!is_) throw std::runtime_error("load_trace: truncated chunk in " + path_);
-    // v3 compressed chunks expand into the reused raw_ scratch; raw
-    // chunks (all of v2) decode straight from the read buffer.
-    BitReader br(chunk_raw_payload(encoded_, ch, prog_.chunks_read, raw_, path_));
-    decode_batch(br, ch.record_count);
-    if (br.bits_remaining() >= 8) {
-      throw std::runtime_error("load_trace: trailing garbage in chunk " +
-                               std::to_string(prog_.chunks_read) + " of " + path_);
-    }
-    if (ch.delta_filtered()) {
-      // v4: invert the delta pre-filter; its state is chunk-local by
-      // construction, so a fresh codec per chunk is the whole story.
-      DeltaCodec delta;
-      for (auto& r : buf_) delta.unfilter(r);
-    }
-    ++prog_.chunks_read;
-    if (prog_.chunks_read == hdr_.chunk_count &&
-        static_cast<std::uint64_t>(is_.tellg()) != file_size_) {
-      throw std::runtime_error("load_trace: trailing garbage after last chunk in " +
-                               path_);
-    }
-  }
-  ++chunks_decoded_;
-}
-
-std::uint64_t FileTraceSource::skip(std::uint64_t n) {
-  std::uint64_t done = 0;
-  // Records already decoded into the buffer are consumed normally (they
-  // were paid for; this also keeps bits_ exact for them).
-  while (done < n && buf_pos_ < buf_.size()) {
-    (void)next();
-    ++done;
-  }
-  if (hdr_.version >= kContainerV2) {
-    // Whole chunks inside the remaining skip region: the shared seek
-    // loop validates each header; this backend hops with a relative
-    // seekg past the stored payload.
-    StreamByteSource src(is_);
-    done += skip_whole_chunks(src, hdr_, n - done, file_size_, path_,
-                              [this](const ChunkHeader& ch) {
-                                is_.seekg(static_cast<std::streamoff>(ch.payload_bytes),
-                                          std::ios::cur);
-                                if (!is_) {
-                                  throw std::runtime_error(
-                                      "load_trace: truncated chunk in " + path_);
-                                }
-                              },
-                              prog_, consumed_, bits_);
-  }
-  // Remainder (a partial chunk, or any v1 stream): decode and discard.
-  while (done < n && peek() != nullptr) {
-    (void)next();
-    ++done;
-  }
-  return done;
-}
-
-const TraceRecord* FileTraceSource::peek() {
-  while (buf_pos_ == buf_.size()) {
-    if (prog_.next_record >= hdr_.record_count) return nullptr;
-    refill();
-  }
-  return &buf_[buf_pos_];
-}
-
-TraceRecord FileTraceSource::next() {
-  if (peek() == nullptr) {
-    throw std::out_of_range("FileTraceSource::next: past end of trace");
-  }
-  const TraceRecord r = buf_[buf_pos_++];
-  ++consumed_;
-  bits_ += encoded_bits(r);
-  return r;
-}
-
-void FileTraceSource::rewind() {
-  consumed_ = 0;
-  bits_ = 0;
-  prog_.reset();
-  buf_.clear();
-  buf_pos_ = 0;
-  if (hdr_.version == kContainerV1) {
-    reader_.emplace(encoded_);  // payload already resident; restart the bit cursor
-  } else {
-    is_.clear();
-    is_.seekg(static_cast<std::streamoff>(hdr_.payload_start));
-    if (!is_) throw std::runtime_error("FileTraceSource: rewind seek failed in " + path_);
+                             bytes_->path());
   }
 }
 

@@ -1,99 +1,50 @@
 // FileTraceSource: constant-memory TraceSource over a .rsim file.
 //
-// Decodes one container chunk at a time from a buffered ifstream into a
-// reusable record buffer, so peak memory is O(chunk_records), not
-// O(trace) — the property that lets billion-record traces and parallel
-// sweep workers (each owning a cheap private source) run in flat host
-// memory, the way production trace-driven simulators stream their input.
+// The chunk cursor (reader.hpp) over chunks decoded from a ByteSource:
+// each chunk's header is validated, its payload handed over by the
+// ByteSource and decoded by the one chunk decoder (container.hpp) into a
+// reused batch, so peak decoded memory is one chunk, not the trace — the
+// property that lets billion-record traces and parallel sweep workers
+// (each owning a cheap private source) run in flat host memory. This
+// class reads through a buffered file stream; MmapTraceSource
+// (mmap_source.hpp) is the same reader over a mapping.
 //
-// Container v2 streams chunk-by-chunk. Legacy v1 files have a single
-// monolithic payload; those keep the *encoded* payload resident
-// (~5-10 bytes/record) but still decode records in bounded batches, so
-// the expensive decoded form stays O(batch) for both versions.
+// A legacy v1 container's monolithic payload is its single chunk: it is
+// held encoded (read whole, or mapped) and decoded kDefaultChunkRecords
+// records at a time, so a v1 trace too keeps one piece decoded.
 #ifndef RESIM_TRACE_FILE_SOURCE_H
 #define RESIM_TRACE_FILE_SOURCE_H
 
 #include <cstdint>
-#include <fstream>
-#include <optional>
+#include <memory>
 #include <string>
-#include <vector>
 
-#include "common/bitstream.hpp"
+#include "trace/batch.hpp"
 #include "trace/container.hpp"
 #include "trace/reader.hpp"
 
 namespace resim::trace {
 
-class FileTraceSource final : public TraceSource {
+class FileTraceSource : public ChunkCursor {
  public:
   /// Opens and validates the container header; throws std::runtime_error
   /// on a missing or corrupt file.
-  explicit FileTraceSource(std::string path);
+  explicit FileTraceSource(const std::string& path);
 
-  [[nodiscard]] const TraceRecord* peek() override;
-  TraceRecord next() override;
-  [[nodiscard]] std::uint64_t bits_consumed() const override { return bits_; }
-  [[nodiscard]] std::uint64_t records_consumed() const override { return consumed_; }
-
-  /// Chunk-skipping seek (container v2): whole chunks inside the skip
-  /// region are never read or decoded — their headers are validated and
-  /// the stream seeks past payload_bytes, so fast-forwarding a
-  /// TraceWindow over a long prefix costs O(chunks) header reads, not
-  /// O(records) decodes, and max_buffered_records() never grows for the
-  /// skipped region. bits_consumed() counts a seeked chunk as its full
-  /// payload (byte-aligned), matching the wire bytes actually skipped.
-  /// Legacy v1 files fall back to decode-and-discard.
-  std::uint64_t skip(std::uint64_t n) override;
-
-  /// Restart from the first record, resetting the consumption counters
-  /// (sweep workers re-run the same file against many configurations).
-  void rewind();
-
-  // --- container metadata (available without decoding any record) ---------
-  [[nodiscard]] const std::string& trace_name() const { return hdr_.name; }
-  [[nodiscard]] Addr start_pc() const { return hdr_.start_pc; }
-  [[nodiscard]] std::uint64_t total_records() const override { return hdr_.record_count; }
-  [[nodiscard]] std::uint32_t container_version() const { return hdr_.version; }
-
-  /// High-water mark of decoded records resident at once; tests pin this
-  /// to one chunk to prove the O(chunk) memory claim.
-  [[nodiscard]] std::size_t max_buffered_records() const { return max_buffered_; }
-
-  /// Chunks seeked past (never decoded) by skip(); tests prove the
-  /// chunk-skipping fast path actually engaged.
-  [[nodiscard]] std::uint64_t chunks_skipped() const { return prog_.chunks_skipped; }
-
-  /// Chunks (v1: bounded decode batches) this source bit-unpacked
-  /// itself. The decode-once CI assertion sums this across sweep
-  /// workers to prove the shared batch cache kept private decodes at
-  /// zero (docs/CI.md).
-  [[nodiscard]] std::uint64_t chunks_decoded() const { return chunks_decoded_; }
+ protected:
+  /// Reads the container through `bytes` (the mmap backend).
+  explicit FileTraceSource(std::unique_ptr<ByteSource> bytes);
 
  private:
-  void refill();
-  /// Decodes `n` records from `br` into the reused buf_, converting the
-  /// codec's out_of_range into the container's runtime_error contract.
-  void decode_batch(BitReader& br, std::uint64_t n);
+  const RecordBatch& load_chunk(std::uint64_t idx, std::uint64_t first) override;
+  std::uint64_t hop_chunk(std::uint64_t idx, std::uint64_t first) override;
+  void restart() override;
+  /// Rejects bytes after the last chunk once chunk `idx` is passed.
+  void check_end(std::uint64_t idx) const;
 
-  std::string path_;
-  std::uint64_t file_size_ = 0;
-  std::ifstream is_;
-  ContainerHeader hdr_;
-
-  ChunkProgress prog_;  ///< records/chunks decoded or seeked so far
-
-  std::vector<std::uint8_t> encoded_;    ///< v2+: current chunk as stored; v1: whole payload
-  std::vector<std::uint8_t> raw_;        ///< v3: decompressed chunk scratch (reused)
-  std::optional<BitReader> reader_;      ///< v1 only: persists across batches
-
-  std::vector<TraceRecord> buf_;         ///< decoded records of the current chunk
-  std::size_t buf_pos_ = 0;
-  std::size_t max_buffered_ = 0;
-
-  std::uint64_t consumed_ = 0;
-  std::uint64_t bits_ = 0;
-  std::uint64_t chunks_decoded_ = 0;
+  std::unique_ptr<ByteSource> bytes_;
+  ChunkDecoder decoder_;
+  RecordBatch batch_;  ///< the open chunk (v1: piece), decoded
 };
 
 }  // namespace resim::trace

@@ -1,8 +1,8 @@
 #include "trace/mmap_source.hpp"
 
-#include <algorithm>
+#include <cstring>
+#include <memory>
 #include <stdexcept>
-#include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define RESIM_HAVE_MMAP 1
@@ -16,180 +16,76 @@ namespace resim::trace {
 
 namespace {
 
-void unmap(const std::uint8_t* map, std::size_t size) {
-#ifdef RESIM_HAVE_MMAP
-  if (map != nullptr && size > 0) {
-    ::munmap(const_cast<std::uint8_t*>(map), size);
-  }
+/// ByteSource over a read-only mapping of the whole file: take() hands
+/// out the mapped bytes in place.
+class MappedByteSource final : public ByteSource {
+ public:
+  explicit MappedByteSource(const std::string& path) : ByteSource(path) {
+#ifndef RESIM_HAVE_MMAP
+    throw std::runtime_error("MmapTraceSource: no mmap on this platform (" + path +
+                             "); use the stream backend");
 #else
-  (void)map;
-  (void)size;
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0) throw std::runtime_error("MmapTraceSource: cannot open " + path);
+    struct stat st{};
+    if (::fstat(fd, &st) != 0) {
+      ::close(fd);
+      throw std::runtime_error("MmapTraceSource: cannot stat " + path);
+    }
+    set_size(static_cast<std::uint64_t>(st.st_size));
+    if (size() > 0) {
+      void* m = ::mmap(nullptr, size(), PROT_READ, MAP_PRIVATE, fd, 0);
+      if (m == MAP_FAILED) {
+        ::close(fd);
+        throw std::runtime_error("MmapTraceSource: mmap failed for " + path);
+      }
+      map_ = static_cast<const std::uint8_t*>(m);
+      // Sequential drain is the dominant access pattern; advisory only.
+      (void)::madvise(m, size(), MADV_SEQUENTIAL);
+    }
+    ::close(fd);
 #endif
-}
+  }
+
+  ~MappedByteSource() override {
+#ifdef RESIM_HAVE_MMAP
+    if (map_ != nullptr) ::munmap(const_cast<std::uint8_t*>(map_), size());
+#endif
+  }
+
+  MappedByteSource(const MappedByteSource&) = delete;
+  MappedByteSource& operator=(const MappedByteSource&) = delete;
+
+  void read(void* dst, std::size_t n, const char* field) override {
+    if (!fits(n)) throw std::runtime_error(std::string("load_trace: truncated field ") + field);
+    std::memcpy(dst, map_ + pos_, n);
+    pos_ += n;
+  }
+
+  std::span<const std::uint8_t> take(std::size_t n) override {
+    if (!fits(n)) throw std::runtime_error("load_trace: truncated chunk in " + path());
+    const std::span<const std::uint8_t> out(map_ + pos_, n);
+    pos_ += n;
+    return out;
+  }
+
+  void seek(std::uint64_t pos) override { pos_ = pos; }
+  [[nodiscard]] std::uint64_t pos() const override { return pos_; }
+
+ private:
+  /// pos_ may sit past the end after a seek over lying framing; ordered
+  /// so the comparison cannot underflow.
+  [[nodiscard]] bool fits(std::size_t n) const {
+    return pos_ <= size() && n <= size() - pos_;
+  }
+
+  const std::uint8_t* map_ = nullptr;
+  std::uint64_t pos_ = 0;
+};
 
 }  // namespace
 
-MmapTraceSource::MmapTraceSource(std::string path) : path_(std::move(path)) {
-#ifndef RESIM_HAVE_MMAP
-  throw std::runtime_error("MmapTraceSource: no mmap on this platform (" + path_ +
-                           "); use the stream backend");
-#else
-  const int fd = ::open(path_.c_str(), O_RDONLY);
-  if (fd < 0) throw std::runtime_error("MmapTraceSource: cannot open " + path_);
-  struct stat st{};
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    throw std::runtime_error("MmapTraceSource: cannot stat " + path_);
-  }
-  map_size_ = static_cast<std::size_t>(st.st_size);
-  if (map_size_ > 0) {
-    void* m = ::mmap(nullptr, map_size_, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (m == MAP_FAILED) {
-      ::close(fd);
-      throw std::runtime_error("MmapTraceSource: mmap failed for " + path_);
-    }
-    map_ = static_cast<const std::uint8_t*>(m);
-    // Sequential drain is the dominant access pattern; advisory only.
-    (void)::madvise(m, map_size_, MADV_SEQUENTIAL);
-  }
-  ::close(fd);
-
-  try {
-    SpanByteSource cursor(map_span());
-    hdr_ = read_container_header(cursor, map_size_, path_);
-    offset_ = static_cast<std::size_t>(cursor.pos());
-    if (hdr_.version == kContainerV1) {
-      // One monolithic payload: the persistent bit cursor walks the
-      // mapped bytes directly — v1 costs zero resident copies here.
-      br_.emplace(map_span().subspan(offset_, hdr_.payload_len));
-      ++chunks_decoded_;
-    } else if (hdr_.chunk_count == 0 && hdr_.payload_start != map_size_) {
-      throw std::runtime_error("load_trace: trailing garbage after last chunk in " +
-                               path_);
-    }
-  } catch (...) {
-    unmap(map_, map_size_);
-    throw;
-  }
-#endif
-}
-
-MmapTraceSource::~MmapTraceSource() { unmap(map_, map_size_); }
-
-void MmapTraceSource::open_next_chunk() {
-  const std::uint64_t remaining = hdr_.record_count - prog_.next_record;
-  SpanByteSource cursor(map_span(), offset_);
-  const ChunkHeader ch = read_chunk_header(cursor, hdr_, remaining, map_size_, path_);
-  const auto payload =
-      map_span().subspan(static_cast<std::size_t>(cursor.pos()), ch.payload_bytes);
-  offset_ = static_cast<std::size_t>(cursor.pos()) + ch.payload_bytes;
-  // Raw chunks decode in place from the mapping; compressed chunks
-  // expand into the reused scratch first.
-  br_.emplace(chunk_raw_payload(payload, ch, prog_.chunks_read, raw_, path_));
-  chunk_left_ = ch.record_count;
-  chunk_delta_ = ch.delta_filtered();
-  delta_.reset();  // v4 filter state is chunk-local
-  ++chunks_decoded_;
-  ++prog_.chunks_read;
-  if (prog_.chunks_read == hdr_.chunk_count && offset_ != map_size_) {
-    throw std::runtime_error("load_trace: trailing garbage after last chunk in " +
-                             path_);
-  }
-}
-
-bool MmapTraceSource::advance_one() {
-  if (hdr_.version != kContainerV1) {
-    while (chunk_left_ == 0) {
-      if (prog_.next_record >= hdr_.record_count) return false;
-      open_next_chunk();
-    }
-  } else if (prog_.next_record >= hdr_.record_count) {
-    return false;
-  }
-
-  try {
-    cur_ = decode(*br_);
-  } catch (const std::out_of_range&) {
-    throw std::runtime_error("load_trace: truncated payload at record " +
-                             std::to_string(prog_.next_record) + " in " + path_);
-  }
-  if (chunk_delta_) delta_.unfilter(cur_);
-  ++prog_.next_record;
-  has_cur_ = true;
-
-  if (hdr_.version == kContainerV1) {
-    if (prog_.next_record == hdr_.record_count && br_->bits_remaining() >= 8) {
-      throw std::runtime_error("load_trace: trailing garbage after record " +
-                               std::to_string(hdr_.record_count) + " in " + path_);
-    }
-  } else {
-    --chunk_left_;
-    if (chunk_left_ == 0 && br_->bits_remaining() >= 8) {
-      throw std::runtime_error("load_trace: trailing garbage in chunk " +
-                               std::to_string(prog_.chunks_read - 1) + " of " + path_);
-    }
-  }
-  return true;
-}
-
-const TraceRecord* MmapTraceSource::peek() {
-  if (!has_cur_ && !advance_one()) return nullptr;
-  return &cur_;
-}
-
-TraceRecord MmapTraceSource::next() {
-  if (peek() == nullptr) {
-    throw std::out_of_range("MmapTraceSource::next: past end of trace");
-  }
-  has_cur_ = false;
-  ++consumed_;
-  bits_ += encoded_bits(cur_);
-  return cur_;
-}
-
-std::uint64_t MmapTraceSource::skip(std::uint64_t n) {
-  std::uint64_t done = 0;
-  // The decoded lookahead and the already-open chunk are consumed
-  // normally (keeps bits_ exact for them and closes the chunk with its
-  // trailing-garbage check intact).
-  while (done < n && (has_cur_ || chunk_left_ > 0)) {
-    (void)next();
-    ++done;
-  }
-  if (hdr_.version >= kContainerV2) {
-    // Whole chunks inside the remaining skip region: the shared seek
-    // loop validates each header; this backend hops by advancing the
-    // map cursor — compressed chunks are never decompressed.
-    SpanByteSource cursor(map_span(), offset_);
-    done += skip_whole_chunks(cursor, hdr_, n - done, map_size_, path_,
-                              [&cursor](const ChunkHeader& ch) {
-                                cursor.advance(ch.payload_bytes);
-                              },
-                              prog_, consumed_, bits_);
-    offset_ = static_cast<std::size_t>(cursor.pos());
-  }
-  // Remainder (a partial chunk, or any v1 stream): decode and discard.
-  while (done < n && peek() != nullptr) {
-    (void)next();
-    ++done;
-  }
-  return done;
-}
-
-void MmapTraceSource::rewind() {
-  consumed_ = 0;
-  bits_ = 0;
-  prog_.reset();
-  chunk_left_ = 0;
-  chunk_delta_ = false;
-  has_cur_ = false;
-  offset_ = static_cast<std::size_t>(hdr_.payload_start);
-  if (hdr_.version == kContainerV1) {
-    br_.emplace(map_span().subspan(offset_, hdr_.payload_len));
-    ++chunks_decoded_;
-  } else {
-    br_.reset();
-  }
-}
+MmapTraceSource::MmapTraceSource(const std::string& path)
+    : FileTraceSource(std::make_unique<MappedByteSource>(path)) {}
 
 }  // namespace resim::trace

@@ -1,101 +1,27 @@
-// MmapTraceSource: TraceSource over a read-only memory-mapped .rsim.
+// MmapTraceSource: FileTraceSource over a read-only memory mapping.
 //
-// Maps the whole container once and decodes records lazily, one at a
-// time, straight out of the mapping: raw chunks (all of v2, uncompressed
-// v3 chunks) are never copied — the bit cursor walks the mapped bytes in
-// place — and compressed v3 chunks decompress into one reused
-// chunk-sized scratch buffer. Peak decoded state is a single record, so
-// a sweep worker's RSS is the page cache's problem, shared across every
-// worker mapping the same file; that is the property that makes
+// Maps the whole container once; the chunk cursor and decoder are
+// FileTraceSource's, only the ByteSource differs. Raw chunks (all of v2,
+// uncompressed v3/v4 chunks) are bit-decoded straight out of the
+// mapping, never copied, and compressed chunks inflate into one reused
+// chunk-sized scratch buffer, so the encoded bytes are the page cache's
+// problem, shared across every worker mapping the same file — what makes
 // fan-out sweeps over one long prepared trace cheap (trace.backend =
 // mmap, docs/CONFIG.md).
-//
-// The same header/chunk validation as FileTraceSource applies (one
-// implementation, container.hpp's ByteSource parsers), so corrupt files
-// are rejected with identical errors before any decode.
 #ifndef RESIM_TRACE_MMAP_SOURCE_H
 #define RESIM_TRACE_MMAP_SOURCE_H
 
-#include <cstdint>
-#include <optional>
-#include <span>
 #include <string>
-#include <vector>
 
-#include "common/bitstream.hpp"
-#include "trace/container.hpp"
-#include "trace/reader.hpp"
+#include "trace/file_source.hpp"
 
 namespace resim::trace {
 
-class MmapTraceSource final : public TraceSource {
+class MmapTraceSource final : public FileTraceSource {
  public:
   /// Maps and validates the container header; throws std::runtime_error
   /// on a missing or corrupt file (or on platforms without mmap).
-  explicit MmapTraceSource(std::string path);
-  ~MmapTraceSource() override;
-
-  MmapTraceSource(const MmapTraceSource&) = delete;
-  MmapTraceSource& operator=(const MmapTraceSource&) = delete;
-
-  [[nodiscard]] const TraceRecord* peek() override;
-  TraceRecord next() override;
-  [[nodiscard]] std::uint64_t bits_consumed() const override { return bits_; }
-  [[nodiscard]] std::uint64_t records_consumed() const override { return consumed_; }
-
-  /// Chunk-skipping seek, like FileTraceSource: whole chunks inside the
-  /// skip region advance the map offset past their stored payload —
-  /// compressed chunks are never even decompressed. Legacy v1 falls back
-  /// to decode-and-discard.
-  std::uint64_t skip(std::uint64_t n) override;
-
-  /// Restart from the first record, resetting the consumption counters.
-  void rewind();
-
-  // --- container metadata (available without decoding any record) ---------
-  [[nodiscard]] const std::string& trace_name() const { return hdr_.name; }
-  [[nodiscard]] Addr start_pc() const { return hdr_.start_pc; }
-  [[nodiscard]] std::uint64_t total_records() const override { return hdr_.record_count; }
-  [[nodiscard]] std::uint32_t container_version() const { return hdr_.version; }
-
-  /// Chunks seeked past (never decoded or decompressed) by skip().
-  [[nodiscard]] std::uint64_t chunks_skipped() const { return prog_.chunks_skipped; }
-
-  /// Chunks this source opened for decoding (v1: counts the single
-  /// payload once). Companion of FileTraceSource::chunks_decoded() for
-  /// the decode-once CI assertion.
-  [[nodiscard]] std::uint64_t chunks_decoded() const { return chunks_decoded_; }
-
- private:
-  /// Decodes the next record into cur_; false at end of stream.
-  bool advance_one();
-  /// Parses the next chunk header and points the bit cursor at its
-  /// (decompressed if needed) payload.
-  void open_next_chunk();
-  [[nodiscard]] std::span<const std::uint8_t> map_span() const {
-    return {map_, map_size_};
-  }
-
-  std::string path_;
-  const std::uint8_t* map_ = nullptr;  ///< read-only mapping of the whole file
-  std::size_t map_size_ = 0;
-  ContainerHeader hdr_;
-
-  std::size_t offset_ = 0;  ///< next unread byte (chunk framing)
-  ChunkProgress prog_;      ///< records/chunks decoded or seeked so far
-
-  std::optional<BitReader> br_;        ///< cursor into the current chunk / v1 payload
-  std::uint64_t chunk_left_ = 0;       ///< records left in the open chunk
-  std::vector<std::uint8_t> raw_;      ///< v3+: decompression scratch (reused)
-  DeltaCodec delta_;                   ///< v4: per-chunk unfilter state
-  bool chunk_delta_ = false;           ///< open chunk carries kChunkFlagDelta
-
-  TraceRecord cur_{};
-  bool has_cur_ = false;
-
-  std::uint64_t consumed_ = 0;
-  std::uint64_t bits_ = 0;
-  std::uint64_t chunks_decoded_ = 0;
+  explicit MmapTraceSource(const std::string& path);
 };
 
 }  // namespace resim::trace

@@ -1,21 +1,23 @@
-// SegmentedTraceSource: multi-window adaptor over any TraceSource
+// SegmentedTraceSource: window adaptor over any TraceSource
 // (docs/SAMPLING.md).
 //
-// TraceWindow carves ONE region out of a trace; a sampled run needs
-// MANY: gap → warmup → detailed window → gap → ... over a single pass
-// of the inner source. This adaptor hands the consumer (one long-lived
-// engine) a bounded allowance at a time:
+// Carves regions out of one pass of the inner source: a sampled run's
+// gap → warmup → detailed window → gap → ..., or `sim --skip N
+// --max-records M`'s single region (one skip_gap plus one segment). The
+// consumer (one long-lived engine) gets a bounded allowance at a time:
 //
-//   open_segment(n)   grant n more records; peek()/next()/views flow
-//                     until the allowance is used up (then EOF)
+//   open_segment(n)   grant n more records (kAll: the rest of the
+//                     stream); views flow until the allowance is used
+//                     up (then EOF)
 //   close_segment()   revoke the unused remainder (hard segment end)
 //   skip_gap(n)       fast-forward the inner source between segments
-//                     (chunk-seeking skip(); nothing is decoded or
+//                     (chunk-hopping skip(); nothing is decoded or
 //                     counted here)
 //
 // bits_consumed()/records_consumed() count only records handed through
-// segments — gap records never appear in the consumer's totals, exactly
-// like TraceWindow's skip region. inner_position() reports the absolute
+// segments — gap records never appear in the consumer's totals, so an
+// engine run over a window reports the region's own trace statistics.
+// inner_position() reports the absolute
 // record cursor of the inner source (its records_consumed(), which by
 // the TraceSource contract includes skipped records), which is what the
 // sampling planner uses to aim skip_gap() at absolute window starts.
@@ -31,28 +33,15 @@ namespace resim::trace {
 
 class SegmentedTraceSource final : public TraceSource {
  public:
+  /// open_segment(kAll): no limit short of the end of the stream.
+  static constexpr std::uint64_t kAll = ~std::uint64_t{0};
+
   /// Does not own `inner`. Starts with an empty allowance (EOF until the
   /// first open_segment()).
   explicit SegmentedTraceSource(TraceSource& inner) : inner_(inner) {}
 
-  [[nodiscard]] const TraceRecord* peek() override {
-    if (remaining_ == 0) return nullptr;
-    return inner_.peek();
-  }
-
-  TraceRecord next() override {
-    if (remaining_ == 0) {
-      throw std::out_of_range("SegmentedTraceSource::next: past end of segment");
-    }
-    const TraceRecord r = inner_.next();
-    --remaining_;
-    ++consumed_;
-    bits_ += encoded_bits(r);
-    return r;
-  }
-
-  /// Forwards the inner columnar fast path, truncated at the segment
-  /// allowance so a view can never leak records past the segment.
+  /// Forwards the inner view, truncated at the segment allowance so a
+  /// view can never leak records past the segment.
   [[nodiscard]] BatchView fetch_view() override {
     if (remaining_ == 0) return {};
     BatchView v = inner_.fetch_view();

@@ -35,7 +35,7 @@ TraceStats analyze(const Trace& t) {
 
 TraceStats analyze(TraceSource& src) {
   TraceStats s;
-  while (src.peek() != nullptr) accumulate(s, src.next());
+  drain(src, [&s](const TraceRecord& r) { accumulate(s, r); });
   return s;
 }
 

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/bitstream.hpp"
 #include "common/lz.hpp"
 #include "trace/container.hpp"
 #include "trace/file_source.hpp"
@@ -16,21 +17,6 @@ std::vector<std::uint8_t> Trace::encode_payload() const {
   for (const auto& r : records) encode(r, w);
   w.align_byte();
   return std::move(w).take();
-}
-
-std::vector<TraceRecord> Trace::decode_payload(std::span<const std::uint8_t> payload,
-                                               std::uint64_t count) {
-  BitReader br(payload);
-  std::vector<TraceRecord> out;
-  out.reserve(count);
-  decode_records(br, count, 0, out, "decode_payload", "");
-  // Only byte-alignment padding may follow the last record; a whole
-  // spare byte means the payload length lies about the record count.
-  if (br.bits_remaining() >= 8) {
-    throw std::runtime_error("decode_payload: trailing garbage after record " +
-                             std::to_string(count));
-  }
-  return out;
 }
 
 void save_trace(const Trace& t, const std::string& path, std::uint32_t chunk_records,
@@ -124,15 +110,15 @@ void save_trace(const Trace& t, const std::string& path, std::uint32_t chunk_rec
 }
 
 Trace load_trace(const std::string& path) {
-  // One reader implementation for both container versions: drain the
-  // streaming source (which owns all header/chunk validation) into a
-  // decoded vector.
+  // One reader for every container version: drain the streaming source
+  // (which owns all header/chunk validation and the one chunk decoder)
+  // into a decoded vector.
   FileTraceSource src(path);
   Trace t;
   t.name = src.trace_name();
   t.start_pc = src.start_pc();
   t.records.reserve(src.total_records());
-  while (src.peek() != nullptr) t.records.push_back(src.next());
+  drain(src, [&t](const TraceRecord& r) { t.records.push_back(r); });
   return t;
 }
 

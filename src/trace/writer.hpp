@@ -30,14 +30,9 @@ struct Trace {
     return bits;
   }
 
-  /// Encode to the wire format (byte-aligned at the end only).
+  /// Encode to the wire format (byte-aligned at the end only); the
+  /// inverse is ChunkDecoder (container.hpp).
   [[nodiscard]] std::vector<std::uint8_t> encode_payload() const;
-
-  /// Decode a payload of exactly `count` records; throws
-  /// std::runtime_error if more than alignment padding follows the last
-  /// record (trailing-garbage detection).
-  [[nodiscard]] static std::vector<TraceRecord> decode_payload(
-      std::span<const std::uint8_t> payload, std::uint64_t count);
 };
 
 /// Writes the chunked container format (see docs/TRACE_FORMAT.md):

@@ -19,8 +19,8 @@
 #include "driver/batch_runner.hpp"
 #include "trace/batch_cache.hpp"
 #include "trace/file_source.hpp"
+#include "trace/segment.hpp"
 #include "trace/tracegen.hpp"
-#include "trace/window.hpp"
 #include "trace/writer.hpp"
 #include "trace_test_util.hpp"
 #include "workload/suite.hpp"
@@ -47,132 +47,11 @@ std::string save_flavor(const Trace& t, const std::string& leaf,
   return path;
 }
 
-// ---- record-stream identity ----------------------------------------------
-
-TEST(BatchTraceSource, DrainMatchesFileSourceAcrossContainerVersions) {
-  const Trace t = generate("gzip", 6000);
-  for (const std::string flavor : {"v2", "v3", "v4"}) {
-    const std::string path = save_flavor(t, "drain", flavor);
-    FileTraceSource want(path);
-    BatchTraceSource got(std::make_shared<SharedBatchCache>(path));
-
-    EXPECT_EQ(got.trace_name(), want.trace_name());
-    EXPECT_EQ(got.start_pc(), want.start_pc());
-    EXPECT_EQ(got.total_records(), want.total_records());
-    EXPECT_EQ(got.container_version(), want.container_version());
-
-    while (want.peek() != nullptr) {
-      ASSERT_NE(got.peek(), nullptr) << flavor;
-      ASSERT_TRUE(records_equal(got.next(), want.next())) << flavor;
-    }
-    EXPECT_EQ(got.peek(), nullptr) << flavor;
-    EXPECT_EQ(got.records_consumed(), want.records_consumed()) << flavor;
-    EXPECT_EQ(got.bits_consumed(), want.bits_consumed()) << flavor;
-    std::remove(path.c_str());
-  }
-}
-
-TEST(BatchTraceSource, ViewDrainMatchesScalarDrainExactly) {
-  const Trace t = generate("parser", 5000);
-  const std::string path = save_flavor(t, "views", "v3");
-
-  BatchTraceSource scalar(std::make_shared<SharedBatchCache>(path));
-  BatchTraceSource views(std::make_shared<SharedBatchCache>(path));
-  std::vector<TraceRecord> scalar_recs;
-  while (scalar.peek() != nullptr) scalar_recs.push_back(scalar.next());
-
-  std::size_t i = 0;
-  for (;;) {
-    const BatchView v = views.fetch_view();
-    if (v.count == 0) {
-      ASSERT_EQ(views.peek(), nullptr);
-      break;
-    }
-    for (std::size_t k = 0; k < v.count; ++k) {
-      TraceRecord r;
-      v.batch->get(v.first + k, r);
-      ASSERT_LT(i, scalar_recs.size());
-      ASSERT_TRUE(records_equal(r, scalar_recs[i++]));
-    }
-    views.consume_view(v.count);
-  }
-  EXPECT_EQ(i, scalar_recs.size());
-  EXPECT_EQ(views.records_consumed(), scalar.records_consumed());
-  EXPECT_EQ(views.bits_consumed(), scalar.bits_consumed());
-  std::remove(path.c_str());
-}
-
-TEST(BatchTraceSource, SkipAndRewindMatchFileSourceAccounting) {
-  const Trace t = generate("vpr", 8000);
-  const std::string path = save_flavor(t, "skip", "v3", /*chunk_records=*/256);
-
-  // Skip far enough to hop whole chunks, then drain: identical records
-  // and identical (frame-granular) bit accounting to the file source.
-  FileTraceSource want(path);
-  BatchTraceSource got(std::make_shared<SharedBatchCache>(path));
-  const std::uint64_t wskip = want.skip(3000);
-  const std::uint64_t gskip = got.skip(3000);
-  EXPECT_EQ(gskip, wskip);
-  EXPECT_EQ(got.records_consumed(), want.records_consumed());
-  EXPECT_EQ(got.bits_consumed(), want.bits_consumed());
-  EXPECT_GT(got.chunks_skipped(), 0u);
-
-  while (want.peek() != nullptr) {
-    ASSERT_NE(got.peek(), nullptr);
-    ASSERT_TRUE(records_equal(got.next(), want.next()));
-  }
-  EXPECT_EQ(got.peek(), nullptr);
-  EXPECT_EQ(got.bits_consumed(), want.bits_consumed());
-
-  // Rewind restarts from record zero with zeroed counters.
-  got.rewind();
-  EXPECT_EQ(got.records_consumed(), 0u);
-  EXPECT_EQ(got.bits_consumed(), 0u);
-  ASSERT_NE(got.peek(), nullptr);
-  EXPECT_TRUE(records_equal(*got.peek(), t.records.front()));
-  std::remove(path.c_str());
-}
-
-TEST(BatchTraceSource, SkipPastEndAndEmptyViewContract) {
-  const Trace t = generate("gzip", 1000);
-  const std::string path = save_flavor(t, "skipend", "v2");
-  BatchTraceSource src(std::make_shared<SharedBatchCache>(path));
-  EXPECT_EQ(src.skip(~std::uint64_t{0}), t.records.size());
-  EXPECT_EQ(src.peek(), nullptr);
-  EXPECT_EQ(src.fetch_view().count, 0u);
-  src.consume_view(0);  // zero-record consume is always legal
-  EXPECT_THROW(src.consume_view(1), std::logic_error);
-  std::remove(path.c_str());
-}
-
 TEST(SharedBatchCache, V1ContainerRejected) {
   Trace t = generate("gzip", 200);
   const std::string path = temp_path("cache_v1.rsim");
   testutil::write_v1(path, t, t.records.size());
   EXPECT_THROW(SharedBatchCache{path}, std::invalid_argument);
-  std::remove(path.c_str());
-}
-
-// ---- TraceWindow over shared batches --------------------------------------
-
-TEST(TraceWindowOverBatches, SkipWarmupRegionMatchesFileSource) {
-  const Trace t = generate("parser", 9000);
-  const std::string path = save_flavor(t, "window", "v4", /*chunk_records=*/256);
-
-  const auto run_window = [&](TraceSource& inner) {
-    TraceWindow w(inner, /*skip=*/2500, /*warmup=*/500, /*simulate=*/3000);
-    const auto cfg = core::CoreConfig::paper_4wide_perfect();
-    return core::ReSimEngine(cfg, w).run();
-  };
-  FileTraceSource fsrc(path);
-  const auto want = run_window(fsrc);
-  BatchTraceSource bsrc(std::make_shared<SharedBatchCache>(path));
-  const auto got = run_window(bsrc);
-
-  EXPECT_EQ(got.committed, want.committed);
-  EXPECT_EQ(got.major_cycles, want.major_cycles);
-  EXPECT_EQ(got.trace_records, want.trace_records);
-  EXPECT_EQ(got.trace_bits, want.trace_bits);
   std::remove(path.c_str());
 }
 
@@ -294,6 +173,39 @@ TEST(SharedBatchCache, TinyCapacityStillCorrectUnderEvictionPressure) {
   }
   EXPECT_GE(cache->chunks_decoded(), cache->chunk_count());
   EXPECT_GT(cache->evictions(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(SharedBatchCache, InterleavedSegmentedConsumersStayIndependent) {
+  // A sweep gives every job its own BatchTraceSource over one
+  // SharedBatchCache; each job's window hops to a different region.
+  // Interleaved cursors must each see exactly their own slice.
+  Trace t = generate("parser", 4000);
+  ASSERT_GE(t.records.size(), 2348u);
+  t.records.resize(2348);  // 4 full 512-record chunks + a 300-record tail
+  const std::string path = save_flavor(t, "multi", "v2");
+
+  auto cache = std::make_shared<SharedBatchCache>(path, /*expected_consumers=*/2);
+  BatchTraceSource a(cache);
+  BatchTraceSource b(cache);
+  SegmentedTraceSource wa(a);
+  SegmentedTraceSource wb(b);
+  (void)wa.skip_gap(100);   // window over chunks 0-1
+  wa.open_segment(600);
+  (void)wb.skip_gap(1700);  // window over chunks 3-4
+  wb.open_segment(500);
+  for (std::uint64_t i = 0; i < 500; ++i) {
+    ASSERT_TRUE(records_equal(wa.next(), t.records[100 + i]));
+    ASSERT_TRUE(records_equal(wb.next(), t.records[1700 + i]));
+  }
+  for (std::uint64_t i = 500; i < 600; ++i) {
+    ASSERT_TRUE(records_equal(wa.next(), t.records[100 + i]));
+  }
+  EXPECT_EQ(wa.peek(), nullptr);
+  EXPECT_EQ(wb.peek(), nullptr);
+  EXPECT_EQ(wa.records_consumed(), 600u);
+  EXPECT_EQ(wb.records_consumed(), 500u);
+  EXPECT_EQ(b.chunks_skipped(), 3u);
   std::remove(path.c_str());
 }
 

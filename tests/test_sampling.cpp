@@ -199,8 +199,8 @@ TEST(SamplingPlan, PlanFromConfigNeedsAKnownTraceLength) {
   // A source that cannot report its length is rejected up front.
   class Unknown final : public trace::TraceSource {
    public:
-    [[nodiscard]] const trace::TraceRecord* peek() override { return nullptr; }
-    trace::TraceRecord next() override { throw std::out_of_range("empty"); }
+    [[nodiscard]] trace::BatchView fetch_view() override { return {}; }
+    void consume_view(std::size_t) override {}
     [[nodiscard]] std::uint64_t bits_consumed() const override { return 0; }
     [[nodiscard]] std::uint64_t records_consumed() const override { return 0; }
   } unknown;

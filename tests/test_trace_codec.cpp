@@ -169,10 +169,21 @@ TEST(Trace, TotalBitsMatchesPayload) {
   for (int i = 0; i < 100; ++i) t.records.push_back(random_record(rng));
   const auto payload = t.encode_payload();
   EXPECT_EQ(payload.size(), (t.total_bits() + 7) / 8);
-  const auto decoded = Trace::decode_payload(payload, t.records.size());
+  // The payload decodes back as one raw chunk.
+  ChunkHeader ch;
+  ch.record_count = t.records.size();
+  ch.raw_bytes = payload.size();
+  ch.payload_bytes = ch.raw_bytes;
+  ChunkDecoder dec("payload");
+  dec.open(payload, ch, 0, 0);
+  RecordBatch decoded;
+  dec.decode_next(ch.record_count, decoded);
+  EXPECT_EQ(dec.left(), 0u);
   ASSERT_EQ(decoded.size(), t.records.size());
+  TraceRecord r;
   for (std::size_t i = 0; i < decoded.size(); ++i) {
-    EXPECT_TRUE(records_equal(t.records[i], decoded[i]));
+    decoded.get(i, r);
+    EXPECT_TRUE(records_equal(t.records[i], r));
   }
 }
 
@@ -379,8 +390,8 @@ TEST(TraceFileV3, CompressedBytesNotSmallerThanRawRejected) {
   // to the same value.
   std::uint32_t raw_bytes = 0;
   {
-    std::ifstream f(path, std::ios::binary);
-    f.seekg(static_cast<std::streamoff>(v3::first_chunk_off(t) + 8));
+    StreamByteSource f(path);
+    f.seek(v3::first_chunk_off(t) + 8);
     raw_bytes = read_u32le(f, "raw_bytes");
   }
   v3::poke_u32(path, v3::first_chunk_off(t) + 12, raw_bytes);
@@ -506,6 +517,36 @@ TEST(TraceFile, TrailingGarbageRejected) {
     os.write("JUNKJUNK", 8);
   }
   corrupt::expect_rejected(path, "trailing garbage");
+}
+
+TEST(TraceFile, FailedChunkLeavesNoStaleView) {
+  // 600 records in 512-record chunks: chunk 1 holds 88. Its payload
+  // starts with reserved format tags, so decoding fails after the reused
+  // batch was already resized for it. Asking again must fail again, not
+  // lend out a view past the end of the 88-record batch.
+  const Trace t = corrupt::small_trace(9, 600);
+  const std::string path = ::testing::TempDir() + "/badchunk1.rsim";
+  save_trace(t, path, /*chunk_records=*/512);
+  const std::uint64_t chunk0 = 4 + 4 + 4 + t.name.size() + 8 + 8 + 4 + 4;
+  std::uint32_t payload0 = 0;
+  {
+    StreamByteSource f(path);
+    f.seek(chunk0 + 4);
+    payload0 = read_u32le(f, "payload_bytes");
+  }
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(static_cast<std::streamoff>(chunk0 + 8 + payload0 + 8));
+    const char tags[2] = {'\xFF', '\xFF'};
+    f.write(tags, 2);
+  }
+  FileTraceSource src(path);
+  const BatchView v = src.fetch_view();
+  ASSERT_EQ(v.count, 512u);
+  src.consume_view(v.count);
+  EXPECT_THROW((void)src.fetch_view(), std::runtime_error);
+  EXPECT_THROW((void)src.fetch_view(), std::runtime_error);
+  std::remove(path.c_str());
 }
 
 TEST(TraceFile, RegisterOutOfRangeRejected) {

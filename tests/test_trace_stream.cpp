@@ -1,12 +1,13 @@
-// Streaming trace I/O: FileTraceSource vs. VectorTraceSource identity,
-// O(chunk) memory, rewind, TraceWindow regions, and factory-built
-// sources in the batch runner.
+// The trace read path: every TraceSource agrees with every other on
+// records and accounting (one parameterized source-equivalence test),
+// plus engine identity, edge cases of the file readers, and
+// factory-built sources in the batch runner.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -16,8 +17,8 @@
 #include "trace/batch_cache.hpp"
 #include "trace/file_source.hpp"
 #include "trace/mmap_source.hpp"
+#include "trace/segment.hpp"
 #include "trace/tracegen.hpp"
-#include "trace/window.hpp"
 #include "trace/writer.hpp"
 #include "trace_test_util.hpp"
 #include "workload/suite.hpp"
@@ -35,31 +36,278 @@ Trace generate(const std::string& bench, std::uint64_t insts) {
 
 std::string temp_path(const std::string& leaf) { return ::testing::TempDir() + "/" + leaf; }
 
-// ---- FileTraceSource ------------------------------------------------------
+// ---- source equivalence ----------------------------------------------------
+//
+// One test for every reader: the vector, stream, mmap and shared-batch
+// sources over container v1 (file readers only), v2, v3 and v4, driven
+// through SegmentedTraceSource by seeded (skip, warmup, window) draws and
+// drained by all three reading styles (peek/next, partial views, a
+// ViewCursor). Every source must hand over exactly the records a plain
+// index walk over the trace predicts, with identical records_consumed
+// and bits_consumed; the chunk cursors must also agree on the inner
+// accounting (chunk hops count frame bits) and on chunks_skipped, and
+// hold at most one chunk decoded (a v1 payload, one unframed chunk, is
+// decoded in kDefaultChunkRecords-record pieces: two here).
 
-TEST(FileTraceSource, RecordStreamMatchesVectorSource) {
-  const Trace t = generate("gzip", 6000);
-  const std::string path = temp_path("stream_eq.rsim");
-  save_trace(t, path, /*chunk_records=*/512);
+constexpr std::uint32_t kChunk = 512;
+constexpr std::uint64_t kRecords = 5000;  // 9 full chunks + a 392-record tail
 
-  FileTraceSource fsrc(path);
-  EXPECT_EQ(fsrc.trace_name(), t.name);
-  EXPECT_EQ(fsrc.start_pc(), t.start_pc);
-  EXPECT_EQ(fsrc.total_records(), t.records.size());
-  EXPECT_EQ(fsrc.container_version(), kContainerV2);
+/// A source under test; `cursor` is null for the vector source.
+struct Reader {
+  std::string name;
+  std::unique_ptr<TraceSource> src;
+  ChunkCursor* cursor = nullptr;
+};
 
-  VectorTraceSource vsrc(t);
-  while (vsrc.peek() != nullptr) {
-    ASSERT_NE(fsrc.peek(), nullptr);
-    ASSERT_TRUE(records_equal(fsrc.next(), vsrc.next()));
+class SourceEquivalence : public ::testing::TestWithParam<std::uint32_t> {
+ protected:
+  void SetUp() override {
+    const auto cfg = core::CoreConfig::paper_4wide_perfect();
+    TraceGenConfig g;
+    g.max_insts = kRecords;
+    g.bp = cfg.bp;
+    g.wrong_path_block = cfg.wrong_path_block();
+    trace_ = TraceGenerator(workload::make_workload("vortex"), g).generate();
+    ASSERT_GE(trace_.records.size(), kRecords);
+    trace_.records.resize(kRecords);
+    path_ = temp_path("equiv_v" + std::to_string(GetParam()) + ".rsim");
+    if (GetParam() == kContainerV1) {
+      testutil::write_v1(path_, trace_, trace_.records.size());
+    } else {
+      save_trace(trace_, path_, kChunk, /*compress=*/GetParam() >= kContainerV3,
+                 /*prefilter=*/GetParam() == kContainerV4);
+    }
   }
-  EXPECT_EQ(fsrc.peek(), nullptr);
-  EXPECT_EQ(fsrc.records_consumed(), vsrc.records_consumed());
-  EXPECT_EQ(fsrc.bits_consumed(), vsrc.bits_consumed());
-  // The whole trace never sat in memory decoded: at most one chunk did.
-  EXPECT_LE(fsrc.max_buffered_records(), 512u);
-  std::remove(path.c_str());
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  /// Fresh readers; the shared cache declines v1.
+  std::vector<Reader> open_all() const {
+    std::vector<Reader> out;
+    out.push_back({"vector", std::make_unique<VectorTraceSource>(trace_), nullptr});
+    const auto add = [&out](const char* name, std::unique_ptr<ChunkCursor> c) {
+      ChunkCursor* raw = c.get();
+      out.push_back({name, std::move(c), raw});
+    };
+    add("stream", std::make_unique<FileTraceSource>(path_));
+    add("mmap", std::make_unique<MmapTraceSource>(path_));
+    if (GetParam() != kContainerV1) {
+      add("shared", std::make_unique<BatchTraceSource>(std::make_shared<SharedBatchCache>(path_)));
+    }
+    for (const auto& r : out) {
+      if (r.cursor == nullptr) continue;
+      EXPECT_EQ(r.cursor->trace_name(), trace_.name) << r.name;
+      EXPECT_EQ(r.cursor->start_pc(), trace_.start_pc) << r.name;
+      EXPECT_EQ(r.cursor->container_version(), GetParam()) << r.name;
+      EXPECT_EQ(r.src->total_records(), trace_.records.size()) << r.name;
+    }
+    return out;
+  }
+
+  /// The most records a chunk cursor may hold decoded at once.
+  [[nodiscard]] std::size_t decoded_bound() const {
+    return GetParam() == kContainerV1 ? kDefaultChunkRecords : kChunk;
+  }
+
+  Trace trace_;
+  std::string path_;
+};
+
+/// One sampled region: gap records skipped, then a warm-up segment and
+/// a window segment (kAll: the rest of the trace).
+struct Region {
+  std::uint64_t skip, warmup, window;
+};
+
+/// Drains the open segment in reading style `style`, appending what it
+/// read to `out`.
+void drain_segment(SegmentedTraceSource& seg, unsigned style, Rng& rng,
+                   std::vector<TraceRecord>& out) {
+  if (style == 0) {
+    while (seg.peek() != nullptr) out.push_back(seg.next());
+  } else if (style == 1) {
+    TraceRecord r;
+    for (BatchView v = seg.fetch_view(); !v.empty(); v = seg.fetch_view()) {
+      const std::size_t k = 1 + rng.below(v.count);  // partial views too
+      for (std::size_t i = 0; i < k; ++i) {
+        v.batch->get(v.first + i, r);
+        out.push_back(r);
+      }
+      seg.consume_view(k);
+    }
+  } else {
+    ViewCursor cur(seg);
+    while (cur.peek() != nullptr) out.push_back(cur.next());
+    cur.flush();
+  }
 }
+
+/// Counters after each step of a draw, for comparing sources.
+struct Trail {
+  std::vector<TraceRecord> records;
+  std::vector<std::uint64_t> counters;  ///< segment + inner accounting
+  std::vector<std::uint64_t> inner;     ///< inner bits and chunks_skipped (cursors)
+};
+
+Trail run_draw(Reader& rd, const std::vector<Region>& regions, std::uint64_t seed) {
+  Trail t;
+  Rng rng(seed);
+  SegmentedTraceSource seg(*rd.src);
+  unsigned style = 0;
+  for (const Region& r : regions) {
+    t.counters.push_back(seg.skip_gap(r.skip));
+    for (const std::uint64_t len : {r.warmup, r.window}) {
+      seg.open_segment(len);
+      drain_segment(seg, style++ % 3, rng, t.records);
+      seg.close_segment();
+      t.counters.push_back(seg.records_consumed());
+      t.counters.push_back(seg.bits_consumed());
+      t.counters.push_back(seg.inner_position());
+      if (rd.cursor != nullptr) {
+        t.inner.push_back(rd.src->bits_consumed());
+        t.inner.push_back(rd.cursor->chunks_skipped());
+      }
+    }
+  }
+  return t;
+}
+
+/// The same draw predicted by an index walk over the trace itself.
+Trail expected_draw(const Trace& trace, const std::vector<Region>& regions) {
+  Trail t;
+  const std::uint64_t n = trace.records.size();
+  std::uint64_t pos = 0;
+  std::uint64_t seg_records = 0;
+  std::uint64_t seg_bits = 0;
+  for (const Region& r : regions) {
+    const std::uint64_t skipped = std::min(r.skip, n - pos);
+    pos += skipped;
+    t.counters.push_back(skipped);
+    for (const std::uint64_t len : {r.warmup, r.window}) {
+      const std::uint64_t take = std::min(len, n - pos);
+      for (std::uint64_t i = 0; i < take; ++i) {
+        t.records.push_back(trace.records[pos + i]);
+        seg_bits += encoded_bits(trace.records[pos + i]);
+      }
+      pos += take;
+      seg_records += take;
+      t.counters.push_back(seg_records);
+      t.counters.push_back(seg_bits);
+      t.counters.push_back(pos);
+    }
+  }
+  return t;
+}
+
+std::vector<std::vector<Region>> draws(std::uint64_t n, std::uint64_t seed) {
+  constexpr std::uint64_t kAll = SegmentedTraceSource::kAll;
+  std::vector<std::vector<Region>> out = {
+      {{0, 0, kAll}},                  // plain full drain
+      {{2100, 0, kAll}},               // hop 4 chunks, decode the 5th's tail
+      {{1610, 300, 1200}},             // land mid-chunk, warm across a boundary
+      {{100, 0, 600}, {1000, 50, 500}},  // a second gap after a partial chunk
+      {{0, 10, 20}, {n, 5, 5}},        // skip past the end
+      {{0, 0, 0}, {512, 0, 0}},        // zero-length windows
+      {{4608, 0, kAll}},               // every full chunk hopped
+  };
+  Rng rng(seed);
+  for (int d = 0; d < 12; ++d) {
+    std::vector<Region> regions;
+    const std::uint64_t k = rng.range(1, 3);
+    for (std::uint64_t i = 0; i < k; ++i) {
+      regions.push_back({rng.chance(1, 5) ? 0 : rng.below(n / 2), rng.below(700),
+                         rng.chance(1, 6) ? kAll : rng.below(1500)});
+    }
+    out.push_back(regions);
+  }
+  return out;
+}
+
+TEST_P(SourceEquivalence, EverySourceAgreesOnSeededWindows) {
+  const auto all_draws = draws(trace_.records.size(), 0x5EED + GetParam());
+  for (std::size_t d = 0; d < all_draws.size(); ++d) {
+    const Trail want = expected_draw(trace_, all_draws[d]);
+    std::vector<Reader> readers = open_all();
+    const Trail* cursor_ref = nullptr;
+    std::vector<Trail> got;
+    got.reserve(readers.size());
+    for (Reader& rd : readers) {
+      got.push_back(run_draw(rd, all_draws[d], d));
+      const Trail& g = got.back();
+      SCOPED_TRACE(rd.name + " draw " + std::to_string(d));
+      ASSERT_EQ(g.records.size(), want.records.size());
+      for (std::size_t i = 0; i < g.records.size(); ++i) {
+        ASSERT_TRUE(records_equal(g.records[i], want.records[i])) << "record " << i;
+      }
+      EXPECT_EQ(g.counters, want.counters);
+      if (rd.cursor == nullptr) continue;
+      EXPECT_LE(rd.cursor->max_batch_records(), decoded_bound());
+      if (cursor_ref == nullptr) {
+        cursor_ref = &g;
+      } else {
+        EXPECT_EQ(g.inner, cursor_ref->inner);
+      }
+      // rewind() restarts every cursor from record zero.
+      rd.cursor->rewind();
+      EXPECT_EQ(rd.src->records_consumed(), 0u);
+      EXPECT_EQ(rd.src->bits_consumed(), 0u);
+      EXPECT_EQ(rd.cursor->chunks_skipped(), 0u);
+      ASSERT_NE(rd.src->peek(), nullptr);
+      EXPECT_TRUE(records_equal(rd.src->next(), trace_.records.front()));
+    }
+  }
+}
+
+TEST_P(SourceEquivalence, SkipHopsWholeChunksUnread) {
+  // 2100 records = 4 whole 512-record chunks + 52: the chunks are hopped
+  // by their stored size, never decoded, and only the 5th is opened. A
+  // v1 payload has no framing to hop by, so its pieces are decoded.
+  const bool chunked = GetParam() != kContainerV1;
+  for (Reader& rd : open_all()) {
+    if (rd.cursor == nullptr) continue;
+    SCOPED_TRACE(rd.name);
+    EXPECT_EQ(rd.src->skip(2100), 2100u);
+    EXPECT_EQ(rd.cursor->chunks_skipped(), chunked ? 4u : 0u);
+    EXPECT_EQ(rd.cursor->chunks_decoded(), 1u);
+    EXPECT_TRUE(records_equal(rd.src->next(), trace_.records[2100]));
+    // Past the end: an empty view, a refused consume, a throwing next().
+    EXPECT_EQ(rd.src->skip(~std::uint64_t{0}), trace_.records.size() - 2101);
+    EXPECT_EQ(rd.cursor->chunks_skipped(), chunked ? 9u : 0u);
+    EXPECT_EQ(rd.cursor->chunks_decoded(), chunked ? 1u : 2u);
+    EXPECT_TRUE(rd.src->fetch_view().empty());
+    EXPECT_THROW(rd.src->consume_view(1), std::logic_error);
+    EXPECT_THROW((void)rd.src->next(), std::out_of_range);
+    EXPECT_EQ(rd.src->records_consumed(), trace_.records.size());
+  }
+}
+
+TEST_P(SourceEquivalence, EngineResultsMatchOverAWindow) {
+  const auto cfg = core::CoreConfig::paper_4wide_perfect();
+  std::vector<core::SimResult> results;
+  for (Reader& rd : open_all()) {
+    SegmentedTraceSource seg(*rd.src);
+    (void)seg.skip_gap(2100);
+    seg.open_segment(2000);
+    results.push_back(core::ReSimEngine(cfg, seg).run());
+    if (rd.cursor != nullptr) {
+      EXPECT_LE(rd.cursor->max_batch_records(), decoded_bound()) << rd.name;
+    }
+  }
+  for (std::size_t i = 1; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].committed, results[0].committed);
+    EXPECT_EQ(results[i].fetched, results[0].fetched);
+    EXPECT_EQ(results[i].squashed, results[0].squashed);
+    EXPECT_EQ(results[i].major_cycles, results[0].major_cycles);
+    EXPECT_EQ(results[i].trace_records, results[0].trace_records);
+    EXPECT_EQ(results[i].trace_bits, results[0].trace_bits);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Containers, SourceEquivalence,
+                         ::testing::Values(kContainerV1, kContainerV2, kContainerV3,
+                                           kContainerV4),
+                         [](const auto& info) { return "v" + std::to_string(info.param); });
+
+// ---- file-reader edge cases ------------------------------------------------
 
 TEST(FileTraceSource, NextPastEndThrows) {
   Trace t;
@@ -69,46 +317,6 @@ TEST(FileTraceSource, NextPastEndThrows) {
   FileTraceSource src(path);
   EXPECT_EQ(src.peek(), nullptr);
   EXPECT_THROW((void)src.next(), std::out_of_range);
-  std::remove(path.c_str());
-}
-
-TEST(FileTraceSource, RewindRestartsAndResetsCounters) {
-  const Trace t = generate("parser", 3000);
-  const std::string path = temp_path("rewind.rsim");
-  save_trace(t, path, /*chunk_records=*/256);
-
-  FileTraceSource src(path);
-  for (int i = 0; i < 700; ++i) (void)src.next();  // stop mid-chunk
-  src.rewind();
-  EXPECT_EQ(src.records_consumed(), 0u);
-  EXPECT_EQ(src.bits_consumed(), 0u);
-  ASSERT_NE(src.peek(), nullptr);
-  EXPECT_TRUE(records_equal(*src.peek(), t.records.front()));
-
-  std::uint64_t n = 0;
-  while (src.peek() != nullptr) {
-    ASSERT_TRUE(records_equal(src.next(), t.records[n]));
-    ++n;
-  }
-  EXPECT_EQ(n, t.records.size());
-  std::remove(path.c_str());
-}
-
-TEST(FileTraceSource, ReadsLegacyV1Container) {
-  // Hand-write a v1 container; the streaming source must read it too
-  // (decoding in bounded batches off the resident encoded payload).
-  const Trace t = generate("vpr", 2000);
-  const std::string path = temp_path("legacy_stream.rsim");
-  testutil::write_v1(path, t, t.records.size());
-  FileTraceSource src(path);
-  EXPECT_EQ(src.container_version(), kContainerV1);
-  std::uint64_t n = 0;
-  while (src.peek() != nullptr) {
-    ASSERT_TRUE(records_equal(src.next(), t.records[n]));
-    ++n;
-  }
-  EXPECT_EQ(n, t.records.size());
-  EXPECT_LE(src.max_buffered_records(), kDefaultChunkRecords);
   std::remove(path.c_str());
 }
 
@@ -130,6 +338,9 @@ TEST_P(StreamedSimEquivalence, SimResultIdenticalToInMemory) {
   const auto rv = core::ReSimEngine(cfg, vsrc).run();
   FileTraceSource fsrc(path);
   const auto rf = core::ReSimEngine(cfg, fsrc).run();
+  // Constant memory: the cursor never held more than one chunk decoded.
+  EXPECT_GT(fsrc.max_batch_records(), 0u);
+  EXPECT_LE(fsrc.max_batch_records(), kDefaultChunkRecords);
 
   EXPECT_EQ(rf.committed, rv.committed);
   EXPECT_EQ(rf.fetched, rv.fetched);
@@ -139,371 +350,12 @@ TEST_P(StreamedSimEquivalence, SimResultIdenticalToInMemory) {
   EXPECT_EQ(rf.minor_cycles, rv.minor_cycles);
   EXPECT_EQ(rf.trace_records, rv.trace_records);
   EXPECT_EQ(rf.trace_bits, rv.trace_bits);
-  EXPECT_LE(fsrc.max_buffered_records(), kDefaultChunkRecords);
   std::remove(path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Suite, StreamedSimEquivalence,
                          ::testing::ValuesIn(workload::suite_names()),
                          [](const auto& info) { return info.param; });
-
-// ---- TraceWindow ----------------------------------------------------------
-
-TEST(TraceWindow, ExposesExactlyTheRequestedSlice) {
-  const Trace t = generate("gzip", 2000);
-  VectorTraceSource base(t);
-  TraceWindow win(base, /*skip=*/100, /*warmup=*/50, /*simulate=*/200);
-
-  std::uint64_t bits = 0;
-  for (std::uint64_t i = 0; i < 250; ++i) {
-    ASSERT_NE(win.peek(), nullptr) << "window ended early at " << i;
-    const auto r = win.next();
-    ASSERT_TRUE(records_equal(r, t.records[100 + i]));
-    bits += encoded_bits(r);
-  }
-  EXPECT_EQ(win.peek(), nullptr);  // limit reached with trace left over
-  EXPECT_EQ(win.records_consumed(), 250u);
-  EXPECT_EQ(win.bits_consumed(), bits);
-  // The skipped prefix was consumed from the base but not counted here.
-  EXPECT_EQ(base.records_consumed(), 350u);
-}
-
-TEST(TraceWindow, SkipPastEndYieldsEmptyWindow) {
-  const Trace t = generate("gzip", 500);
-  VectorTraceSource base(t);
-  TraceWindow win(base, t.records.size() + 1000, 0, TraceWindow::kAll);
-  EXPECT_EQ(win.peek(), nullptr);
-  EXPECT_EQ(win.records_consumed(), 0u);
-  EXPECT_TRUE(win.warmup_done());  // an empty window has nothing to warm
-  EXPECT_THROW((void)win.next(), std::out_of_range);
-}
-
-TEST(TraceWindow, ZeroLengthWindow) {
-  const Trace t = generate("gzip", 500);
-  VectorTraceSource base(t);
-  TraceWindow win(base, 0, 0, 0);
-  EXPECT_EQ(win.peek(), nullptr);
-  EXPECT_EQ(win.records_consumed(), 0u);
-}
-
-TEST(TraceWindow, WarmupDoneTransitionsAtBoundary) {
-  const Trace t = generate("gzip", 500);
-  VectorTraceSource base(t);
-  TraceWindow win(base, 10, 20, TraceWindow::kAll);
-  EXPECT_EQ(win.warmup_records(), 20u);
-  EXPECT_FALSE(win.warmup_done());
-  for (int i = 0; i < 19; ++i) (void)win.next();
-  EXPECT_FALSE(win.warmup_done());
-  (void)win.next();
-  EXPECT_TRUE(win.warmup_done());
-}
-
-TEST(TraceWindow, UnlimitedSimulateDrainsToEnd) {
-  const Trace t = generate("gzip", 300);
-  VectorTraceSource base(t);
-  TraceWindow win(base, 50, 0, TraceWindow::kAll);
-  std::uint64_t n = 0;
-  while (win.peek() != nullptr) {
-    (void)win.next();
-    ++n;
-  }
-  EXPECT_EQ(n, t.records.size() - 50);
-}
-
-// ---- chunk-skipping seek --------------------------------------------------
-
-/// Exactly 4 full 512-record chunks + one 300-record tail chunk, so a
-/// skip past the full chunks proves the tail is the only decode.
-Trace chunked_trace(const std::string& bench) {
-  Trace t = generate(bench, 4000);
-  if (t.records.size() < 2348) {
-    ADD_FAILURE() << "workload too small: " << t.records.size();
-  }
-  t.records.resize(2348);  // 4 * 512 + 300
-  return t;
-}
-
-TEST(FileTraceSource, SkipSeeksWholeChunksUnread) {
-  const Trace t = chunked_trace("gzip");
-  const std::string path = temp_path("chunk_skip.rsim");
-  save_trace(t, path, /*chunk_records=*/512);
-
-  FileTraceSource src(path);
-  const std::uint64_t skipped = src.skip(2100);
-  EXPECT_EQ(skipped, 2100u);
-  EXPECT_EQ(src.records_consumed(), 2100u);
-  // All four full chunks were seeked past via their payload_bytes
-  // framing, never decoded: only the 300-record tail chunk ever sat in
-  // memory.
-  EXPECT_EQ(src.chunks_skipped(), 4u);
-  EXPECT_EQ(src.max_buffered_records(), 300u);
-  // The remainder of the stream is exactly the suffix of the trace.
-  for (std::size_t i = 2100; i < t.records.size(); ++i) {
-    ASSERT_NE(src.peek(), nullptr);
-    ASSERT_TRUE(records_equal(src.next(), t.records[i]));
-  }
-  EXPECT_EQ(src.peek(), nullptr);
-  EXPECT_EQ(src.records_consumed(), t.records.size());
-
-  // The decode-everything path (the base-class skip loop) buffers full
-  // chunks; the seek path's high-water mark is strictly lower.
-  FileTraceSource loop(path);
-  std::uint64_t done = 0;
-  while (done < 2100 && loop.peek() != nullptr) {
-    (void)loop.next();
-    ++done;
-  }
-  EXPECT_EQ(loop.chunks_skipped(), 0u);
-  EXPECT_EQ(loop.max_buffered_records(), 512u);
-  EXPECT_LT(src.max_buffered_records(), loop.max_buffered_records());
-  std::remove(path.c_str());
-}
-
-TEST(FileTraceSource, SkipWithinDecodedBufferAndAcrossChunks) {
-  const Trace t = chunked_trace("vpr");
-  const std::string path = temp_path("chunk_skip_mid.rsim");
-  save_trace(t, path, /*chunk_records=*/512);
-
-  FileTraceSource src(path);
-  for (int i = 0; i < 10; ++i) (void)src.next();  // chunk 0 is decoded
-  // 10 + 1600: drains 502 from the decoded chunk 0, seeks chunks 1-2
-  // (1024 records), decodes chunk 3 for the remaining 74.
-  EXPECT_EQ(src.skip(1600), 1600u);
-  EXPECT_EQ(src.chunks_skipped(), 2u);
-  ASSERT_NE(src.peek(), nullptr);
-  EXPECT_TRUE(records_equal(*src.peek(), t.records[1610]));
-  EXPECT_EQ(src.skip(0), 0u);
-  EXPECT_TRUE(records_equal(*src.peek(), t.records[1610]));
-  std::remove(path.c_str());
-}
-
-TEST(FileTraceSource, SkipPastEndStopsCleanly) {
-  const Trace t = chunked_trace("parser");
-  const std::string path = temp_path("chunk_skip_eof.rsim");
-  save_trace(t, path, /*chunk_records=*/512);
-
-  FileTraceSource src(path);
-  EXPECT_EQ(src.skip(~std::uint64_t{0}), t.records.size());
-  EXPECT_EQ(src.peek(), nullptr);
-  EXPECT_EQ(src.records_consumed(), t.records.size());
-  EXPECT_EQ(src.chunks_skipped(), 5u);  // every chunk seeked, none decoded
-  EXPECT_EQ(src.max_buffered_records(), 0u);
-
-  src.rewind();
-  EXPECT_EQ(src.records_consumed(), 0u);
-  EXPECT_EQ(src.chunks_skipped(), 0u);
-  ASSERT_NE(src.peek(), nullptr);
-  EXPECT_TRUE(records_equal(src.next(), t.records.front()));
-  std::remove(path.c_str());
-}
-
-TEST(FileTraceSource, SkipOnLegacyV1FallsBackToDecode) {
-  const Trace t = generate("bzip2", 1500);
-  const std::string path = temp_path("v1_skip.rsim");
-  testutil::write_v1(path, t, t.records.size());
-  FileTraceSource src(path);
-  EXPECT_EQ(src.skip(900), 900u);
-  EXPECT_EQ(src.chunks_skipped(), 0u);  // v1 has no chunk framing to seek
-  ASSERT_NE(src.peek(), nullptr);
-  EXPECT_TRUE(records_equal(*src.peek(), t.records[900]));
-  std::remove(path.c_str());
-}
-
-TEST(TraceWindow, ChunkSkipSeekKeepsSimResultBitIdentical) {
-  // The satellite acceptance: a TraceWindow whose skip region spans
-  // whole chunks must produce a bit-identical SimResult while the
-  // streaming source seeks those chunks unread (lower decoded
-  // high-water mark than the decode-everything path).
-  const auto cfg = core::CoreConfig::paper_4wide_perfect();
-  Trace t;
-  {
-    TraceGenConfig g;
-    g.max_insts = 4000;
-    g.bp = cfg.bp;
-    g.wrong_path_block = cfg.wrong_path_block();
-    t = TraceGenerator(workload::make_workload("gzip"), g).generate();
-  }
-  ASSERT_GE(t.records.size(), 2348u);
-  t.records.resize(2348);  // 4 full 512-record chunks + 300 tail
-  const std::string path = temp_path("window_chunk_skip.rsim");
-  save_trace(t, path, /*chunk_records=*/512);
-
-  VectorTraceSource vbase(t);
-  TraceWindow vwin(vbase, /*skip=*/2100, /*warmup=*/0, TraceWindow::kAll);
-  const auto rv = core::ReSimEngine(cfg, vwin).run();
-
-  FileTraceSource fbase(path);
-  TraceWindow fwin(fbase, /*skip=*/2100, /*warmup=*/0, TraceWindow::kAll);
-  const auto rf = core::ReSimEngine(cfg, fwin).run();
-
-  EXPECT_EQ(rf.committed, rv.committed);
-  EXPECT_EQ(rf.fetched, rv.fetched);
-  EXPECT_EQ(rf.wrong_path_fetched, rv.wrong_path_fetched);
-  EXPECT_EQ(rf.squashed, rv.squashed);
-  EXPECT_EQ(rf.major_cycles, rv.major_cycles);
-  EXPECT_EQ(rf.minor_cycles, rv.minor_cycles);
-  EXPECT_EQ(rf.trace_records, rv.trace_records);
-  EXPECT_EQ(rf.trace_bits, rv.trace_bits);
-
-  EXPECT_EQ(fbase.chunks_skipped(), 4u);
-  EXPECT_EQ(fbase.max_buffered_records(), 300u);  // only the tail chunk
-  EXPECT_LT(fbase.max_buffered_records(), 512u);  // < decode-everything
-  std::remove(path.c_str());
-}
-
-// ---- TraceWindow over BatchTraceSource ------------------------------------
-//
-// Sampling plans put window starts at arbitrary record indices, so the
-// multi-window path routinely skips to the middle of a chunk and warms
-// up across a chunk boundary. The shared-cache cursor must stay
-// record-exact through both.
-
-TEST(TraceWindow, BatchSourceSkipLandsMidChunk) {
-  const auto cfg = core::CoreConfig::paper_4wide_perfect();
-  Trace t;
-  {
-    TraceGenConfig g;
-    g.max_insts = 4000;
-    g.bp = cfg.bp;
-    g.wrong_path_block = cfg.wrong_path_block();
-    t = TraceGenerator(workload::make_workload("vortex"), g).generate();
-  }
-  ASSERT_GE(t.records.size(), 2348u);
-  t.records.resize(2348);  // 4 full 512-record chunks + 300 tail
-  const std::string path = temp_path("window_batch_mid.rsim");
-  save_trace(t, path, /*chunk_records=*/512);
-
-  // 1610 lands inside chunk 3 (records 1536-2047): the cursor must
-  // decode that chunk and expose exactly its suffix.
-  VectorTraceSource vbase(t);
-  TraceWindow vwin(vbase, /*skip=*/1610, /*warmup=*/0, TraceWindow::kAll);
-  const auto rv = core::ReSimEngine(cfg, vwin).run();
-
-  BatchTraceSource bbase(std::make_shared<SharedBatchCache>(path));
-  TraceWindow bwin(bbase, /*skip=*/1610, /*warmup=*/0, TraceWindow::kAll);
-  const auto rb = core::ReSimEngine(cfg, bwin).run();
-
-  EXPECT_EQ(rb.committed, rv.committed);
-  EXPECT_EQ(rb.fetched, rv.fetched);
-  EXPECT_EQ(rb.wrong_path_fetched, rv.wrong_path_fetched);
-  EXPECT_EQ(rb.squashed, rv.squashed);
-  EXPECT_EQ(rb.major_cycles, rv.major_cycles);
-  EXPECT_EQ(rb.minor_cycles, rv.minor_cycles);
-  EXPECT_EQ(rb.trace_records, rv.trace_records);
-  EXPECT_EQ(rb.trace_bits, rv.trace_bits);
-  std::remove(path.c_str());
-}
-
-TEST(TraceWindow, BatchSourceWarmupCrossesChunkBoundary) {
-  const Trace t = chunked_trace("vpr");
-  const std::string path = temp_path("window_batch_warm.rsim");
-  save_trace(t, path, /*chunk_records=*/512);
-
-  // skip=400, warmup=224: the warm-up region spans records 400-623,
-  // crossing the chunk 0 / chunk 1 boundary at 512. The simulate bound
-  // then ends mid-chunk 1 at record 923.
-  BatchTraceSource base(std::make_shared<SharedBatchCache>(path));
-  TraceWindow win(base, /*skip=*/400, /*warmup=*/224, /*simulate=*/300);
-  EXPECT_FALSE(win.warmup_done());
-  for (std::uint64_t i = 0; i < 224; ++i) {
-    ASSERT_NE(win.peek(), nullptr);
-    ASSERT_TRUE(records_equal(win.next(), t.records[400 + i]));
-  }
-  EXPECT_TRUE(win.warmup_done());
-  for (std::uint64_t i = 224; i < 524; ++i) {
-    ASSERT_NE(win.peek(), nullptr);
-    ASSERT_TRUE(records_equal(win.next(), t.records[400 + i]));
-  }
-  EXPECT_EQ(win.peek(), nullptr);  // limit reached mid-chunk
-  EXPECT_EQ(win.records_consumed(), 524u);
-  std::remove(path.c_str());
-}
-
-TEST(TraceWindow, BatchSourceMultiWindowConsumersStayIndependent) {
-  // A sweep gives every job its own BatchTraceSource over one
-  // SharedBatchCache; each job's TraceWindow seeks to a different
-  // region. Interleaved cursors must each see exactly their own slice.
-  const Trace t = chunked_trace("parser");
-  const std::string path = temp_path("window_batch_multi.rsim");
-  save_trace(t, path, /*chunk_records=*/512);
-
-  auto cache = std::make_shared<SharedBatchCache>(path, /*expected_consumers=*/2);
-  BatchTraceSource a(cache);
-  BatchTraceSource b(cache);
-  TraceWindow wa(a, /*skip=*/100, /*warmup=*/0, /*simulate=*/600);   // chunks 0-1
-  TraceWindow wb(b, /*skip=*/1700, /*warmup=*/0, /*simulate=*/500);  // chunks 3-4
-  for (std::uint64_t i = 0; i < 500; ++i) {
-    ASSERT_TRUE(records_equal(wa.next(), t.records[100 + i]));
-    ASSERT_TRUE(records_equal(wb.next(), t.records[1700 + i]));
-  }
-  for (std::uint64_t i = 500; i < 600; ++i) {
-    ASSERT_TRUE(records_equal(wa.next(), t.records[100 + i]));
-  }
-  EXPECT_EQ(wa.peek(), nullptr);
-  EXPECT_EQ(wb.peek(), nullptr);
-  EXPECT_EQ(wa.records_consumed(), 600u);
-  EXPECT_EQ(wb.records_consumed(), 500u);
-  std::remove(path.c_str());
-}
-
-TEST(TraceWindow, LayersOverFileTraceSource) {
-  const Trace t = generate("bzip2", 2000);
-  const std::string path = temp_path("window_file.rsim");
-  save_trace(t, path, /*chunk_records=*/128);
-  FileTraceSource base(path);
-  TraceWindow win(base, 300, 0, 400);
-  for (std::uint64_t i = 0; i < 400; ++i) {
-    ASSERT_NE(win.peek(), nullptr);
-    ASSERT_TRUE(records_equal(win.next(), t.records[300 + i]));
-  }
-  EXPECT_EQ(win.peek(), nullptr);
-  std::remove(path.c_str());
-}
-
-// ---- MmapTraceSource ------------------------------------------------------
-
-class MmapVsVector : public ::testing::TestWithParam<bool> {};
-
-TEST_P(MmapVsVector, RecordStreamMatchesVectorSource) {
-  const bool compress = GetParam();
-  const Trace t = generate("gzip", 6000);
-  const std::string path = temp_path(compress ? "mmap_lz.rsim" : "mmap_raw.rsim");
-  save_trace(t, path, /*chunk_records=*/512, compress);
-
-  MmapTraceSource msrc(path);
-  EXPECT_EQ(msrc.trace_name(), t.name);
-  EXPECT_EQ(msrc.start_pc(), t.start_pc);
-  EXPECT_EQ(msrc.total_records(), t.records.size());
-  EXPECT_EQ(msrc.container_version(), compress ? kContainerV3 : kContainerV2);
-
-  VectorTraceSource vsrc(t);
-  while (vsrc.peek() != nullptr) {
-    ASSERT_NE(msrc.peek(), nullptr);
-    ASSERT_TRUE(records_equal(msrc.next(), vsrc.next()));
-  }
-  EXPECT_EQ(msrc.peek(), nullptr);
-  EXPECT_EQ(msrc.records_consumed(), vsrc.records_consumed());
-  EXPECT_EQ(msrc.bits_consumed(), vsrc.bits_consumed());
-  std::remove(path.c_str());
-}
-
-INSTANTIATE_TEST_SUITE_P(RawAndCompressed, MmapVsVector, ::testing::Bool(),
-                         [](const auto& info) { return info.param ? "v3lz" : "v2raw"; });
-
-TEST(MmapTraceSource, ReadsLegacyV1Container) {
-  const Trace t = generate("vpr", 2000);
-  const std::string path = temp_path("mmap_v1.rsim");
-  testutil::write_v1(path, t, t.records.size());
-  MmapTraceSource src(path);
-  EXPECT_EQ(src.container_version(), kContainerV1);
-  std::uint64_t n = 0;
-  while (src.peek() != nullptr) {
-    ASSERT_TRUE(records_equal(src.next(), t.records[n]));
-    ++n;
-  }
-  EXPECT_EQ(n, t.records.size());
-  std::remove(path.c_str());
-}
 
 TEST(MmapTraceSource, NextPastEndThrowsAndEmptyTraceLoads) {
   Trace t;
@@ -516,97 +368,8 @@ TEST(MmapTraceSource, NextPastEndThrowsAndEmptyTraceLoads) {
   std::remove(path.c_str());
 }
 
-TEST(MmapTraceSource, RewindRestartsAndResetsCounters) {
-  const Trace t = generate("parser", 3000);
-  const std::string path = temp_path("mmap_rewind.rsim");
-  save_trace(t, path, /*chunk_records=*/256, /*compress=*/true);
-
-  MmapTraceSource src(path);
-  for (int i = 0; i < 700; ++i) (void)src.next();  // stop mid-chunk
-  src.rewind();
-  EXPECT_EQ(src.records_consumed(), 0u);
-  EXPECT_EQ(src.bits_consumed(), 0u);
-  std::uint64_t n = 0;
-  while (src.peek() != nullptr) {
-    ASSERT_TRUE(records_equal(src.next(), t.records[n]));
-    ++n;
-  }
-  EXPECT_EQ(n, t.records.size());
-  std::remove(path.c_str());
-}
-
 TEST(MmapTraceSource, MissingFileRejected) {
   EXPECT_THROW(MmapTraceSource("/nonexistent/path/to.trace"), std::runtime_error);
-}
-
-// ---- chunk-skipping seek over compressed chunks ---------------------------
-
-class CompressedChunkSkip : public ::testing::TestWithParam<bool> {};
-
-TEST_P(CompressedChunkSkip, SkipSeeksCompressedChunksUnread) {
-  // skip() must hop whole compressed chunks via their compressed_bytes
-  // framing without ever decompressing them, on both file backends.
-  const bool use_mmap = GetParam();
-  const Trace t = chunked_trace("gzip");
-  const std::string path = temp_path("lz_skip.rsim");
-  save_trace(t, path, /*chunk_records=*/512, /*compress=*/true);
-
-  std::unique_ptr<TraceSource> src;
-  std::function<std::uint64_t()> skipped;
-  if (use_mmap) {
-    auto m = std::make_unique<MmapTraceSource>(path);
-    skipped = [p = m.get()] { return p->chunks_skipped(); };
-    src = std::move(m);
-  } else {
-    auto f = std::make_unique<FileTraceSource>(path);
-    skipped = [p = f.get()] { return p->chunks_skipped(); };
-    src = std::move(f);
-  }
-
-  EXPECT_EQ(src->skip(2100), 2100u);
-  EXPECT_EQ(src->records_consumed(), 2100u);
-  EXPECT_EQ(skipped(), 4u);  // all four full chunks seeked, never inflated
-  for (std::size_t i = 2100; i < t.records.size(); ++i) {
-    ASSERT_NE(src->peek(), nullptr);
-    ASSERT_TRUE(records_equal(src->next(), t.records[i]));
-  }
-  EXPECT_EQ(src->peek(), nullptr);
-  std::remove(path.c_str());
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, CompressedChunkSkip, ::testing::Bool(),
-                         [](const auto& info) { return info.param ? "mmap" : "stream"; });
-
-TEST(TraceWindow, CompressedMmapWindowedSimBitIdentical) {
-  const auto cfg = core::CoreConfig::paper_4wide_perfect();
-  Trace t;
-  {
-    TraceGenConfig g;
-    g.max_insts = 4000;
-    g.bp = cfg.bp;
-    g.wrong_path_block = cfg.wrong_path_block();
-    t = TraceGenerator(workload::make_workload("gzip"), g).generate();
-  }
-  ASSERT_GE(t.records.size(), 2348u);
-  t.records.resize(2348);
-  const std::string path = temp_path("mmap_window_lz.rsim");
-  save_trace(t, path, /*chunk_records=*/512, /*compress=*/true);
-
-  VectorTraceSource vbase(t);
-  TraceWindow vwin(vbase, /*skip=*/2100, /*warmup=*/0, TraceWindow::kAll);
-  const auto rv = core::ReSimEngine(cfg, vwin).run();
-
-  MmapTraceSource mbase(path);
-  TraceWindow mwin(mbase, /*skip=*/2100, /*warmup=*/0, TraceWindow::kAll);
-  const auto rm = core::ReSimEngine(cfg, mwin).run();
-
-  EXPECT_EQ(rm.committed, rv.committed);
-  EXPECT_EQ(rm.major_cycles, rv.major_cycles);
-  EXPECT_EQ(rm.minor_cycles, rv.minor_cycles);
-  EXPECT_EQ(rm.trace_records, rv.trace_records);
-  EXPECT_EQ(rm.trace_bits, rv.trace_bits);
-  EXPECT_EQ(mbase.chunks_skipped(), 4u);
-  std::remove(path.c_str());
 }
 
 // ---- compression ratio on suite workloads ---------------------------------
@@ -731,9 +494,10 @@ TEST(BatchRunnerStream, NullFactoryResultThrows) {
 
 TEST(BatchRunnerBackend, EveryBackendYieldsIdenticalCsvRows) {
   // The tentpole contract: trace.backend is a host knob, never a result
-  // knob. Generated jobs and trace_path jobs (raw v2 and compressed v3)
-  // must produce byte-identical CSV rows on memory, stream and mmap, at
-  // any thread count.
+  // knob. Generated jobs and trace_path jobs (raw v2, compressed v3, and
+  // legacy v1, which the shared cache declines so the group falls back to
+  // private readers) must produce byte-identical CSV rows on memory,
+  // stream and mmap, at any thread count.
   const std::uint64_t insts = 4000;
   std::vector<SimJob> jobs;
   for (unsigned width : {2u, 4u}) {
@@ -746,16 +510,18 @@ TEST(BatchRunnerBackend, EveryBackendYieldsIdenticalCsvRows) {
 
   const std::string raw_path = ::testing::TempDir() + "/backend_raw.rsim";
   const std::string lz_path = ::testing::TempDir() + "/backend_lz.rsim";
+  const std::string v1_path = ::testing::TempDir() + "/backend_v1.rsim";
   {
     const trace::Trace t =
         trace::TraceGenerator(workload::make_workload("gzip"), jobs[0].gen).generate();
     trace::save_trace(t, raw_path);
     trace::save_trace(t, lz_path, trace::kDefaultChunkRecords, /*compress=*/true);
+    trace::testutil::write_v1(v1_path, t, t.records.size());
   }
 
   for (const auto backend : {core::TraceBackend::kMemory, core::TraceBackend::kStream,
                              core::TraceBackend::kMmap}) {
-    for (const std::string& path : {std::string(), raw_path, lz_path}) {
+    for (const std::string& path : {std::string(), raw_path, lz_path, v1_path}) {
       std::vector<SimJob> variant = jobs;
       for (auto& job : variant) {
         job.config.trace_backend = backend;
@@ -776,6 +542,7 @@ TEST(BatchRunnerBackend, EveryBackendYieldsIdenticalCsvRows) {
   }
   std::remove(raw_path.c_str());
   std::remove(lz_path.c_str());
+  std::remove(v1_path.c_str());
 }
 
 TEST(BatchRunnerBackend, PreparedTraceJobRoundTripsUnderFileBackends) {

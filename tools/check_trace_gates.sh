@@ -1,0 +1,78 @@
+#!/usr/bin/env bash
+# Trace byte-identity gates (docs/CI.md), registered as the ctest entry
+# `trace_gates` and run by CI through ctest:
+#
+#  * backend round trip: sim, stats and sweep output is identical across
+#    the memory, stream and mmap backends, containers v2/v3/v4, -j1/-jN
+#    and shared decode on/off; LZ halves the container at least, and the
+#    delta pre-filter never loses to plain LZ;
+#  * decode-once: a same-trace file-backend sweep decodes every chunk
+#    exactly once at any -j (tools/check_decode_once.py).
+#
+# Usage: tools/check_trace_gates.sh path/to/resim_cli
+# Works in a scratch directory it deletes on exit; any mismatch fails.
+set -euo pipefail
+
+cli=$(realpath "$1")
+tools=$(cd "$(dirname "$0")" && pwd)
+jobs=$(nproc)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+cd "$work"
+
+echo "== backend round trip"
+"$cli" gen --bench gzip --insts 50000 --out ci.rsim
+"$cli" gen --bench gzip --insts 50000 --compress --out ci_lz.rsim
+"$cli" gen --bench gzip --insts 50000 --compress --prefilter --out ci_v4.rsim
+raw=$(stat -c%s ci.rsim); lz=$(stat -c%s ci_lz.rsim); v4=$(stat -c%s ci_v4.rsim)
+echo "v2 $raw bytes, v3 $lz bytes, v4 $v4 bytes"
+test "$raw" -ge "$((2 * lz))"
+test "$lz" -ge "$v4"
+# sim output identical across backends and containers.
+"$cli" sim --trace ci.rsim --width 4 > sim_mem.txt
+for backend in stream mmap; do
+  for src in ci.rsim ci_lz.rsim ci_v4.rsim; do
+    "$cli" sim --trace "$src" --width 4 --backend "$backend" > sim_b.txt
+    diff sim_mem.txt sim_b.txt
+  done
+done
+"$cli" stats --trace ci.rsim > stats_mem.txt
+"$cli" stats --trace ci_lz.rsim --backend mmap > stats_mmap.txt
+diff stats_mem.txt stats_mmap.txt
+# Sweep CSVs byte-identical across backends and thread counts.
+"$cli" sweep -j 1 --bench gzip,parser --insts 20000 --out serial.csv
+"$cli" sweep -j 1 --bench gzip,parser --insts 20000 --backend stream --out stream_serial.csv
+"$cli" sweep -j "$jobs" --bench gzip,parser --insts 20000 --backend stream --out stream_parallel.csv
+"$cli" sweep -j "$jobs" --bench gzip,parser --insts 20000 --backend mmap --out mmap_parallel.csv
+cmp serial.csv stream_serial.csv
+cmp stream_serial.csv stream_parallel.csv
+cmp serial.csv mmap_parallel.csv
+# Prepared-trace sweeps: shared decoded vs streamed vs mmap'd, over the
+# raw, compressed and delta-prefiltered containers, with the
+# shared-decode group plane both on (default) and off.
+"$cli" sweep -j 1 --trace ci.rsim --widths 2,4 --out tracefile_shared.csv
+"$cli" sweep -j "$jobs" --trace ci.rsim --stream --widths 2,4 --out tracefile_streamed.csv
+"$cli" sweep -j "$jobs" --trace ci_lz.rsim --backend mmap --widths 2,4 --out tracefile_mmap_lz.csv
+"$cli" sweep -j "$jobs" --trace ci_v4.rsim --stream --widths 2,4 --out tracefile_stream_v4.csv
+"$cli" sweep -j "$jobs" --trace ci_v4.rsim --stream --widths 2,4 \
+    --set trace.shared_decode=false --out tracefile_private_v4.csv
+cmp tracefile_shared.csv tracefile_streamed.csv
+cmp tracefile_shared.csv tracefile_mmap_lz.csv
+cmp tracefile_shared.csv tracefile_stream_v4.csv
+cmp tracefile_shared.csv tracefile_private_v4.csv
+
+echo "== decode-once gate"
+# The checker's own teeth first: its --self-test doctors a stats export
+# (chunks_decoded > chunks_in_trace) and requires a non-zero exit.
+python3 "$tools/check_decode_once.py" --self-test
+# A same-trace grid forms one shared group; with a file backend the
+# SharedBatchCache must decode each chunk exactly once, independent of
+# -j, and the CSV must not notice the sharing.
+"$cli" sweep -j 1 --trace ci_lz.rsim --stream --widths 2,4 --robs 16,32 \
+    --out dec1.csv --decode-stats dec1.json
+"$cli" sweep -j "$jobs" --trace ci_lz.rsim --stream --widths 2,4 --robs 16,32 \
+    --out decN.csv --decode-stats decN.json
+cmp dec1.csv decN.csv
+python3 "$tools/check_decode_once.py" --stats dec1.json --min-groups 1
+python3 "$tools/check_decode_once.py" --stats decN.json --min-groups 1
+echo "trace gates: PASS"

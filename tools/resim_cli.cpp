@@ -244,18 +244,14 @@ int cmd_sim(const Args& a) {
   const std::uint64_t skip = get_u64(a, "skip", 0);
   const std::uint64_t warmup = get_u64(a, "warmup", 0);
   const bool windowed = skip != 0 || warmup != 0 || has(a, "max-records");
-  // --max-records caps the TOTAL simulated window (warm-up included), so
-  // the flag means what it says; TraceWindow's third parameter counts
-  // records after warm-up.
-  const std::uint64_t max_records =
-      has(a, "max-records") ? get_u64(a, "max-records", 0) : trace::TraceWindow::kAll;
+  // --max-records caps the TOTAL simulated window, warm-up included.
+  const std::uint64_t max_records = has(a, "max-records")
+                                        ? get_u64(a, "max-records", 0)
+                                        : trace::SegmentedTraceSource::kAll;
   if (max_records < warmup) {  // kAll compares greater than any warmup
     throw std::invalid_argument(
         "--max-records caps the total window (warm-up included) and must be >= --warmup");
   }
-  const std::uint64_t simulate = max_records == trace::TraceWindow::kAll
-                                     ? trace::TraceWindow::kAll
-                                     : max_records - warmup;
 
   // trace.backend (--backend, or the --stream shorthand) picks how the
   // file is read: decoded up front (memory), chunk-streamed in O(chunk)
@@ -263,27 +259,18 @@ int cmd_sim(const Args& a) {
   // produce bit-identical SimResults.
   trace::Trace t;
   std::optional<trace::VectorTraceSource> vec;
-  std::optional<trace::FileTraceSource> file;
-  std::optional<trace::MmapTraceSource> mapped;
+  std::unique_ptr<trace::FileTraceSource> file;  // stream or mmap
   std::string name;
   trace::TraceSource* base = nullptr;
-  switch (cfg.trace_backend) {
-    case core::TraceBackend::kStream:
-      file.emplace(path);
-      name = file->trace_name();
-      base = &*file;
-      break;
-    case core::TraceBackend::kMmap:
-      mapped.emplace(path);
-      name = mapped->trace_name();
-      base = &*mapped;
-      break;
-    case core::TraceBackend::kMemory:
-      t = trace::load_trace(path);
-      name = t.name;
-      vec.emplace(t);
-      base = &*vec;
-      break;
+  if (cfg.trace_backend == core::TraceBackend::kMemory) {
+    t = trace::load_trace(path);
+    name = t.name;
+    vec.emplace(t);
+    base = &*vec;
+  } else {
+    file = driver::open_backend(path, cfg.trace_backend);
+    name = file->trace_name();
+    base = file.get();
   }
   // Sampled execution (sample.windows > 0 or --plan FILE) replaces the
   // single --skip/--warmup window with the plan's own windows.
@@ -299,10 +286,6 @@ int cmd_sim(const Args& a) {
   }
   core::IntervalRecorder intervals(cfg.sample.interval_insts);
   core::IntervalRecorder* irec = cfg.sample.interval_insts > 0 ? &intervals : nullptr;
-
-  std::optional<trace::TraceWindow> win;
-  if (windowed) win.emplace(*base, skip, warmup, simulate);
-  trace::TraceSource& src = win ? static_cast<trace::TraceSource&>(*win) : *base;
 
   const unsigned sched_latency =
       core::PipelineSchedule::make(cfg.variant, cfg.width).latency();
@@ -335,14 +318,20 @@ int cmd_sim(const Args& a) {
               << "estimate branch_mpki " << sr.branch_mpki.mean << " +/- "
               << sr.branch_mpki.ci95 << '\n';
   } else {
-    core::ReSimEngine eng(cfg, src);
+    // The window (the whole trace unless windowed) is one segment after
+    // one chunk-hopping gap.
+    trace::SegmentedTraceSource win(*base);
+    const std::uint64_t skipped = win.skip_gap(skip);
+    win.open_segment(max_records);
+    core::ReSimEngine eng(cfg, win);
     eng.attach_interval_recorder(irec);
     std::uint64_t warm_committed = 0;
     std::uint64_t warm_cycles = 0;
-    if (win && warmup > 0) {
+    if (warmup > 0) {
       // ChampSim-style region run: snapshot at the warm-up boundary so the
       // measured region's IPC excludes cold-start transients.
-      while (!win->warmup_done() && eng.step_major_cycle()) {
+      while (win.records_consumed() < warmup && win.peek() != nullptr &&
+             eng.step_major_cycle()) {
       }
       const auto w = eng.result();
       warm_committed = w.committed;
@@ -356,7 +345,7 @@ int cmd_sim(const Args& a) {
       r = eng.result();
     }
     eng.flush_intervals();
-    effective_records = skip + r.trace_records;
+    effective_records = skipped + r.trace_records;
 
     const auto& dev = fpga::device_by_name(get(a, "device", "xc4vlx40"));
     const auto rpt = core::fpga_throughput(r, dev.minor_clock_mhz, eng.schedule().latency());
@@ -372,16 +361,14 @@ int cmd_sim(const Args& a) {
     if (windowed) {
       std::cout << "window: skipped " << skip << " records, warm-up " << warmup
                 << ", simulated " << r.trace_records << " records\n";
-      const std::uint64_t jumped = file   ? file->chunks_skipped()
-                                   : mapped ? mapped->chunks_skipped()
-                                            : 0;
-      if (file || mapped) {
-        std::cout << "window: chunk-skip seek jumped " << jumped << " chunks unread\n";
+      if (file) {
+        std::cout << "window: chunk-skip seek jumped " << file->chunks_skipped()
+                  << " chunks unread\n";
       }
     }
-    if (win && warmup > 0) {
-      if (win->records_consumed() < warmup) {
-        std::cout << "warning: trace ended during warm-up (" << win->records_consumed()
+    if (warmup > 0) {
+      if (win.records_consumed() < warmup) {
+        std::cout << "warning: trace ended during warm-up (" << win.records_consumed()
                   << " of " << warmup << " records); no measured region\n";
       } else {
         const auto m_committed = r.committed - warm_committed;
