@@ -9,16 +9,16 @@ namespace resim {
 void BitWriter::put(std::uint64_t value, unsigned bits) {
   if (bits > 64) throw std::invalid_argument("BitWriter::put: bits > 64");
   value &= low_mask(bits);
-  unsigned remaining = bits;
-  while (remaining > 0) {
-    const unsigned bit_in_byte = static_cast<unsigned>(bit_count_ % 8);
-    if (bit_in_byte == 0) bytes_.push_back(0);
-    const unsigned room = 8 - bit_in_byte;
-    const unsigned take = remaining < room ? remaining : room;
-    bytes_.back() |= static_cast<std::uint8_t>((value & low_mask(take)) << bit_in_byte);
-    value >>= take;
-    remaining -= take;
-    bit_count_ += take;
+  // The first new bit lands `shift` bits into byte `first`, which is the
+  // partly filled last byte unless the count is byte-aligned; each byte
+  // from there on takes its eight bits of value << shift in one step.
+  const auto first = static_cast<std::size_t>(bit_count_ / 8);
+  const auto shift = static_cast<unsigned>(bit_count_ % 8);
+  bit_count_ += bits;
+  bytes_.resize(static_cast<std::size_t>((bit_count_ + 7) / 8));
+  for (std::size_t i = first; i < bytes_.size(); ++i) {
+    const auto at = static_cast<unsigned>(i - first) * 8;
+    bytes_[i] |= static_cast<std::uint8_t>(at == 0 ? value << shift : value >> (at - shift));
   }
 }
 
@@ -39,21 +39,14 @@ void BitWriter::clear() {
 
 std::uint64_t BitReader::get(unsigned bits) {
   if (bits > 64) throw std::invalid_argument("BitReader::get: bits > 64");
-  if (bits > bits_remaining()) throw std::out_of_range("BitReader::get: past end");
-  std::uint64_t value = 0;
-  unsigned got = 0;
-  while (got < bits) {
-    const std::size_t byte = static_cast<std::size_t>(bit_pos_ / 8);
-    const unsigned bit_in_byte = static_cast<unsigned>(bit_pos_ % 8);
-    const unsigned room = 8 - bit_in_byte;
-    const unsigned take = (bits - got) < room ? (bits - got) : room;
-    const std::uint64_t chunk = (data_[byte] >> bit_in_byte) & low_mask(take);
-    value |= chunk << got;
-    got += take;
-    bit_pos_ += take;
-  }
-  return value;
+  // A field wider than one window takes its high half from a second.
+  std::uint64_t v = window();
+  if (bits > kWindowBits) v = (v & low_mask(32)) | window(32) << 32;
+  advance(bits);
+  return v & low_mask(bits);
 }
+
+void BitReader::throw_past_end() { throw std::out_of_range("BitReader: read past end"); }
 
 void BitReader::align_byte() {
   const unsigned rem = static_cast<unsigned>(bit_pos_ % 8);

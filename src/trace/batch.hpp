@@ -18,7 +18,7 @@
 // rests on it). Every field the codec can populate has a column; the
 // two per-format enum fields share the aux column because decode()
 // leaves fu at its default for non-O records and ctrl at its default
-// for non-B records (trace/format.cpp), which get() restores.
+// for non-B records (trace/format.hpp), which get() restores.
 #ifndef RESIM_TRACE_BATCH_H
 #define RESIM_TRACE_BATCH_H
 

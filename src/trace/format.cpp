@@ -6,20 +6,23 @@
 namespace resim::trace {
 
 namespace {
-constexpr unsigned kRegBits = 6;
-constexpr std::uint64_t kRegNone = 63;  // wire encoding of kNoReg
-
 std::uint64_t reg_to_wire(Reg r) { return r == kNoReg ? kRegNone : r; }
-// The 6-bit field also holds 32..62, which name no register. Rejected
-// here, at decode, so the engine can index its rename table unchecked.
-Reg reg_from_wire(std::uint64_t v) {
-  if (v == kRegNone) return kNoReg;
-  if (v >= kNumArchRegs) {
-    throw std::runtime_error("decode: register field " + std::to_string(v) + " out of range");
-  }
-  return static_cast<Reg>(v);
+
+/// `v` cut to a `bits`-wide field and moved to bit `at` of its word.
+std::uint64_t field(std::uint64_t v, unsigned bits, unsigned at) {
+  return (v & low_mask(bits)) << at;
 }
+
+std::uint64_t reg_field(Reg r, unsigned at) { return field(reg_to_wire(r), kRegBits, at); }
 }  // namespace
+
+namespace detail {
+void throw_reserved_tag() { throw std::runtime_error("decode: reserved record format tag 3"); }
+
+void throw_bad_register(std::uint64_t v) {
+  throw std::runtime_error("decode: register field " + std::to_string(v) + " out of range");
+}
+}  // namespace detail
 
 unsigned encoded_bits(const TraceRecord& r) {
   switch (r.fmt) {
@@ -31,74 +34,36 @@ unsigned encoded_bits(const TraceRecord& r) {
 }
 
 void encode(const TraceRecord& r, BitWriter& w) {
-  w.put(static_cast<std::uint64_t>(r.fmt), 2);
-  w.put_bool(r.wrong_path);
+  namespace at = field_at;
+  const std::uint64_t head =
+      field(static_cast<std::uint64_t>(r.fmt), 2, 0) | field(r.wrong_path, 1, at::kTag);
   switch (r.fmt) {
     case RecFormat::kOther:
-      w.put(static_cast<std::uint64_t>(r.fu), 2);
-      w.put(reg_to_wire(r.out), kRegBits);
-      w.put(reg_to_wire(r.in1), kRegBits);
-      w.put(reg_to_wire(r.in2), kRegBits);
-      break;
+      w.put(head | field(static_cast<std::uint64_t>(r.fu), 2, at::kOtherFu) |
+                reg_field(r.out, at::kOtherOut) | reg_field(r.in1, at::kOtherIn1) |
+                reg_field(r.in2, at::kOtherIn2),
+            kOtherBits);
+      return;
     case RecFormat::kMem:
-      w.put_bool(r.is_store);
-      w.put(reg_to_wire(r.out), kRegBits);
-      w.put(reg_to_wire(r.in1), kRegBits);
-      w.put(reg_to_wire(r.in2), kRegBits);
-      w.put(r.addr, 32);
-      break;
+      w.put(head | field(r.is_store, 1, at::kMemStore) | reg_field(r.out, at::kMemOut) |
+                reg_field(r.in1, at::kMemIn1) | reg_field(r.in2, at::kMemIn2) |
+                field(r.addr, 32, at::kMemAddr),
+            kMemBits);
+      return;
     case RecFormat::kBranch:
       // The 2-bit wire field maps kCond..kRet to 0..3; kNone has no
       // encoding and would wrap to 2^64-1 and round-trip as kRet.
       if (r.ctrl == isa::CtrlType::kNone) {
         throw std::invalid_argument("encode: branch record with ctrl == kNone");
       }
-      w.put(static_cast<std::uint64_t>(r.ctrl) - 1, 2);  // kCond..kRet -> 0..3
-      w.put_bool(r.taken);
-      w.put(reg_to_wire(r.in1), kRegBits);
-      w.put(reg_to_wire(r.in2), kRegBits);
-      w.put(r.pc, 32);
+      w.put(head | field(static_cast<std::uint64_t>(r.ctrl) - 1, 2, at::kBrCtrl) |
+                field(r.taken, 1, at::kBrTaken) | reg_field(r.in1, at::kBrIn1) |
+                reg_field(r.in2, at::kBrIn2) | field(r.pc, 32, at::kBrPc),
+            at::kBrTarget);
       w.put(r.target, 32);
-      break;
+      return;
   }
-}
-
-TraceRecord decode(BitReader& br) {
-  const std::uint64_t fmt_tag = br.get(2);
-  if (fmt_tag > static_cast<std::uint64_t>(RecFormat::kBranch)) {
-    throw std::runtime_error("decode: reserved record format tag 3");
-  }
-  TraceRecord r;
-  r.fmt = static_cast<RecFormat>(fmt_tag);
-  r.wrong_path = br.get_bool();
-  switch (r.fmt) {
-    case RecFormat::kOther:
-      r.fu = static_cast<OtherFu>(br.get(2));
-      r.out = reg_from_wire(br.get(kRegBits));
-      r.in1 = reg_from_wire(br.get(kRegBits));
-      r.in2 = reg_from_wire(br.get(kRegBits));
-      break;
-    case RecFormat::kMem:
-      r.is_store = br.get_bool();
-      r.out = reg_from_wire(br.get(kRegBits));
-      r.in1 = reg_from_wire(br.get(kRegBits));
-      r.in2 = reg_from_wire(br.get(kRegBits));
-      r.addr = br.get(32);
-      break;
-    case RecFormat::kBranch:
-      r.ctrl = static_cast<isa::CtrlType>(br.get(2) + 1);
-      r.taken = br.get_bool();
-      r.in1 = reg_from_wire(br.get(kRegBits));
-      r.in2 = reg_from_wire(br.get(kRegBits));
-      r.pc = br.get(32);
-      r.target = br.get(32);
-      // A call's link destination travels implicitly.
-      r.out = r.ctrl == isa::CtrlType::kCall ? kLinkReg : kNoReg;
-      break;
-    default:
-      throw std::out_of_range("decode: bad record format");
-  }
-  return r;
+  throw std::invalid_argument("encode: bad format");
 }
 
 }  // namespace resim::trace

@@ -1,12 +1,25 @@
 // Trace record wire format: exact sizes, round-trips, file container
 // (v1 compat, v2 chunked, v3 per-chunk compressed, v4 delta-prefiltered),
-// corruption rejection.
+// corruption rejection, every record tail offset, seeded container
+// mutations, and no window read past a payload's last byte.
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <memory>
+#include <set>
+#include <stdexcept>
+#include <vector>
+
+#if defined(__unix__)
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
 
 #include <gtest/gtest.h>
 
+#include "common/lz.hpp"
 #include "common/rng.hpp"
 #include "trace/file_source.hpp"
 #include "trace/format.hpp"
@@ -758,6 +771,327 @@ TEST(VectorTraceSource, RewindMidStream) {
   EXPECT_EQ(src.bits_consumed(), 0u);
   EXPECT_TRUE(records_equal(src.next(), t.records[0]));
 }
+
+// ---- every tail offset, mutations, guard page ------------------------------
+
+namespace edge {
+
+/// A random valid record whose fields favour the extremes of their wire
+/// fields: register 0, 31 and none (63 on the wire), addresses, PCs and
+/// targets of 0 and 0xFFFFFFFF, every fu and every ctrl. Two in three
+/// have format `favoured`.
+TraceRecord extreme_record(Rng& rng, RecFormat favoured) {
+  const auto reg = [&rng]() -> Reg {
+    switch (rng.below(4)) {
+      case 0: return kNoReg;
+      case 1: return 0;
+      case 2: return 31;
+      default: return static_cast<Reg>(rng.below(kNumArchRegs));
+    }
+  };
+  const auto addr = [&rng]() -> Addr {
+    switch (rng.below(3)) {
+      case 0: return 0;
+      case 1: return 0xFFFF'FFFF;
+      default: return rng.next() & 0xFFFF'FFFF;
+    }
+  };
+  const auto fmt = rng.chance(2, 3) ? favoured : static_cast<RecFormat>(rng.below(3));
+  TraceRecord r;
+  switch (fmt) {
+    case RecFormat::kOther:
+      r = TraceRecord::other(static_cast<OtherFu>(rng.below(4)), reg(), reg(), reg());
+      break;
+    case RecFormat::kMem:
+      r = TraceRecord::mem(rng.chance(1, 2), addr(), reg(), reg(), reg());
+      break;
+    case RecFormat::kBranch: {
+      const auto ct = static_cast<isa::CtrlType>(1 + rng.below(4));
+      r = TraceRecord::branch(ct, rng.chance(1, 2), addr(), addr(), reg(), reg(),
+                              ct == isa::CtrlType::kCall ? kLinkReg : kNoReg);
+      break;
+    }
+  }
+  r.wrong_path = rng.chance(1, 2);
+  return r;
+}
+
+constexpr RecFormat kFormats[] = {RecFormat::kOther, RecFormat::kMem, RecFormat::kBranch};
+
+enum class Stored { kRaw, kLz, kDelta };
+
+/// One chunk as the writer could store it: raw, LZ-compressed, or
+/// delta-filtered then compressed (whether or not that shrinks it).
+struct StoredChunk {
+  std::vector<std::uint8_t> payload;
+  ChunkHeader header;
+};
+
+StoredChunk store_chunk(const std::vector<TraceRecord>& records, Stored how) {
+  BitWriter w;
+  DeltaCodec delta;
+  for (TraceRecord r : records) {
+    if (how == Stored::kDelta) delta.filter(r);
+    encode(r, w);
+  }
+  w.align_byte();
+  StoredChunk c;
+  c.header.record_count = records.size();
+  c.header.raw_bytes = w.bytes().size();
+  if (how == Stored::kRaw) {
+    c.payload = w.bytes();
+  } else {
+    c.payload = lz::compress(w.bytes());
+    c.header.flags = kChunkFlagCompressed | (how == Stored::kDelta ? kChunkFlagDelta : 0u);
+  }
+  c.header.payload_bytes = c.payload.size();
+  return c;
+}
+
+/// Bits from each record's first bit to the end of its chunk's payload.
+std::vector<std::uint64_t> bits_to_end(const std::vector<TraceRecord>& records) {
+  std::uint64_t total = 0;
+  for (const auto& r : records) total += encoded_bits(r);
+  const std::uint64_t end = (total + 7) / 8 * 8;
+  std::vector<std::uint64_t> out;
+  std::uint64_t at = 0;
+  for (const auto& r : records) {
+    out.push_back(end - at);
+    at += encoded_bits(r);
+  }
+  return out;
+}
+
+}  // namespace edge
+
+TEST(ChunkDecoder, RoundTripAtEveryTailOffset) {
+  // Chunks of 1..40 extreme records, stored raw, LZ and LZ+delta, put
+  // record starts at every reachable bit offset of a payload's last 16
+  // bytes, where window reads switch from one 8-byte load to gathering
+  // the bytes that are left. A raw payload sits in an allocation of
+  // exactly its size, so a sanitizer build also catches a read past it.
+  std::set<std::uint64_t> tail_offsets;
+  ChunkDecoder dec("tail");
+  RecordBatch batch;
+  TraceRecord got;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Rng rng(seed);
+    for (std::uint64_t chunk = 0; chunk < 120; ++chunk) {
+      const std::uint64_t n = 1 + chunk % 40;
+      const RecFormat favoured = edge::kFormats[chunk / 40];
+      std::vector<TraceRecord> records;
+      for (std::uint64_t i = 0; i < n; ++i) {
+        records.push_back(edge::extreme_record(rng, favoured));
+      }
+      for (const std::uint64_t d : edge::bits_to_end(records)) {
+        if (d <= 128) tail_offsets.insert(d);
+      }
+      for (const auto how : {edge::Stored::kRaw, edge::Stored::kLz, edge::Stored::kDelta}) {
+        const edge::StoredChunk c = edge::store_chunk(records, how);
+        const std::unique_ptr<std::uint8_t[]> exact(new std::uint8_t[c.payload.size()]);
+        std::memcpy(exact.get(), c.payload.data(), c.payload.size());
+        dec.open({exact.get(), c.payload.size()}, c.header, 0, 0);
+        // Decode in random pieces: a piece boundary must not disturb the
+        // bit position or the delta state.
+        std::uint64_t next = 0;
+        while (dec.left() > 0) {
+          dec.decode_next(1 + rng.below(n), batch);
+          for (std::size_t i = 0; i < batch.size(); ++i, ++next) {
+            batch.get(i, got);
+            ASSERT_TRUE(records_equal(got, records[next]))
+                << "seed " << seed << " n " << n << " stored " << int(how) << " record "
+                << next;
+          }
+        }
+        ASSERT_EQ(next, n);
+      }
+    }
+  }
+  // A record can start d bits before the end when d is the length of a
+  // run of whole records plus 0..7 bits of alignment padding. Every such
+  // d in the last 16 bytes was exercised.
+  std::vector<bool> run(129, false);
+  run[0] = true;
+  for (std::uint64_t len = 1; len <= 128; ++len) {
+    for (const unsigned bits : {kOtherBits, kMemBits, kBranchBits}) {
+      if (len >= bits && run[len - bits]) run[len] = true;
+    }
+  }
+  for (std::uint64_t d = 1; d <= 128; ++d) {
+    bool possible = false;
+    for (std::uint64_t pad = 0; pad < 8 && pad < d; ++pad) possible = possible || run[d - pad];
+    EXPECT_EQ(tail_offsets.count(d), possible ? 1u : 0u) << d << " bits before the end";
+  }
+}
+
+namespace mutate {
+
+/// A whole container read one way: its records, or rejected.
+struct Outcome {
+  bool loaded = false;
+  std::vector<TraceRecord> records;
+};
+
+/// Reads `path` with `read`, which fills the records; a
+/// std::runtime_error is a rejection, any other exception fails the test.
+template <class Read>
+Outcome outcome_of(Read&& read) {
+  Outcome o;
+  try {
+    read(o.records);
+    o.loaded = true;
+  } catch (const std::runtime_error&) {
+    o.records.clear();
+  }
+  return o;
+}
+
+template <class Source>
+Outcome drained(const std::string& path) {
+  return outcome_of([&path](std::vector<TraceRecord>& out) {
+    Source src(path);
+    drain(src, [&out](const TraceRecord& r) { out.push_back(r); });
+  });
+}
+
+Outcome loaded(const std::string& path) {
+  return outcome_of(
+      [&path](std::vector<TraceRecord>& out) { out = load_trace(path).records; });
+}
+
+/// File offsets of a valid v2+ container's framing (container and chunk
+/// headers) and of its chunk payloads, plus the flags its chunks carry.
+struct Layout {
+  std::vector<std::uint64_t> framing;
+  std::vector<std::uint64_t> payload;
+  std::uint32_t flags_seen = 0;
+};
+
+Layout layout_of(const std::string& path) {
+  Layout l;
+  StreamByteSource f(path);
+  const ContainerHeader hdr = read_container_header(f);
+  for (std::uint64_t off = 0; off < f.pos(); ++off) l.framing.push_back(off);
+  std::uint64_t left = hdr.record_count;
+  for (std::uint32_t c = 0; c < hdr.chunk_count; ++c) {
+    const std::uint64_t start = f.pos();
+    const ChunkHeader ch = read_chunk_header(f, hdr, left);
+    for (std::uint64_t off = start; off < f.pos(); ++off) l.framing.push_back(off);
+    for (std::uint64_t i = 0; i < ch.payload_bytes; ++i) l.payload.push_back(f.pos() + i);
+    l.flags_seen |= ch.flags;
+    f.seek(f.pos() + ch.payload_bytes);
+    left -= ch.record_count;
+  }
+  return l;
+}
+
+std::vector<char> read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+void write_file(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+}  // namespace mutate
+
+TEST(TraceFileMutation, EveryReaderAgreesOnEveryMutant) {
+  // Bit flips, byte overwrites and truncations, in the framing and in
+  // the payloads of valid v2, v3 and v4 containers. Each mutant must
+  // load or throw std::runtime_error, and load_trace, the stream reader
+  // and the mmap reader must agree on which, and on the records.
+  const std::string path = ::testing::TempDir() + "/mutant.rsim";
+  int loads = 0;
+  int rejections = 0;
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    TraceGenConfig g;
+    g.max_insts = 700;
+    workload::WorkloadParams p;
+    p.seed = seed;
+    const auto& name = workload::suite_names()[seed % workload::suite_names().size()];
+    const Trace t = TraceGenerator(workload::make_workload(name, p), g).generate();
+    for (const std::uint32_t version : {kContainerV2, kContainerV3, kContainerV4}) {
+      save_trace(t, path, /*chunk_records=*/160, /*compress=*/version >= kContainerV3,
+                 /*prefilter=*/version == kContainerV4);
+      const mutate::Layout layout = mutate::layout_of(path);
+      // The v3 and v4 files really hold LZ and delta chunks.
+      EXPECT_EQ((layout.flags_seen & kChunkFlagCompressed) != 0, version >= kContainerV3);
+      EXPECT_EQ((layout.flags_seen & kChunkFlagDelta) != 0, version == kContainerV4);
+      const std::vector<char> valid = mutate::read_file(path);
+      Rng rng(seed * 8 + version);
+      for (int m = 0; m < 48; ++m) {
+        const auto& region = m % 2 == 0 ? layout.framing : layout.payload;
+        const auto off = static_cast<std::size_t>(region[rng.below(region.size())]);
+        std::vector<char> bytes = valid;
+        switch (m / 2 % 3) {
+          case 0: bytes[off] = static_cast<char>(bytes[off] ^ (1 << rng.below(8))); break;
+          case 1: bytes[off] = static_cast<char>(rng.below(256)); break;
+          default: bytes.resize(off); break;
+        }
+        mutate::write_file(path, bytes);
+        const mutate::Outcome by_load = mutate::loaded(path);
+        const mutate::Outcome by_stream = mutate::drained<FileTraceSource>(path);
+        const mutate::Outcome by_mmap = mutate::drained<MmapTraceSource>(path);
+        const std::string what = "seed " + std::to_string(seed) + " v" +
+                                 std::to_string(version) + " mutant " + std::to_string(m) +
+                                 " at byte " + std::to_string(off);
+        ASSERT_EQ(by_stream.loaded, by_load.loaded) << what;
+        ASSERT_EQ(by_mmap.loaded, by_load.loaded) << what;
+        (by_load.loaded ? loads : rejections) += 1;
+        ASSERT_EQ(by_stream.records.size(), by_load.records.size()) << what;
+        ASSERT_EQ(by_mmap.records.size(), by_load.records.size()) << what;
+        for (std::size_t i = 0; i < by_load.records.size(); ++i) {
+          ASSERT_TRUE(records_equal(by_stream.records[i], by_load.records[i])) << what;
+          ASSERT_TRUE(records_equal(by_mmap.records[i], by_load.records[i])) << what;
+        }
+      }
+    }
+  }
+  std::remove(path.c_str());
+  // Both outcomes occur, so neither comparison above was vacuous.
+  EXPECT_GT(loads, 0);
+  EXPECT_GT(rejections, 0);
+}
+
+#if defined(__unix__)
+TEST(ChunkDecoder, RawPayloadEndingAtAGuardPageIsNotReadPast) {
+  // A raw chunk decoded in place from a mapping ends on the last byte of
+  // a readable page, followed by a PROT_NONE page: a window read past the
+  // payload faults instead of going unnoticed (sanitizers do not track
+  // mapped memory).
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  void* m = ::mmap(nullptr, 2 * page, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(m, MAP_FAILED);
+  auto* base = static_cast<std::uint8_t*>(m);
+  ASSERT_EQ(::mprotect(base + page, page, PROT_NONE), 0);
+  ChunkDecoder dec("guard");
+  RecordBatch batch;
+  TraceRecord got;
+  Rng rng(5);
+  for (int round = 0; round < 3; ++round) {
+    for (std::uint64_t n = 1; n <= 40; ++n) {
+      std::vector<TraceRecord> records;
+      for (std::uint64_t i = 0; i < n; ++i) {
+        records.push_back(edge::extreme_record(rng, edge::kFormats[round]));
+      }
+      const edge::StoredChunk c = edge::store_chunk(records, edge::Stored::kRaw);
+      ASSERT_LE(c.payload.size(), page);
+      std::uint8_t* at = base + page - c.payload.size();
+      std::memcpy(at, c.payload.data(), c.payload.size());
+      dec.open({at, c.payload.size()}, c.header, 0, 0);
+      dec.decode_next(n, batch);
+      ASSERT_EQ(batch.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        batch.get(i, got);
+        ASSERT_TRUE(records_equal(got, records[i])) << "n " << n << " record " << i;
+      }
+    }
+  }
+  ::munmap(m, 2 * page);
+}
+#endif
 
 }  // namespace
 }  // namespace resim::trace
