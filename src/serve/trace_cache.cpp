@@ -17,28 +17,28 @@ std::shared_ptr<const trace::Trace> SharedTraceCache::get(const std::string& pat
   const auto mtime = std::filesystem::last_write_time(path, ec);
   if (!ec) key.mtime_ns = static_cast<std::int64_t>(mtime.time_since_epoch().count());
 
+  std::shared_ptr<const trace::Trace> stale;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      // weak_ptr::lock, not a mutex:
-      if (auto live = it->second.lock()) {  // resim-lint: allow(lock-discipline)
-        ++hits_;
-        return live;
-      }
-      entries_.erase(it);
+    if (held_ && key_ == key) {
+      ++hits_;
+      return held_;
     }
+    stale = std::move(held_);
   }
-
-  // Decode OUTSIDE the lock: a multi-gigabyte load must not block a
-  // concurrent request that only wants an already-cached trace. Two
-  // racing first loads both decode; the later insert wins and the loser
-  // keeps its (identical, read-only) private copy until it drops it.
+  // Free the old trace before decoding the new one, so the two are never
+  // both resident (unless a borrower still holds the old one), and do
+  // both OUTSIDE the lock: a multi-gigabyte load must not block a
+  // concurrent request that only wants the held trace. Two racing loads
+  // both decode; the later one is held and the other caller keeps its
+  // (read-only) private copy until it drops it.
+  stale.reset();
   auto loaded = std::make_shared<const trace::Trace>(trace::load_trace(path));
 
   std::lock_guard<std::mutex> lock(mu_);
   ++loads_;
-  entries_[key] = loaded;
+  key_ = std::move(key);
+  held_ = loaded;
   return loaded;
 }
 
@@ -50,14 +50,6 @@ std::uint64_t SharedTraceCache::loads() const {
 std::uint64_t SharedTraceCache::hits() const {
   std::lock_guard<std::mutex> lock(mu_);
   return hits_;
-}
-
-std::size_t SharedTraceCache::prune() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    it = it->second.expired() ? entries_.erase(it) : std::next(it);
-  }
-  return entries_.size();
 }
 
 }  // namespace resim::serve

@@ -5,9 +5,13 @@
 // unknown request types and mid-request disconnects. The bar for every
 // hostile case is the same: a NAMED error frame (or a clean connection
 // drop), never a crash, and the daemon keeps serving afterwards.
+#include <atomic>
 #include <cstdint>
+#include <filesystem>
+#include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -363,16 +367,100 @@ trace::Trace generate(const std::string& bench, std::uint64_t insts) {
   return trace::TraceGenerator(workload::make_workload(bench), g).generate();
 }
 
-TEST(ServeTraceCache, SecondGetIsAHit) {
+void save(const trace::Trace& t, const std::string& path) {
+  save_trace(t, path, 512, /*compress=*/true, /*prefilter=*/false);
+}
+
+TEST(ServeTraceCache, TraceStaysResidentWithNoBorrower) {
   const std::string path = temp_path("cache_hit.rsim");
-  save_trace(generate("gzip", 2000), path, 512, /*compress=*/true,
-             /*prefilter=*/false);
+  save(generate("gzip", 2000), path);
   SharedTraceCache cache;
-  const auto a = cache.get(path);
-  const auto b = cache.get(path);
-  EXPECT_EQ(a.get(), b.get()) << "same decode must be shared";
+  const trace::Trace* first = nullptr;
+  std::weak_ptr<const trace::Trace> watch;
+  {
+    const auto t = cache.get(path);
+    first = t.get();
+    watch = t;
+  }
+  ASSERT_FALSE(watch.expired()) << "an idle cache must keep its trace";
+  EXPECT_EQ(cache.get(path).get(), first) << "same decode must be served again";
   EXPECT_EQ(cache.loads(), 1u);
   EXPECT_EQ(cache.hits(), 1u);
+}
+
+TEST(ServeTraceCache, HoldsOneTraceAtATime) {
+  const std::string a = temp_path("cache_one_a.rsim");
+  const std::string b = temp_path("cache_one_b.rsim");
+  save(generate("gzip", 2000), a);
+  save(generate("vpr", 2000), b);
+  SharedTraceCache cache;
+  const std::weak_ptr<const trace::Trace> first = cache.get(a);
+  (void)cache.get(b);
+  EXPECT_TRUE(first.expired()) << "loading another trace must release the held one";
+  (void)cache.get(a);
+  EXPECT_EQ(cache.loads(), 3u);
+  EXPECT_EQ(cache.hits(), 0u);
+}
+
+TEST(ServeTraceCache, FileRewrittenInPlaceReloads) {
+  const std::string path = temp_path("cache_rewrite.rsim");
+  const trace::Trace old = generate("gzip", 2000);
+  save(old, path);
+  SharedTraceCache cache;
+  EXPECT_EQ(cache.get(path)->size(), old.size());
+  const trace::Trace fresh = generate("gzip", 3000);
+  save(fresh, path);
+  const auto t = cache.get(path);
+  EXPECT_EQ(t->encode_payload(), fresh.encode_payload()) << "stale trace served";
+  EXPECT_EQ(cache.loads(), 2u);
+  EXPECT_EQ(cache.hits(), 0u);
+}
+
+TEST(ServeTraceCache, DeletedFileThrowsNamingPathAndCacheRecovers) {
+  const std::string gone = temp_path("cache_gone.rsim");
+  const std::string other = temp_path("cache_other.rsim");
+  const trace::Trace kept = generate("vpr", 1500);
+  save(generate("gzip", 2000), gone);
+  save(kept, other);
+  SharedTraceCache cache;
+  (void)cache.get(gone);
+  std::filesystem::remove(gone);
+  try {
+    (void)cache.get(gone);
+    FAIL() << "a deleted trace must not be served";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(gone), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(cache.get(other)->size(), kept.size());
+  EXPECT_EQ(cache.get(other)->size(), kept.size());
+  EXPECT_EQ(cache.loads(), 2u);
+  EXPECT_EQ(cache.hits(), 1u);
+}
+
+TEST(ServeTraceCache, ConcurrentGetsOfTwoTracesEachGetTheirOwn) {
+  const std::string a = temp_path("cache_mt_a.rsim");
+  const std::string b = temp_path("cache_mt_b.rsim");
+  const trace::Trace ta = generate("gzip", 1000);
+  const trace::Trace tb = generate("vpr", 1200);
+  ASSERT_NE(ta.size(), tb.size());
+  save(ta, a);
+  save(tb, b);
+  SharedTraceCache cache;
+  constexpr int kThreads = 4;
+  constexpr int kGets = 25;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kGets; ++i) {
+        const bool want_a = (i + t) % 3 != 0;
+        if (cache.get(want_a ? a : b)->size() != (want_a ? ta : tb).size()) ++wrong;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(cache.loads() + cache.hits(), std::uint64_t{kThreads * kGets});
 }
 
 // ---- the daemon end to end -------------------------------------------------
@@ -497,6 +585,29 @@ TEST_F(ServeDaemonTest, SimResponseIsByteIdenticalToEngineOutput) {
   const auto done = client.request(build_sim_request(spec), got);
   EXPECT_EQ(got.str(), expected);
   EXPECT_EQ(done.bytes, expected.size());
+}
+
+TEST_F(ServeDaemonTest, SecondSimOfOneTraceSkipsTheDecode) {
+  start_daemon();
+  const std::string path = temp_path("served_twice.rsim");
+  save(generate("gzip", 3000), path);
+
+  Client client = Client::connect_to_unix(sock_);
+  SimRequestSpec spec;
+  spec.trace_path = path;
+  std::ostringstream first;
+  std::ostringstream second;
+  spec.id = "first";
+  (void)client.request(build_sim_request(spec), first);
+  spec.id = "second";  // sent only after the first's `done`
+  (void)client.request(build_sim_request(spec), second);
+  EXPECT_EQ(first.str(), second.str());
+
+  std::ostringstream status;
+  (void)client.request(build_status_request("s"), status);
+  const JsonValue v = parse_json(status.str());
+  EXPECT_EQ(v.find("trace_cache_loads")->as_u64("trace_cache_loads"), 1u);
+  EXPECT_EQ(v.find("trace_cache_hits")->as_u64("trace_cache_hits"), 1u);
 }
 
 TEST_F(ServeDaemonTest, SweepCsvIsByteIdenticalToExporterOutput) {

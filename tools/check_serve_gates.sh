@@ -1,0 +1,86 @@
+#!/usr/bin/env bash
+# Served-vs-CLI byte identity (docs/CI.md, docs/SERVE.md), registered as
+# the ctest entry `serve_gates` and run by CI through ctest. A live
+# `resim_cli serve` daemon must stream back exactly the bytes the
+# one-shot CLI writes:
+#
+#  * `sim --json` for both paper machines, each served twice (all but
+#    the first request reuse the daemon's resident decoded trace);
+#  * after `gen` rewrites the trace in place with another length, the
+#    next served sim matches `sim --json` on the new file, not the old;
+#  * the paper spec sweep as CSV, JSON and full-config CSV, against -j1
+#    and -jN one-shot runs.
+#
+# Then `status` must count exactly two trace loads, and a `shutdown`
+# request must drain the daemon and exit it cleanly.
+#
+# Usage: tools/check_serve_gates.sh path/to/resim_cli
+# Works in a scratch directory (with the daemon's socket) that it deletes
+# on exit, killing the daemon first if a check failed; any mismatch fails.
+set -euo pipefail
+
+cli=$(realpath "$1")
+configs=$(cd "$(dirname "$0")/../configs" && pwd)
+jobs=$(nproc)
+work=$(mktemp -d)
+serve_pid=
+cleanup() {
+  if [ -n "$serve_pid" ]; then
+    kill "$serve_pid" 2> /dev/null || true
+    wait "$serve_pid" 2> /dev/null || true
+  fi
+  rm -rf "$work"
+}
+trap cleanup EXIT
+cd "$work"
+
+client() { "$cli" client --socket serve.sock "$@"; }
+
+"$cli" gen --bench gzip --insts 50000 --out ci.rsim
+"$cli" serve --socket serve.sock -j "$jobs" 2> serve_log.txt &
+serve_pid=$!
+for _ in $(seq 50); do [ -S serve.sock ] && break; sleep 0.1; done
+
+echo "== served sim"
+for cfg in paper_4wide_perfect paper_2wide_cache; do
+  "$cli" sim --trace ci.rsim --config "$configs/$cfg.cfg" --json "cli_$cfg.json" > /dev/null
+  for pass in 1 2; do
+    client --sim --trace ci.rsim --config "$configs/$cfg.cfg" --out srv_sim.json
+    cmp "cli_$cfg.json" srv_sim.json || { echo "served $cfg sim, pass $pass, differs"; exit 1; }
+  done
+done
+
+echo "== trace rewritten in place"
+"$cli" gen --bench gzip --insts 30000 --out ci.rsim
+"$cli" sim --trace ci.rsim --config "$configs/paper_4wide_perfect.cfg" --json cli_new.json > /dev/null
+if cmp -s cli_paper_4wide_perfect.json cli_new.json; then
+  echo "the rewritten trace must change the sim result"; exit 1
+fi
+client --sim --trace ci.rsim --config "$configs/paper_4wide_perfect.cfg" --out srv_new.json
+cmp cli_new.json srv_new.json
+
+echo "== served sweep"
+# The paper spec in all three formats, against -j1 AND -jN one-shot runs
+# (the CLI's own determinism makes them one file; the daemon must match).
+"$cli" sweep -j 1 --spec "$configs/paper_sweep.spec" --insts 5000 \
+    --out cli1.csv --json cli1.json --csv-full cli1_full.csv
+"$cli" sweep -j "$jobs" --spec "$configs/paper_sweep.spec" --insts 5000 \
+    --out cliN.csv --json cliN.json --csv-full cliN_full.csv
+client --sweep --spec "$configs/paper_sweep.spec" --insts 5000 --out srv.csv
+client --sweep --spec "$configs/paper_sweep.spec" --insts 5000 --format json --out srv.json
+client --sweep --spec "$configs/paper_sweep.spec" --insts 5000 --format csv-full --out srv_full.csv
+cmp cli1.csv srv.csv && cmp cliN.csv srv.csv
+cmp cli1.json srv.json && cmp cliN.json srv.json
+cmp cli1_full.csv srv_full.csv && cmp cliN_full.csv srv_full.csv
+
+echo "== status and shutdown"
+client --ping
+client --status > status.json
+grep -q '"completed":' status.json
+# One decode of the first trace, one of its rewrite; every other sim hit.
+grep -q '"trace_cache_loads":2,' status.json || { cat status.json; exit 1; }
+client --shutdown
+wait "$serve_pid"
+serve_pid=
+grep -q "shut down" serve_log.txt
+echo "serve gates: PASS"
