@@ -80,11 +80,10 @@ void load_config(std::istream& is, core::CoreConfig& cfg, const std::string& wha
   }
 }
 
-void load_config_file(const std::string& path, core::CoreConfig& cfg,
-                      std::vector<std::string>* assigned) {
+void load_config_file(const std::string& path, core::CoreConfig& cfg) {
   std::ifstream f(path);
   if (!f) throw std::runtime_error("cannot open config file: " + path);
-  load_config(f, cfg, path, assigned);
+  load_config(f, cfg, path);
 }
 
 void save_config(std::ostream& os, const core::CoreConfig& cfg) {
@@ -126,6 +125,16 @@ std::vector<std::string> apply_sets(core::CoreConfig& cfg,
   keys.reserve(assignments.size());
   for (const auto& a : assignments) keys.push_back(apply_set(cfg, a));
   return keys;
+}
+
+core::CoreConfig resolve_machine(const std::string& config_text, const std::string& what,
+                                 const std::vector<std::string>& sets,
+                                 std::vector<std::string>* assigned) {
+  core::CoreConfig cfg = core::CoreConfig::paper_4wide_perfect();
+  std::istringstream is(config_text);
+  load_config(is, cfg, what, assigned);
+  (void)apply_sets(cfg, sets);
+  return cfg;
 }
 
 }  // namespace resim::config

@@ -47,12 +47,10 @@ namespace resim::config {
 /// Does NOT run cfg.validate(): callers validate after the last overlay
 /// (--set) has been applied, so cross-field constraints see the final
 /// configuration. `assigned`, when non-null, collects the dotted path of
-/// every assignment (sweep expansion pins explicitly-named parameters
-/// against its width-linked derivations).
+/// every assignment.
 void load_config(std::istream& is, core::CoreConfig& cfg, const std::string& what,
                  std::vector<std::string>* assigned = nullptr);
-void load_config_file(const std::string& path, core::CoreConfig& cfg,
-                      std::vector<std::string>* assigned = nullptr);
+void load_config_file(const std::string& path, core::CoreConfig& cfg);
 
 /// Write every registry parameter as documented `path = value` lines.
 /// save -> load reproduces the config exactly; save -> load -> save is
@@ -66,6 +64,16 @@ std::string apply_set(core::CoreConfig& cfg, const std::string& assignment);
 /// Applies in order (last writer wins); returns the assigned paths.
 std::vector<std::string> apply_sets(core::CoreConfig& cfg,
                                     const std::vector<std::string>& assignments);
+
+/// The machine a run names, resolved one way for the CLI and the daemon:
+/// paper_4wide_perfect, then `config_text` (a config file's contents,
+/// `what` in errors), then each of `sets` in order; nothing is derived.
+/// Not validate()d (a sweep validates each grid point instead).
+/// `assigned`, when non-null, collects the config text's dotted paths.
+[[nodiscard]] core::CoreConfig resolve_machine(const std::string& config_text,
+                                               const std::string& what,
+                                               const std::vector<std::string>& sets,
+                                               std::vector<std::string>* assigned = nullptr);
 
 }  // namespace resim::config
 

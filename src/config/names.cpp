@@ -80,12 +80,4 @@ const char* memsys_kind_name(const cache::MemSysConfig& m) {
   return m.with_l2 ? "l2" : "l1";
 }
 
-cache::MemSysConfig memsys_of(const std::string& name) {
-  if (name == "perfect") return cache::MemSysConfig::perfect_memory();
-  if (name == "l1") return cache::MemSysConfig::paper_l1();
-  if (name == "l2") return cache::MemSysConfig::with_unified_l2();
-  throw std::invalid_argument("memory system: unknown value '" + name +
-                              "' (accepted: perfect|l1|l2)");
-}
-
 }  // namespace resim::config

@@ -36,10 +36,8 @@ namespace resim::config {
 [[nodiscard]] cache::ReplPolicy repl_of(const std::string& name);
 [[nodiscard]] core::TraceBackend trace_backend_of(const std::string& name);
 
-/// One-word summary of a memory system ("perfect", "l1", "l2") and the
-/// matching preset factory (the CLI's --mem shorthand).
+/// One-word summary of a memory system ("perfect", "l1", "l2").
 [[nodiscard]] const char* memsys_kind_name(const cache::MemSysConfig& m);
-[[nodiscard]] cache::MemSysConfig memsys_of(const std::string& name);
 
 }  // namespace resim::config
 

@@ -17,8 +17,7 @@
 // single-valued. `set path = value` lines pin a base-config parameter
 // without creating an axis. The driver expands a spec into SimJobs
 // (driver/sweep_grid.hpp) with labels and CSV columns derived from the
-// axes — byte-identical to the CSV the legacy flag-driven sweep emits
-// for an equivalent spec.
+// axes.
 #ifndef RESIM_CONFIG_SWEEP_SPEC_H
 #define RESIM_CONFIG_SWEEP_SPEC_H
 

@@ -1,10 +1,18 @@
 #include "core/config.hpp"
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+
 namespace resim::core {
 
 void CoreConfig::validate() const {
   require(width >= 1 && width <= 16, "CoreConfig: width in [1,16]");
-  require(ifq_size >= width, "CoreConfig: IFQ must hold a fetch group");
+  if (ifq_size < width) {
+    throw std::invalid_argument("core.ifq_size = " + std::to_string(ifq_size) +
+                                " is below core.width = " + std::to_string(width) +
+                                " (the IFQ must hold a fetch group)");
+  }
   require(rob_size >= 2, "CoreConfig: rob_size >= 2");
   require(lsq_size >= 1, "CoreConfig: lsq_size >= 1");
   require(mem_read_ports >= 1, "CoreConfig: mem_read_ports >= 1");
@@ -16,8 +24,15 @@ void CoreConfig::validate() const {
   if (variant == PipelineVariant::kOptimized) {
     // Paper §IV.B: the N+3 pipeline is valid "with the restriction that
     // the simulated processor has up to N-1 memory ports".
-    require(mem_read_ports <= width - 1 && mem_write_ports <= width - 1,
-            "CoreConfig: Optimized pipeline requires <= N-1 memory ports");
+    for (const auto& [path, ports] : {std::pair{"core.mem_read_ports", mem_read_ports},
+                                      std::pair{"core.mem_write_ports", mem_write_ports}}) {
+      if (ports > width - 1) {
+        throw std::invalid_argument(std::string(path) + " = " + std::to_string(ports) +
+                                    " exceeds core.width - 1 = " +
+                                    std::to_string(width - 1) +
+                                    " under pipeline.variant = optimized");
+      }
+    }
   }
 }
 

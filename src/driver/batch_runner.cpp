@@ -39,24 +39,6 @@ SimJob SimJob::sweep_point(std::string label, std::string workload,
   return job;
 }
 
-void use_streamed_sources(std::vector<SimJob>& jobs, const std::string& tag) {
-  const std::string prefix = (std::filesystem::temp_directory_path() / tag).string() +
-                             "_" + std::to_string(::getpid()) + "_";
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (!jobs[i].trace_path.empty()) continue;  // already streams from disk
-    if (jobs[i].trace) {
-      // Regenerating from workload+gen would silently simulate a
-      // different record stream than the prepared trace.
-      throw std::invalid_argument(
-          "use_streamed_sources: job '" + jobs[i].label +
-          "' carries a prepared trace; streaming applies to generated jobs only");
-    }
-    jobs[i].source =
-        streamed_gen_source(jobs[i].workload, jobs[i].gen,
-                            prefix + std::to_string(i) + ".rsim");
-  }
-}
-
 std::unique_ptr<trace::FileTraceSource> open_backend(const std::string& path,
                                                     core::TraceBackend backend) {
   if (backend == core::TraceBackend::kMmap) {
@@ -246,9 +228,9 @@ GroupPlan plan_groups(const std::vector<SimJob>& jobs, unsigned threads) {
   std::map<std::string, std::size_t> index;  // group key -> shares index
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const SimJob& j = jobs[i];
-    // Factory jobs are opaque; memory-backend prepared-trace jobs
-    // already share the decoded records by construction.
-    if (j.source || !j.config.trace_shared_decode) continue;
+    // Memory-backend prepared-trace jobs already share the decoded
+    // records by construction.
+    if (!j.config.trace_shared_decode) continue;
     const bool memory = j.config.trace_backend == core::TraceBackend::kMemory;
     std::string key;
     if (!j.trace_path.empty()) {
@@ -309,34 +291,6 @@ GroupPlan plan_groups(const std::vector<SimJob>& jobs, unsigned threads) {
 
 }  // namespace
 
-TraceSourceFactory backend_gen_source(std::string workload, trace::TraceGenConfig gen,
-                                      std::string path, core::TraceBackend backend) {
-  if (backend == core::TraceBackend::kMemory) {
-    throw std::invalid_argument(
-        "backend_gen_source: the memory backend needs no file round trip");
-  }
-  return [workload = std::move(workload), gen, path = std::move(path),
-          backend]() -> std::unique_ptr<trace::TraceSource> {
-    const trace::Trace t =
-        trace::TraceGenerator(workload::make_workload(workload), gen).generate();
-    trace::save_trace(t, path);
-    try {
-      auto src = open_backend(path, backend);
-      std::remove(path.c_str());  // the open stream keeps the inode alive
-      return src;
-    } catch (...) {
-      std::remove(path.c_str());  // don't leak the temp file on open failure
-      throw;
-    }
-  };
-}
-
-TraceSourceFactory streamed_gen_source(std::string workload, trace::TraceGenConfig gen,
-                                       std::string path) {
-  return backend_gen_source(std::move(workload), gen, std::move(path),
-                            core::TraceBackend::kStream);
-}
-
 BatchRunner::BatchRunner(unsigned threads)
     : threads_(threads != 0 ? threads
                             : std::max(1u, std::thread::hardware_concurrency())) {}
@@ -348,11 +302,7 @@ JobResult BatchRunner::run_one(const SimJob& job) {
   out.workload = job.workload;
   out.config = job.config;
   const core::TraceBackend backend = job.config.trace_backend;
-  if (job.source) {
-    const std::unique_ptr<trace::TraceSource> src = job.source();
-    if (!src) throw std::runtime_error("SimJob: source factory returned null");
-    out.result = run_engine(job.config, *src);
-  } else if (!job.trace_path.empty()) {
+  if (!job.trace_path.empty()) {
     if (backend == core::TraceBackend::kMemory) {
       const trace::Trace t = trace::load_trace(job.trace_path);
       trace::VectorTraceSource src(t);

@@ -14,7 +14,6 @@
 #define RESIM_DRIVER_BATCH_RUNNER_H
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -29,48 +28,24 @@
 
 namespace resim::driver {
 
-/// Builds the worker-private record source for one job. Factories run on
-/// the worker thread, so each worker owns its source outright — e.g. a
-/// constant-memory trace::FileTraceSource over a shared .rsim file
-/// instead of every worker sharing one giant decoded vector.
-using TraceSourceFactory = std::function<std::unique_ptr<trace::TraceSource>()>;
-
 /// Opens an on-disk .rsim through a file backend: kMmap maps it
 /// (trace::MmapTraceSource), any other backend streams it
 /// (trace::FileTraceSource).
 [[nodiscard]] std::unique_ptr<trace::FileTraceSource> open_backend(const std::string& path,
                                                                    core::TraceBackend backend);
 
-/// Factory that generates `workload`'s trace with `gen`, round-trips it
-/// through a private .rsim file at `path`, and reads it back through
-/// `backend` (kStream: constant-memory trace::FileTraceSource; kMmap:
-/// in-place trace::MmapTraceSource; kMemory is rejected — a memory job
-/// needs no file round trip). The file is unlinked as soon as the
-/// source opens (the open stream / mapping keeps the inode alive on
-/// POSIX), so disk usage is bounded by the jobs in flight.
-[[nodiscard]] TraceSourceFactory backend_gen_source(std::string workload,
-                                                    trace::TraceGenConfig gen,
-                                                    std::string path,
-                                                    core::TraceBackend backend);
-
-/// backend_gen_source pinned to the stream backend (the pre-backend API).
-[[nodiscard]] TraceSourceFactory streamed_gen_source(std::string workload,
-                                                     trace::TraceGenConfig gen,
-                                                     std::string path);
-
 /// One point of a design-space sweep.
 ///
-/// Record-source precedence: `source` (factory), then `trace_path`
-/// (the worker opens the on-disk .rsim itself), then `trace` (prepared
-/// decoded trace shared read-only across jobs, the paper's "traces
-/// prepared off-line" mode), else the worker generates the trace
-/// itself from `workload` and `gen` — trace generation is seeded and
-/// therefore deterministic.
+/// Record-source precedence: `trace_path` (the worker opens the
+/// on-disk .rsim itself), then `trace` (prepared decoded trace shared
+/// read-only across jobs, the paper's "traces prepared off-line" mode),
+/// else the worker generates the trace itself from `workload` and `gen`
+/// — trace generation is seeded and therefore deterministic.
 ///
 /// config.trace_backend (the `trace.backend` registry parameter)
-/// selects how the non-factory paths read records: kMemory decodes the
-/// whole trace up front; kStream uses a constant-memory
-/// FileTraceSource; kMmap maps the file and decodes in place. Jobs
+/// selects how each path reads records: kMemory decodes the whole trace
+/// up front; kStream uses a constant-memory FileTraceSource; kMmap maps
+/// the file and decodes in place. Jobs
 /// without a file (generated or prepared-trace jobs) under a non-memory
 /// backend round-trip their records through a private temp .rsim,
 /// unlinked as soon as the source opens. Every backend is bit-identical
@@ -82,7 +57,6 @@ struct SimJob {
   trace::TraceGenConfig gen{};
   std::string trace_path;                     ///< optional on-disk .rsim to stream
   std::shared_ptr<const trace::Trace> trace;  ///< optional prepared trace
-  TraceSourceFactory source;                  ///< optional worker-built source
 
   /// A sweep point whose trace-generation parameters match the core
   /// configuration (predictor + conservative wrong-path block), the
@@ -91,11 +65,6 @@ struct SimJob {
                                           const core::CoreConfig& cfg,
                                           std::uint64_t insts);
 };
-
-/// Switches every job to a streamed_gen_source factory, with per-job
-/// temp files named "<system temp dir>/<tag>_<pid>_<index>.rsim" so
-/// concurrent processes and workers never collide.
-void use_streamed_sources(std::vector<SimJob>& jobs, const std::string& tag);
 
 /// A completed job: the configuration it ran plus the engine's result.
 struct JobResult {

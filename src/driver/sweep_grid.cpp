@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "config/config_file.hpp"
 #include "config/param_registry.hpp"
+#include "trace/file_source.hpp"
 #include "workload/suite.hpp"
 
 namespace resim::driver {
@@ -52,7 +54,7 @@ SweepGrid expand_spec(const config::SweepSpec& spec) {
   const bool derive_ports = !spec.is_pinned("core.mem_read_ports");
 
   // Odometer over the axis value indices; axis 0 is the outermost loop,
-  // so the last axis spins fastest — the legacy loop-nest order.
+  // so the last axis spins fastest.
   std::vector<std::size_t> idx(axes.size(), 0);
   const std::uint64_t points = spec.point_count();
   grid.jobs.reserve(points);
@@ -95,6 +97,41 @@ SweepGrid expand_spec(const config::SweepSpec& spec) {
       if (a == 0) return grid;
     }
   }
+}
+
+config::SweepSpec resolve_sweep(std::istream& spec, const std::string& what,
+                                const core::CoreConfig& base,
+                                const std::vector<std::string>& sets,
+                                std::optional<std::uint64_t> insts) {
+  config::SweepSpec out = config::parse_sweep_spec(spec, what, base);
+  for (auto& key : config::apply_sets(out.base, sets)) out.pinned.push_back(std::move(key));
+  if (insts) out.insts = *insts;
+  return out;
+}
+
+SweepGrid expand_sweep(config::SweepSpec spec, const std::string& trace_path,
+                       const TraceLoader& load) {
+  if (trace_path.empty()) return expand_spec(spec);
+  // Header-only open: just recover the benchmark name.
+  const std::string bench = trace::FileTraceSource(trace_path).trace_name();
+  const auto axis = std::find_if(spec.axes.begin(), spec.axes.end(),
+                                 [](const auto& a) { return a.path == "bench"; });
+  if (axis != spec.axes.end()) {
+    axis->values = {bench};
+  } else {
+    spec.axes.insert(spec.axes.begin(), {"bench", {bench}});
+  }
+  SweepGrid grid = expand_spec(spec);
+  std::shared_ptr<const trace::Trace> shared;
+  for (auto& job : grid.jobs) {
+    if (job.config.trace_backend == core::TraceBackend::kMemory) {
+      if (!shared) shared = load(trace_path);
+      job.trace = shared;
+    } else {
+      job.trace_path = trace_path;
+    }
+  }
+  return grid;
 }
 
 }  // namespace resim::driver

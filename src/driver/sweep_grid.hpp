@@ -1,20 +1,24 @@
-// Sweep-spec expansion: cross-product of axes -> driver::SimJob grid.
-//
-// Replaces the CLI's hand-rolled loop nest. Axes nest in spec order
-// (first axis outermost), every point's label is the '/'-joined axis
-// tokens ("gzip/optimized/w4/rob16/2lev"), and the legacy width-linked
-// conveniences are preserved for parameters the spec does not pin:
+// Sweep assembly: a spec over a run's machine -> driver::SimJob grid.
+// `resim_cli sweep` and the daemon's sweep requests both call
+// resolve_sweep() then expand_sweep(), so a spec runs the same machines
+// from either. Axes nest in spec order (first axis outermost), a point's
+// label is the '/'-joined axis tokens ("gzip/optimized/w4/rob16/2lev"),
+// and each derivation below applies unless the sweep pins its target:
 //
 //   core.lsq_size       = max(2, core.rob_size / 2)
 //   core.ifq_size       = max(core.ifq_size, core.width)
 //   core.mem_read_ports = max(1, core.width - 1)
 //
-// so a spec equivalent to the legacy --widths/--robs/--bps flags
-// reproduces the legacy sweep CSV byte for byte. Pin any of the three
-// (as a `set` line or an axis) to opt out of its derivation.
+// Spec `set` lines, axes and every --set (a request's "set" entry) pin;
+// a config file is the base machine the derivations scale.
 #ifndef RESIM_DRIVER_SWEEP_GRID_H
 #define RESIM_DRIVER_SWEEP_GRID_H
 
+#include <cstdint>
+#include <functional>
+#include <iosfwd>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,6 +40,27 @@ struct SweepGrid {
 /// Every point's config is validate()d here, so an invalid corner of the
 /// grid fails before any simulation starts, naming the point's label.
 [[nodiscard]] SweepGrid expand_spec(const config::SweepSpec& spec);
+
+/// The sweep a run names: `spec` text (`what` in errors) parsed over
+/// `base`, the run's config::resolve_machine(); then `sets` re-applied,
+/// so they outrank the spec's own `set` lines, and pinned; then `insts`,
+/// when given, replacing the spec's.
+[[nodiscard]] config::SweepSpec resolve_sweep(std::istream& spec, const std::string& what,
+                                              const core::CoreConfig& base,
+                                              const std::vector<std::string>& sets,
+                                              std::optional<std::uint64_t> insts);
+
+/// Hands out the decoded prepared trace that memory-backend jobs share:
+/// the CLI decodes the file, the daemon lends its resident copy.
+using TraceLoader =
+    std::function<std::shared_ptr<const trace::Trace>(const std::string& path)>;
+
+/// expand_spec() for a run. With a prepared trace (`trace_path` set) the
+/// bench axis collapses to the container's benchmark name, memory-backend
+/// jobs share `load(trace_path)` (called at most once) and stream/mmap
+/// jobs open the file themselves; otherwise every job generates its own.
+[[nodiscard]] SweepGrid expand_sweep(config::SweepSpec spec, const std::string& trace_path,
+                                     const TraceLoader& load);
 
 }  // namespace resim::driver
 

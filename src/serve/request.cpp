@@ -89,25 +89,19 @@ std::vector<std::string> parse_sets(const JsonValue& v) {
   return sets;
 }
 
-/// Resolve a request's configuration the way the declarative CLI does:
-/// paper defaults, then the inline "config" text, then the "set" list
-/// (load_config defers validate(); run it after the last overlay).
+/// A request's machine, resolved as the CLI resolves its flags
+/// (config::resolve_machine): paper defaults, then the inline "config"
+/// text, then the "set" list.
 core::CoreConfig resolve_config(const JsonValue& v, bool validate) {
-  core::CoreConfig cfg = core::CoreConfig::paper_4wide_perfect();
+  const std::string text = optional_string(v, "config");
+  const std::vector<std::string> sets = parse_sets(v);
   try {
-    const std::string text = optional_string(v, "config");
-    if (!text.empty()) {
-      std::istringstream is(text);
-      config::load_config(is, cfg, "request config");
-    }
-    (void)config::apply_sets(cfg, parse_sets(v));
+    core::CoreConfig cfg = config::resolve_machine(text, "request config", sets);
     if (validate) cfg.validate();
-  } catch (const RequestError&) {
-    throw;
+    return cfg;
   } catch (const std::exception& e) {
     bad(e.what());
   }
-  return cfg;
 }
 
 }  // namespace
@@ -158,21 +152,17 @@ SweepRequest parse_sweep_request(const JsonValue& v) {
     bad("member 'format' must be one of csv, json, csv-full; got '" + format + "'");
   }
 
-  // Base configuration resolves exactly like `sweep --config/--set`; the
-  // spec's own `set` lines then land on top inside parse_sweep_spec, and
-  // the request's "set" list is re-applied afterwards so it keeps the
-  // CLI's documented highest precedence. Grid points are validate()d by
-  // expand_spec, not here.
+  // The spec over the request's machine, exactly as `sweep --spec` does
+  // it; grid points are validate()d by expand_spec, not here.
   const core::CoreConfig base = resolve_config(v, /*validate=*/false);
   const std::string spec_text = required_string(v, "spec");
+  const auto insts = optional_u64(v, "insts");
   try {
     std::istringstream is(spec_text);
-    req.spec = config::parse_sweep_spec(is, "request spec", base);
-    (void)config::apply_sets(req.spec.base, parse_sets(v));
+    req.spec = driver::resolve_sweep(is, "request spec", base, parse_sets(v), insts);
   } catch (const std::exception& e) {
     bad(e.what());
   }
-  if (const auto insts = optional_u64(v, "insts")) req.spec.insts = *insts;
   return req;
 }
 
@@ -215,33 +205,9 @@ void run_sim(const SimRequest& req, SharedTraceCache& traces, const Sink& sink) 
 
 void run_sweep(const SweepRequest& req, unsigned threads, SharedTraceCache& traces,
                const Sink& sink) {
-  config::SweepSpec spec = req.spec;
-
-  // Prepared-trace mode, exactly like `sweep --trace`: the bench axis
-  // collapses to the container's own benchmark name.
-  if (!req.trace_path.empty()) {
-    const std::string bench_name = trace::FileTraceSource(req.trace_path).trace_name();
-    bool found = false;
-    for (auto& axis : spec.axes) {
-      if (axis.path == "bench") {
-        axis.values = {bench_name};
-        found = true;
-      }
-    }
-    if (!found) spec.axes.insert(spec.axes.begin(), {"bench", {bench_name}});
-  }
-
-  auto grid = driver::expand_spec(spec);
-  std::shared_ptr<const trace::Trace> shared_trace;
-  for (auto& job : grid.jobs) {
-    if (req.trace_path.empty()) continue;
-    if (job.config.trace_backend == core::TraceBackend::kMemory) {
-      if (!shared_trace) shared_trace = traces.get(req.trace_path);
-      job.trace = shared_trace;
-    } else {
-      job.trace_path = req.trace_path;
-    }
-  }
+  // The memory backend borrows the resident trace, as run_sim does.
+  auto grid = driver::expand_sweep(req.spec, req.trace_path,
+                                   [&traces](const std::string& path) { return traces.get(path); });
 
   const driver::BatchRunner runner(threads);
   const std::size_t total = grid.jobs.size();

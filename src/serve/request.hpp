@@ -74,8 +74,8 @@ enum class SweepFormat : std::uint8_t {
   kCsvFull,  ///< full-configuration CSV (write_config_csv's bytes)
 };
 
-/// `sweep` request, resolved. The spec text has already been parsed
-/// against the request's base configuration.
+/// `sweep` request, resolved. The spec has already been assembled over
+/// the request's machine by driver::resolve_sweep, as `sweep --spec` does.
 struct SweepRequest {
   std::string id;
   int priority = 0;

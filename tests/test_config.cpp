@@ -1,6 +1,8 @@
 // The declarative reconfiguration plane: ParamRegistry reflection,
 // config-file round-trips, --set overlays, and sweep-spec expansion.
 #include <algorithm>
+#include <cstdio>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,6 +15,9 @@
 #include "config/sweep_spec.hpp"
 #include "driver/result_export.hpp"
 #include "driver/sweep_grid.hpp"
+#include "trace/tracegen.hpp"
+#include "trace/writer.hpp"
+#include "workload/suite.hpp"
 
 namespace resim::config {
 namespace {
@@ -208,6 +213,52 @@ TEST(ConfigFile, SetOverridesConfigFile) {
   EXPECT_THROW(apply_set(cfg, "core.rob_size=1"), std::invalid_argument);
 }
 
+std::string saved(const core::CoreConfig& cfg) {
+  std::ostringstream os;
+  save_config(os, cfg);
+  return os.str();
+}
+
+TEST(ConfigFile, ResolveMachineIsDefaultsThenConfigThenSetsAndNothingElse) {
+  std::vector<std::string> assigned;
+  const core::CoreConfig cfg = resolve_machine("core.rob_size = 32\ncore.width = 8\n",
+                                               "file", {"core.rob_size=64"}, &assigned);
+  EXPECT_EQ(cfg.rob_size, 64u);  // the set beats the config text
+  EXPECT_EQ(cfg.width, 8u);
+  // Nothing is derived from the width: IFQ, LSQ and ports keep the defaults.
+  const auto defaults = core::CoreConfig::paper_4wide_perfect();
+  EXPECT_EQ(cfg.ifq_size, defaults.ifq_size);
+  EXPECT_EQ(cfg.lsq_size, defaults.lsq_size);
+  EXPECT_EQ(cfg.mem_read_ports, defaults.mem_read_ports);
+  EXPECT_EQ(assigned, (std::vector<std::string>{"core.rob_size", "core.width"}));
+  EXPECT_EQ(saved(resolve_machine("", "none", {})), saved(defaults));
+  try {
+    (void)resolve_machine("core.width = 4\nbogus.param = 1\n", "f.cfg", {});
+    FAIL() << "expected a rejection";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("f.cfg:2"), std::string::npos) << e.what();
+  }
+}
+
+TEST(ConfigFile, CrossFieldErrorsNameTheParametersToChange) {
+  const auto error_of = [](const std::string& set) -> std::string {
+    try {
+      resolve_machine("", "", {set}).validate();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "valid";
+  };
+  EXPECT_EQ(error_of("core.width=2"),
+            "core.mem_read_ports = 2 exceeds core.width - 1 = 1 under "
+            "pipeline.variant = optimized");
+  EXPECT_EQ(error_of("core.mem_write_ports=4"),
+            "core.mem_write_ports = 4 exceeds core.width - 1 = 3 under "
+            "pipeline.variant = optimized");
+  EXPECT_EQ(error_of("core.width=16"),
+            "core.ifq_size = 8 is below core.width = 16 (the IFQ must hold a fetch group)");
+}
+
 // --- sweep specs -----------------------------------------------------------
 
 TEST(SweepSpec, ExpandAxisValues) {
@@ -277,7 +328,7 @@ TEST(SweepGrid, CrossProductOrderAndLegacyLabels) {
   const auto spec = parse_sweep_spec(in, "spec", core::CoreConfig::paper_4wide_perfect());
   const auto grid = driver::expand_spec(spec);
   ASSERT_EQ(grid.jobs.size(), 4u);
-  // bench outermost, later axes spin faster — the legacy loop nest.
+  // bench outermost, later axes spin faster.
   EXPECT_EQ(grid.jobs[0].label, "gzip/optimized/w2/rob16/2lev");
   EXPECT_EQ(grid.jobs[1].label, "gzip/optimized/w4/rob16/2lev");
   EXPECT_EQ(grid.jobs[2].label, "parser/optimized/w2/rob16/2lev");
@@ -285,7 +336,7 @@ TEST(SweepGrid, CrossProductOrderAndLegacyLabels) {
   EXPECT_EQ(grid.jobs[2].workload, "parser");
   // All axes are standard CSV columns: no extras.
   EXPECT_TRUE(grid.extra_csv_paths.empty());
-  // Legacy width-linked derivations.
+  // Width-linked derivations.
   EXPECT_EQ(grid.jobs[0].config.mem_read_ports, 1u);  // width 2 -> 1 port
   EXPECT_EQ(grid.jobs[1].config.mem_read_ports, 3u);  // width 4 -> 3 ports
   EXPECT_EQ(grid.jobs[0].config.lsq_size, 8u);        // rob 16 -> lsq 8
@@ -306,6 +357,73 @@ TEST(SweepGrid, PinnedParamsAreNotDerived) {
   // Default bench axis prepended.
   EXPECT_EQ(grid.jobs[0].workload, "gzip");
   EXPECT_EQ(grid.jobs[0].label, "gzip/w2");
+}
+
+TEST(SweepGrid, ResolveSweepPinsSetsAndScalesTheConfigBase) {
+  // A config file is the base machine the derivations scale: its LSQ,
+  // IFQ and port counts follow each point's width and ROB.
+  const core::CoreConfig base = resolve_machine(
+      "core.lsq_size = 4\ncore.ifq_size = 2\ncore.mem_read_ports = 1\n", "base.cfg", {});
+  const std::string text = "core.width = 2,8\ncore.rob_size = 64\nset core.fu.alu_count = 2\n";
+  std::istringstream in(text);
+  const auto scaled = driver::expand_spec(driver::resolve_sweep(in, "spec", base, {}, {}));
+  ASSERT_EQ(scaled.jobs.size(), 2u);
+  EXPECT_EQ(scaled.jobs[0].config.lsq_size, 32u);
+  EXPECT_EQ(scaled.jobs[1].config.ifq_size, 8u);
+  EXPECT_EQ(scaled.jobs[1].config.mem_read_ports, 7u);
+  EXPECT_EQ(scaled.jobs[0].config.fu.alu_count, 2u);
+
+  // A set pins its parameter at every point, over the spec's own `set`
+  // line too; insts, when given, replaces the spec's.
+  std::istringstream in2(text);
+  const auto spec = driver::resolve_sweep(in2, "spec", base,
+                                          {"core.lsq_size=6", "core.fu.alu_count=3"}, 7000);
+  EXPECT_TRUE(spec.is_pinned("core.lsq_size"));
+  EXPECT_EQ(spec.insts, 7000u);
+  for (const auto& job : driver::expand_spec(spec).jobs) {
+    EXPECT_EQ(job.config.lsq_size, 6u);
+    EXPECT_EQ(job.config.fu.alu_count, 3u);
+    EXPECT_EQ(job.gen.max_insts, 7000u);
+  }
+}
+
+TEST(SweepGrid, ExpandSweepAttachesAPreparedTrace) {
+  trace::TraceGenConfig g;
+  g.max_insts = 500;
+  const trace::Trace t =
+      trace::TraceGenerator(workload::make_workload("vpr"), g).generate();
+  const std::string path = ::testing::TempDir() + "/expand_sweep.rsim";
+  trace::save_trace(t, path);
+  std::istringstream in("bench = gzip,parser\ntrace.backend = memory,stream,memory\n");
+  const auto spec = parse_sweep_spec(in, "spec", core::CoreConfig::paper_4wide_perfect());
+
+  int loads = 0;
+  const driver::TraceLoader load = [&](const std::string& p) {
+    ++loads;
+    EXPECT_EQ(p, path);
+    return std::make_shared<const trace::Trace>(t);
+  };
+  // The bench axis collapses to the trace's own benchmark; memory jobs
+  // share one loaded copy, stream jobs open the file themselves.
+  const auto grid = driver::expand_sweep(spec, path, load);
+  ASSERT_EQ(grid.jobs.size(), 3u);
+  EXPECT_EQ(loads, 1);
+  EXPECT_EQ(grid.jobs[0].label, "vpr/memory");
+  EXPECT_EQ(grid.jobs[0].workload, "vpr");
+  EXPECT_EQ(grid.jobs[0].trace, grid.jobs[2].trace);
+  ASSERT_NE(grid.jobs[0].trace, nullptr);
+  EXPECT_TRUE(grid.jobs[0].trace_path.empty());
+  EXPECT_EQ(grid.jobs[1].trace, nullptr);
+  EXPECT_EQ(grid.jobs[1].trace_path, path);
+
+  // Without a trace every job generates its own, and nothing is loaded.
+  const auto generated = driver::expand_sweep(spec, "", load);
+  EXPECT_EQ(loads, 1);
+  ASSERT_EQ(generated.jobs.size(), 6u);
+  EXPECT_EQ(generated.jobs[3].label, "parser/memory");
+  EXPECT_EQ(generated.jobs[3].trace, nullptr);
+  EXPECT_TRUE(generated.jobs[3].trace_path.empty());
+  std::remove(path.c_str());
 }
 
 TEST(SweepGrid, NonStandardAxisBecomesAnExtraCsvColumn) {

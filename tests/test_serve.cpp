@@ -353,6 +353,18 @@ TEST(ServeRequest, SweepFormatsAndSpecParsing) {
   EXPECT_EQ(req.spec.axes[1].values.size(), 2u);
 }
 
+TEST(ServeRequest, SweepSetsArePinnedAsTheCliPinsThem) {
+  const SweepRequest req = parse_sweep_request(req_json(
+      R"({"type":"sweep","id":"r","spec":"core.width = 2,8\nset core.lsq_size = 2\n",)"
+      R"("config":"core.ifq_size = 2\n","set":["core.lsq_size=4"]})"));
+  EXPECT_TRUE(req.spec.is_pinned("core.lsq_size"));
+  const auto grid = driver::expand_spec(req.spec);
+  ASSERT_EQ(grid.jobs.size(), 2u);
+  for (const auto& job : grid.jobs) EXPECT_EQ(job.config.lsq_size, 4u);
+  // The config text is the base machine: its IFQ scales with the width.
+  EXPECT_EQ(grid.jobs[1].config.ifq_size, 8u);
+}
+
 TEST(ServeRequest, RequestIdOfIsBestEffort) {
   EXPECT_EQ(request_id_of(req_json(R"({"id":"abc"})")), "abc");
   EXPECT_EQ(request_id_of(req_json(R"({"id":7})")), "");

@@ -1,7 +1,7 @@
 // The trace read path: every TraceSource agrees with every other on
 // records and accounting (one parameterized source-equivalence test),
-// plus engine identity, edge cases of the file readers, and
-// factory-built sources in the batch runner.
+// plus engine identity, edge cases of the file readers, and the batch
+// runner's prepared-trace and trace.backend dispatch.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -401,39 +401,6 @@ TEST(TraceFileV3, SuiteWorkloadCompressesAtLeastTwofold) {
 namespace resim::driver {
 namespace {
 
-TEST(BatchRunnerStream, FactoryJobsMatchGeneratedJobs) {
-  const std::uint64_t insts = 4000;
-  std::vector<SimJob> jobs;
-  for (unsigned width : {2u, 4u}) {
-    auto cfg = core::CoreConfig::paper_4wide_perfect();
-    cfg.width = width;
-    cfg.mem_read_ports = width - 1;
-    jobs.push_back(SimJob::sweep_point("w" + std::to_string(width), "gzip", cfg, insts));
-  }
-
-  const auto baseline = BatchRunner(1).run(jobs);
-
-  // Same jobs, but each worker streams its trace through a private file.
-  std::vector<SimJob> streamed = jobs;
-  for (std::size_t i = 0; i < streamed.size(); ++i) {
-    auto& job = streamed[i];
-    job.source = streamed_gen_source(
-        job.workload, job.gen,
-        ::testing::TempDir() + "/factory_" + std::to_string(i) + ".rsim");
-  }
-  for (unsigned threads : {1u, 4u}) {
-    const auto results = BatchRunner(threads).run(streamed);
-    ASSERT_EQ(results.size(), baseline.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      EXPECT_EQ(results[i].result.committed, baseline[i].result.committed);
-      EXPECT_EQ(results[i].result.major_cycles, baseline[i].result.major_cycles);
-      EXPECT_EQ(results[i].result.trace_records, baseline[i].result.trace_records);
-      EXPECT_EQ(results[i].result.trace_bits, baseline[i].result.trace_bits);
-      EXPECT_EQ(csv_row(results[i]), csv_row(baseline[i]));
-    }
-  }
-}
-
 TEST(BatchRunnerStream, TracePathJobsMatchSharedPreparedTrace) {
   // Config sweep over one prepared on-disk trace: trace_path workers each
   // stream the file (O(chunk) memory) and must match the shared decoded
@@ -469,25 +436,6 @@ TEST(BatchRunnerStream, TracePathJobsMatchSharedPreparedTrace) {
     }
   }
   std::remove(path.c_str());
-}
-
-TEST(BatchRunnerStream, UseStreamedSourcesRejectsPreparedTraceJobs) {
-  trace::TraceGenConfig g;
-  g.max_insts = 500;
-  SimJob job;
-  job.label = "prepared";
-  job.workload = "gzip";
-  job.config = core::CoreConfig::paper_4wide_perfect();
-  job.trace = std::make_shared<trace::Trace>(
-      trace::TraceGenerator(workload::make_workload("gzip"), g).generate());
-  std::vector<SimJob> jobs{job};
-  EXPECT_THROW(use_streamed_sources(jobs, "reject_test"), std::invalid_argument);
-}
-
-TEST(BatchRunnerStream, NullFactoryResultThrows) {
-  SimJob job = SimJob::sweep_point("bad", "gzip", core::CoreConfig::paper_4wide_perfect(), 100);
-  job.source = []() -> std::unique_ptr<trace::TraceSource> { return nullptr; };
-  EXPECT_THROW((void)BatchRunner::run_one(job), std::runtime_error);
 }
 
 // ---- trace.backend dispatch ------------------------------------------------
@@ -567,14 +515,6 @@ TEST(BatchRunnerBackend, PreparedTraceJobRoundTripsUnderFileBackends) {
     EXPECT_EQ(got.result.trace_records, want.result.trace_records);
     EXPECT_EQ(got.result.trace_bits, want.result.trace_bits);
   }
-}
-
-TEST(BatchRunnerBackend, BackendGenSourceRejectsMemory) {
-  trace::TraceGenConfig g;
-  g.max_insts = 100;
-  EXPECT_THROW((void)backend_gen_source("gzip", g, "/tmp/x.rsim",
-                                        core::TraceBackend::kMemory),
-               std::invalid_argument);
 }
 
 }  // namespace

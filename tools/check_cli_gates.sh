@@ -1,0 +1,102 @@
+#!/usr/bin/env bash
+# CLI gates (docs/CI.md), registered as the ctest entry `cli_gates`:
+# sweep determinism against tests/golden/paper_sweep.csv, sweep
+# --resume, input validation, and the config plane (paper configs,
+# --set precedence, the shorthand aliases, corrupt configs).
+#
+# Usage: tools/check_cli_gates.sh path/to/resim_cli
+# Works in a scratch directory it deletes on exit; any mismatch fails.
+set -euo pipefail
+
+cli=$(realpath "$1")
+root=$(cd "$(dirname "$0")/.." && pwd)
+configs="$root/configs"
+golden="$root/tests/golden/paper_sweep.csv"
+jobs=$(nproc)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+cd "$work"
+"$cli" gen --bench gzip --insts 50000 --out ci.rsim
+
+echo "== sweep determinism"
+"$cli" sweep -j 1 --spec "$configs/paper_sweep.spec" --out serial.csv
+"$cli" sweep -j "$jobs" --spec "$configs/paper_sweep.spec" --out parallel.csv
+cmp serial.csv parallel.csv
+cmp "$golden" serial.csv && cmp "$golden" parallel.csv
+# Full-config exports are byte-stable across thread counts.
+"$cli" sweep -j 1 --spec "$configs/paper_sweep.spec" --insts 5000 \
+    --out /dev/null --json j1.json --csv-full f1.csv
+"$cli" sweep -j "$jobs" --spec "$configs/paper_sweep.spec" --insts 5000 \
+    --out /dev/null --json jN.json --csv-full fN.csv
+cmp j1.json jN.json && cmp f1.csv fN.csv
+
+echo "== sweep --resume"
+printf 'bench = gzip\npipeline.variant = optimized\ncore.width = 2,4,8\n' > gzip.spec
+printf 'core.rob_size = 16\nbp.kind = 2lev\n' >> gzip.spec
+"$cli" sweep -j 1 --spec gzip.spec --insts 10000 --out resume_full.csv
+# Header + first row + a half-written row (an interrupted write): the
+# resume drops the partial row, re-runs its point, and ends byte-equal.
+head -2 resume_full.csv > resume_part.csv
+printf '%s' "$(sed -n 3p resume_full.csv | cut -c1-30)" >> resume_part.csv
+"$cli" sweep -j "$jobs" --spec gzip.spec --insts 10000 --resume resume_part.csv \
+    2> resume_err.txt
+cat resume_err.txt
+grep -q "dropped 1 malformed row" resume_err.txt
+cmp resume_full.csv resume_part.csv
+# Resuming a sweep with a different column layout is refused.
+printf 'bench = gzip\ncore.width = 2\nmem.l1d.assoc = 2,4\nset mem.perfect = false\ninsts = 5000\n' > ax.spec
+! "$cli" sweep --spec ax.spec --resume resume_part.csv 2> err.txt
+grep -q "does not match" err.txt
+# The warning names the --config parameters no CSV column records.
+"$cli" sweep --spec gzip.spec --insts 2000 --config "$configs/paper_2wide_cache.cfg" \
+    --resume cfg_resume.csv 2> err.txt
+grep -q "no CSV column records.* core.mem_read_ports" err.txt
+
+echo "== input validation"
+! "$cli" gen --bench gzip --insts 1000 --chunk 0 --out bad.rsim 2> err.txt
+grep -q -- "--chunk" err.txt
+test ! -f bad.rsim
+! "$cli" sim --trace ci.rsim --backend floppy 2> err.txt
+grep -qF "trace.backend" err.txt
+# Cross-field violations name the parameter to change.
+! "$cli" sim --trace ci.rsim --width 2 2> err.txt
+grep -qF "core.mem_read_ports = 2 exceeds core.width - 1 = 1" err.txt
+! "$cli" sim --trace ci.rsim --width 16 2> err.txt
+grep -qF "core.ifq_size = 8 is below core.width = 16" err.txt
+# Flags a command does not read are refused by name.
+! "$cli" sim --trace ci.rsim --mem l1 2> err.txt
+grep -q "unknown flag --mem" err.txt
+! "$cli" sweep --bench gzip --widths 2,4 2> err.txt
+grep -q "unknown flag --bench" err.txt
+! "$cli" sweep --insts 1000 2> err.txt
+grep -q -- "needs --spec" err.txt
+
+echo "== config plane"
+"$cli" sim --trace ci.rsim --config "$configs/paper_4wide_perfect.cfg"
+"$cli" sim --trace ci.rsim --config "$configs/paper_2wide_cache.cfg"
+# Checked-in configs round-trip byte-identically through save_config.
+"$cli" params --config "$configs/paper_4wide_perfect.cfg" --save rt.cfg
+cmp "$configs/paper_4wide_perfect.cfg" rt.cfg
+# --set overrides --config (and covers the trace.backend param). Output
+# goes to a file first: under pipefail, `| grep -q` can SIGPIPE the CLI.
+"$cli" params --config "$configs/paper_4wide_perfect.cfg" --set core.rob_size=64 > p1.txt
+grep -q "core.rob_size = 64" p1.txt
+"$cli" params --set trace.backend=mmap > p2.txt
+grep -q "trace.backend = mmap" p2.txt
+# The shorthand aliases are pure sugar for --set, and bare sim runs the
+# saved defaults exactly: nothing is derived.
+"$cli" sim --trace ci.rsim --rob 32 --json alias.json > /dev/null
+"$cli" sim --trace ci.rsim --set core.rob_size=32 --json set.json > /dev/null
+cmp alias.json set.json
+"$cli" params --save defaults.cfg > /dev/null
+"$cli" sim --trace ci.rsim --json bare.json > /dev/null
+"$cli" sim --trace ci.rsim --config defaults.cfg --json cfg.json > /dev/null
+cmp bare.json cfg.json
+# Corrupt configs are rejected with the dotted path in the error.
+printf 'core.rob_size = 1\n' > bad_range.cfg
+! "$cli" sim --trace ci.rsim --config bad_range.cfg 2> err.txt
+grep -q "core.rob_size" err.txt
+printf 'not.a.param = 3\n' > bad_key.cfg
+! "$cli" sim --trace ci.rsim --config bad_key.cfg 2> err.txt
+grep -q "bad_key.cfg:1" err.txt
+echo "cli gates: PASS"

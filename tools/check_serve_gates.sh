@@ -5,11 +5,13 @@
 # one-shot CLI writes:
 #
 #  * `sim --json` for both paper machines, each served twice (all but
-#    the first request reuse the daemon's resident decoded trace);
+#    the first request reuse the daemon's resident decoded trace), and
+#    for the default machine with no config file at all;
 #  * after `gen` rewrites the trace in place with another length, the
 #    next served sim matches `sim --json` on the new file, not the old;
 #  * the paper spec sweep as CSV, JSON and full-config CSV, against -j1
-#    and -jN one-shot runs.
+#    and -jN one-shot runs, then over a config file's machine and with a
+#    pinned --set.
 #
 # Then `status` must count exactly two trace loads, and a `shutdown`
 # request must drain the daemon and exit it cleanly.
@@ -50,6 +52,11 @@ for cfg in paper_4wide_perfect paper_2wide_cache; do
   done
 done
 
+# No config file on either side: both run the default machine as is.
+"$cli" sim --trace ci.rsim --json cli_bare.json > /dev/null
+client --sim --trace ci.rsim --out srv_bare.json
+cmp cli_bare.json srv_bare.json || { echo "served sim without --config differs"; exit 1; }
+
 echo "== trace rewritten in place"
 "$cli" gen --bench gzip --insts 30000 --out ci.rsim
 "$cli" sim --trace ci.rsim --config "$configs/paper_4wide_perfect.cfg" --json cli_new.json > /dev/null
@@ -72,6 +79,13 @@ client --sweep --spec "$configs/paper_sweep.spec" --insts 5000 --format csv-full
 cmp cli1.csv srv.csv && cmp cliN.csv srv.csv
 cmp cli1.json srv.json && cmp cliN.json srv.json
 cmp cli1_full.csv srv_full.csv && cmp cliN_full.csv srv_full.csv
+# A config file is the base machine the derivations scale, and a --set
+# pins its parameter, on both sides ($over is two words on purpose).
+for over in "--config $configs/paper_2wide_cache.cfg" "--set core.lsq_size=4"; do
+  "$cli" sweep -j 1 --spec "$configs/paper_sweep.spec" --insts 5000 $over --out cli_over.csv
+  client --sweep --spec "$configs/paper_sweep.spec" --insts 5000 $over --out srv_over.csv
+  cmp cli_over.csv srv_over.csv || { echo "served sweep with $over differs"; exit 1; }
+done
 
 echo "== status and shutdown"
 client --ping

@@ -15,6 +15,7 @@ set -euo pipefail
 
 cli=$(realpath "$1")
 tools=$(cd "$(dirname "$0")" && pwd)
+spec="$tools/../configs/paper_sweep.spec"
 jobs=$(nproc)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -40,21 +41,22 @@ done
 "$cli" stats --trace ci_lz.rsim --backend mmap > stats_mmap.txt
 diff stats_mem.txt stats_mmap.txt
 # Sweep CSVs byte-identical across backends and thread counts.
-"$cli" sweep -j 1 --bench gzip,parser --insts 20000 --out serial.csv
-"$cli" sweep -j 1 --bench gzip,parser --insts 20000 --backend stream --out stream_serial.csv
-"$cli" sweep -j "$jobs" --bench gzip,parser --insts 20000 --backend stream --out stream_parallel.csv
-"$cli" sweep -j "$jobs" --bench gzip,parser --insts 20000 --backend mmap --out mmap_parallel.csv
+"$cli" sweep -j 1 --spec "$spec" --out serial.csv
+"$cli" sweep -j 1 --spec "$spec" --backend stream --out stream_serial.csv
+"$cli" sweep -j "$jobs" --spec "$spec" --backend stream --out stream_parallel.csv
+"$cli" sweep -j "$jobs" --spec "$spec" --backend mmap --out mmap_parallel.csv
 cmp serial.csv stream_serial.csv
 cmp stream_serial.csv stream_parallel.csv
 cmp serial.csv mmap_parallel.csv
 # Prepared-trace sweeps: shared decoded vs streamed vs mmap'd, over the
 # raw, compressed and delta-prefiltered containers, with the
 # shared-decode group plane both on (default) and off.
-"$cli" sweep -j 1 --trace ci.rsim --widths 2,4 --out tracefile_shared.csv
-"$cli" sweep -j "$jobs" --trace ci.rsim --stream --widths 2,4 --out tracefile_streamed.csv
-"$cli" sweep -j "$jobs" --trace ci_lz.rsim --backend mmap --widths 2,4 --out tracefile_mmap_lz.csv
-"$cli" sweep -j "$jobs" --trace ci_v4.rsim --stream --widths 2,4 --out tracefile_stream_v4.csv
-"$cli" sweep -j "$jobs" --trace ci_v4.rsim --stream --widths 2,4 \
+printf 'pipeline.variant = optimized\ncore.width = 2,4\ncore.rob_size = 16\nbp.kind = 2lev\n' > w.spec
+"$cli" sweep -j 1 --trace ci.rsim --spec w.spec --out tracefile_shared.csv
+"$cli" sweep -j "$jobs" --trace ci.rsim --backend stream --spec w.spec --out tracefile_streamed.csv
+"$cli" sweep -j "$jobs" --trace ci_lz.rsim --backend mmap --spec w.spec --out tracefile_mmap_lz.csv
+"$cli" sweep -j "$jobs" --trace ci_v4.rsim --backend stream --spec w.spec --out tracefile_stream_v4.csv
+"$cli" sweep -j "$jobs" --trace ci_v4.rsim --backend stream --spec w.spec \
     --set trace.shared_decode=false --out tracefile_private_v4.csv
 cmp tracefile_shared.csv tracefile_streamed.csv
 cmp tracefile_shared.csv tracefile_mmap_lz.csv
@@ -68,9 +70,10 @@ python3 "$tools/check_decode_once.py" --self-test
 # A same-trace grid forms one shared group; with a file backend the
 # SharedBatchCache must decode each chunk exactly once, independent of
 # -j, and the CSV must not notice the sharing.
-"$cli" sweep -j 1 --trace ci_lz.rsim --stream --widths 2,4 --robs 16,32 \
+printf 'pipeline.variant = optimized\ncore.width = 2,4\ncore.rob_size = 16,32\nbp.kind = 2lev\n' > g.spec
+"$cli" sweep -j 1 --trace ci_lz.rsim --backend stream --spec g.spec \
     --out dec1.csv --decode-stats dec1.json
-"$cli" sweep -j "$jobs" --trace ci_lz.rsim --stream --widths 2,4 --robs 16,32 \
+"$cli" sweep -j "$jobs" --trace ci_lz.rsim --backend stream --spec g.spec \
     --out decN.csv --decode-stats decN.json
 cmp dec1.csv decN.csv
 python3 "$tools/check_decode_once.py" --stats dec1.json --min-groups 1

@@ -1,31 +1,13 @@
-// resim_cli — command-line front end, SimpleScalar-style.
-//
-//   resim_cli gen   --bench gzip --insts 1000000 --out gzip.rsim [--bp 2lev]
-//                   [--chunk N] [--compress] [--prefilter]
-//   resim_cli sim   --trace gzip.rsim [--config FILE] [--set key=value]...
-//                   [--width 4 --rob 16 --lsq 8] [--variant optimized]
-//                   [--mem perfect|l1|l2] [--bp 2lev|...] [--device xc4vlx40]
-//                   [--report] [--json FILE]
-//                   [--backend memory|stream|mmap] [--stream]
-//                   [--skip N --warmup N --max-records N]
-//                   [--intervals FILE] [--plan FILE]
-//   resim_cli stats --trace gzip.rsim [--backend memory|stream|mmap]
-//   resim_cli sweep --spec FILE [-j N] [--config FILE] [--set k=v]...
-//                   [--out FILE | --resume FILE] [--json FILE] [--csv-full FILE]
-//                   [--decode-stats FILE]
-//   resim_cli params [--config FILE] [--set k=v]... [--save FILE] [--markdown]
-//   resim_cli serve --socket PATH [--tcp PORT] [-j N] [--config FILE]
-//                   [--set k=v]... [--protocol-markdown]
-//   resim_cli client (--socket PATH | --tcp PORT) [--id ID] [--out FILE]
-//                   (--ping | --status | --shutdown | --sim ... | --sweep ...)
-//   resim_cli schedule --variant optimized --width 4
-//   resim_cli vhdl  --out dir [--pht 4096 --hist 8 --btb 512 --ras 16]
+// resim_cli — command-line front end, SimpleScalar-style: gen, sim,
+// stats, sweep, params, serve, client, schedule and vhdl (usage() below
+// lists each command's flags; run with no arguments to print it).
 //
 // Every simulated-machine knob is a ParamRegistry dotted path
-// (docs/CONFIG.md): --config loads a key=value file, --set overrides a
-// single parameter, and the legacy shorthand flags (--width, --rob, ...)
-// remain as aliases. Precedence: defaults < --config < shorthand flags
-// < --set (left to right).
+// (docs/CONFIG.md). sim, stats, params, serve and sweep resolve their
+// machine the way the daemon resolves a request (config::resolve_machine):
+// defaults < --config FILE < --set k=v, left to right. The shorthands
+// --width --rob --lsq --ifq --ports --variant --bp --backend are pure
+// sugar for a --set of one parameter, placed before the explicit ones.
 #include <algorithm>
 #include <cctype>
 #include <chrono>
@@ -39,6 +21,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <atomic>
@@ -76,20 +59,45 @@ bool is_flag_token(const std::string& s) {
 
 /// The only flags that take no value; every other flag requires one.
 bool is_boolean_flag(const std::string& key) {
-  return key == "report" || key == "stream" || key == "markdown" ||
+  return key == "report" || key == "markdown" ||
          key == "compress" || key == "prefilter" || key == "protocol-markdown" ||
          key == "sim" || key == "sweep" || key == "ping" || key == "status" ||
          key == "shutdown";
 }
 
-Args parse_args(int argc, char** argv, int first) {
+/// The one-parameter shorthands: `--rob 32` is `--set core.rob_size=32`.
+constexpr std::pair<const char*, const char*> kAliases[] = {
+    {"width", "core.width"},          {"rob", "core.rob_size"},
+    {"lsq", "core.lsq_size"},         {"ifq", "core.ifq_size"},
+    {"ports", "core.mem_read_ports"}, {"variant", "pipeline.variant"},
+    {"bp", "bp.kind"},                {"backend", "trace.backend"},
+};
+
+/// A command: its entry point and the flags it reads. Machine commands
+/// also read --config, --set and the kAliases shorthands. Any other flag
+/// is refused by name, so a typo cannot silently run another machine.
+struct Command {
+  int (*run)(const Args&);
+  const char* flags;  ///< space-separated
+  bool machine;
+};
+
+bool accepts(const Command& c, const std::string& flag) {
+  const bool alias = std::any_of(std::begin(kAliases), std::end(kAliases),
+                                 [&](const auto& al) { return flag == al.first; });
+  if (c.machine && (alias || flag == "config" || flag == "set")) return true;
+  return (' ' + std::string(c.flags) + ' ').find(' ' + flag + ' ') != std::string::npos;
+}
+
+Args parse_args(int argc, char** argv, const Command& cmd) {
   Args args;
-  for (int i = first; i < argc; ++i) {
+  for (int i = 2; i < argc; ++i) {
     const std::string tok = argv[i];
     if (!is_flag_token(tok)) {
       throw std::invalid_argument("expected --flag, got: " + tok);
     }
     const std::string key = tok.substr(tok.rfind("--", 0) == 0 ? 2 : 1);
+    if (!accepts(cmd, key)) throw std::invalid_argument("unknown flag " + tok);
     // insert_or_assign with an explicit std::string sidesteps GCC 12's
     // -Wrestrict false positive on map::operator[] + char* assign at -O3.
     if (is_boolean_flag(key)) {
@@ -119,37 +127,35 @@ std::uint64_t get_u64(const Args& a, const std::string& key, std::uint64_t def) 
   return it == a.kv.end() ? def : config::parse_u64(it->second, "--" + key);
 }
 
-/// Resolve the simulated-machine configuration:
-/// paper_4wide_perfect defaults, then --config FILE, then the legacy
-/// shorthand flags, then --set overrides; validate() last so cross-field
-/// constraints judge the final configuration.
-core::CoreConfig config_from(const Args& a) {
-  core::CoreConfig cfg = core::CoreConfig::paper_4wide_perfect();
-  // Declarative mode (--config / --set) disables the legacy "scale the
-  // IFQ and memory ports with --width" conveniences: a config file or
-  // --set names every value it wants, and silently rewriting one of its
-  // parameters behind its back would make files non-reproducible.
-  const bool declarative = has(a, "config") || !a.sets.empty();
-  if (has(a, "config")) config::load_config_file(get(a, "config", ""), cfg);
-
-  if (has(a, "width")) cfg.width = static_cast<unsigned>(get_u64(a, "width", 0));
-  if (has(a, "rob")) cfg.rob_size = static_cast<unsigned>(get_u64(a, "rob", 0));
-  if (has(a, "lsq")) cfg.lsq_size = static_cast<unsigned>(get_u64(a, "lsq", 0));
-  if (has(a, "ifq")) cfg.ifq_size = static_cast<unsigned>(get_u64(a, "ifq", 0));
-  if (has(a, "ports")) cfg.mem_read_ports = static_cast<unsigned>(get_u64(a, "ports", 0));
-  if (has(a, "variant")) cfg.variant = config::variant_of(get(a, "variant", ""));
-  if (has(a, "bp")) cfg.bp.kind = config::dir_kind_of(get(a, "bp", ""));
-  if (has(a, "mem")) cfg.mem = config::memsys_of(get(a, "mem", ""));
-  // --stream is shorthand for --backend stream (the pre-backend flag).
-  if (has(a, "stream")) cfg.trace_backend = core::TraceBackend::kStream;
-  if (has(a, "backend")) cfg.trace_backend = config::trace_backend_of(get(a, "backend", ""));
-
-  if (!declarative) {
-    if (!has(a, "ifq")) cfg.ifq_size = std::max(cfg.ifq_size, cfg.width);
-    if (!has(a, "ports")) cfg.mem_read_ports = std::max(1u, cfg.width - 1);
+/// Every `--set` the command line names: the aliases, then each --set.
+std::vector<std::string> sets_of(const Args& a) {
+  std::vector<std::string> sets;
+  for (const auto& [flag, path] : kAliases) {
+    if (has(a, flag)) sets.push_back(std::string(path) + '=' + get(a, flag, ""));
   }
+  sets.insert(sets.end(), a.sets.begin(), a.sets.end());
+  return sets;
+}
 
-  config::apply_sets(cfg, a.sets);
+/// Whole-file read (config text to resolve, or --config/--spec contents
+/// to inline into a request).
+std::string slurp_file(const std::string& path) {
+  std::ifstream f(path);
+  if (!f) throw std::runtime_error("cannot open file: " + path);
+  std::ostringstream ss;
+  ss << f.rdbuf();
+  return ss.str();
+}
+
+/// The run's machine (config::resolve_machine), not yet validated.
+core::CoreConfig machine_of(const Args& a, std::vector<std::string>* assigned = nullptr) {
+  const std::string path = get(a, "config", "");
+  return config::resolve_machine(has(a, "config") ? slurp_file(path) : "", path, sets_of(a),
+                                 assigned);
+}
+
+core::CoreConfig validated_machine_of(const Args& a) {
+  core::CoreConfig cfg = machine_of(a);
   cfg.validate();
   return cfg;
 }
@@ -204,30 +210,18 @@ int cmd_stats(const Args& a) {
   // still resolved and validated so the command doubles as a config
   // checker next to a trace inspection. The resolved trace.backend also
   // drives how this very inspection reads the file.
-  const auto cfg = config_from(a);
+  const auto cfg = validated_machine_of(a);
   const std::string path = get(a, "trace", "trace.rsim");
   std::string name;
   trace::TraceStats s;
-  switch (cfg.trace_backend) {
-    case core::TraceBackend::kStream: {
-      // Constant-memory pass: one decoded chunk at a time.
-      trace::FileTraceSource src(path);
-      name = src.trace_name();
-      s = trace::analyze(src);
-      break;
-    }
-    case core::TraceBackend::kMmap: {
-      trace::MmapTraceSource src(path);
-      name = src.trace_name();
-      s = trace::analyze(src);
-      break;
-    }
-    case core::TraceBackend::kMemory: {
-      const trace::Trace t = trace::load_trace(path);
-      name = t.name;
-      s = trace::analyze(t);
-      break;
-    }
+  if (cfg.trace_backend == core::TraceBackend::kMemory) {
+    const trace::Trace t = trace::load_trace(path);
+    name = t.name;
+    s = trace::analyze(t);
+  } else {  // stream or mmap: decodes one chunk at a time
+    const auto src = driver::open_backend(path, cfg.trace_backend);
+    name = src->trace_name();
+    s = trace::analyze(*src);
   }
   std::cout << name << ": " << s.summary() << '\n'
             << "  loads " << s.load_records << ", stores " << s.store_records
@@ -239,7 +233,7 @@ int cmd_stats(const Args& a) {
 
 int cmd_sim(const Args& a) {
   const std::string path = get(a, "trace", "trace.rsim");
-  const auto cfg = config_from(a);
+  const auto cfg = validated_machine_of(a);
 
   const std::uint64_t skip = get_u64(a, "skip", 0);
   const std::uint64_t warmup = get_u64(a, "warmup", 0);
@@ -253,10 +247,9 @@ int cmd_sim(const Args& a) {
         "--max-records caps the total window (warm-up included) and must be >= --warmup");
   }
 
-  // trace.backend (--backend, or the --stream shorthand) picks how the
-  // file is read: decoded up front (memory), chunk-streamed in O(chunk)
-  // RSS (stream), or mapped and decoded in place (mmap). All three
-  // produce bit-identical SimResults.
+  // trace.backend picks how the file is read: decoded up front
+  // (memory), chunk-streamed in O(chunk) RSS (stream), or mapped and
+  // decoded in place (mmap). All three produce bit-identical SimResults.
   trace::Trace t;
   std::optional<trace::VectorTraceSource> vec;
   std::unique_ptr<trace::FileTraceSource> file;  // stream or mmap
@@ -423,109 +416,29 @@ int cmd_sim(const Args& a) {
   return 0;
 }
 
-/// The legacy flag-driven sweep as a SweepSpec: same axes, same nesting
-/// order, same labels — expand_spec reproduces the old loop nest's CSV
-/// byte for byte. An implicit (defaulted) axis whose parameter the user
-/// pinned with --config/--set collapses to the pinned value — the
-/// default must not silently override an explicit request; an axis flag
-/// given explicitly still wins, like a spec axis does.
-config::SweepSpec legacy_sweep_spec(const Args& a, const core::CoreConfig& base,
-                                    const std::vector<std::string>& pinned) {
-  config::SweepSpec spec;
-  spec.base = base;
-  const auto& reg = config::ParamRegistry::instance();
-  const auto axis = [&](const char* flag, const char* path,
-                        const char* dflt) -> config::SweepAxis {
-    if (!has(a, flag) &&
-        std::find(pinned.begin(), pinned.end(), path) != pinned.end()) {
-      return {path, {reg.get(base, path)}};
-    }
-    return {path, config::split_list(get(a, flag, dflt), std::string("--") + flag)};
-  };
-  spec.axes = {
-      {"bench", config::split_list(get(a, "bench", "gzip"), "--bench")},
-      axis("variants", "pipeline.variant", "optimized"),
-      axis("widths", "core.width", "2,4,8"),
-      axis("robs", "core.rob_size", "16"),
-      axis("bps", "bp.kind", "2lev"),
-  };
-  return spec;
-}
-
 // Cross-product design-space sweep sharded across host cores
 // (driver::BatchRunner). Output is a CSV, byte-identical for any -j.
-// The grid comes from a sweep-spec file (--spec, docs/CONFIG.md) or the
-// legacy axis flags; both paths expand through driver::expand_spec.
+// The grid is assembled exactly as a served sweep request's is
+// (driver::resolve_sweep, then driver::expand_sweep).
 int cmd_sweep(const Args& a) {
-  core::CoreConfig base = core::CoreConfig::paper_4wide_perfect();
-  // Parameters named explicitly on the command line (config file or
-  // --set) are pinned: expansion's width-linked derivations must not
-  // silently rewrite them.
-  std::vector<std::string> cli_pinned;
-  if (has(a, "config")) config::load_config_file(get(a, "config", ""), base, &cli_pinned);
-  // --backend (and the --stream shorthand) slots in at legacy-flag
-  // precedence: above --config, below --set.
-  if (has(a, "stream")) base.trace_backend = core::TraceBackend::kStream;
-  if (has(a, "backend")) {
-    base.trace_backend = config::trace_backend_of(get(a, "backend", ""));
+  if (!has(a, "spec")) {
+    throw std::invalid_argument("needs --spec FILE (sweep-spec grammar: docs/CONFIG.md)");
   }
-  if (has(a, "stream") || has(a, "backend")) cli_pinned.push_back("trace.backend");
-  for (const auto& key : config::apply_sets(base, a.sets)) cli_pinned.push_back(key);
-
-  config::SweepSpec spec;
-  if (has(a, "spec")) {
-    for (const char* legacy : {"bench", "variants", "widths", "robs", "bps"}) {
-      if (has(a, legacy)) {
-        throw std::invalid_argument(std::string("--") + legacy +
-                                    " conflicts with --spec (axes come from the spec)");
-      }
-    }
-    spec = config::load_sweep_spec_file(get(a, "spec", ""), base);
-    // The spec's own `set` lines landed on top of the CLI overlays;
-    // re-apply --set so its documented highest precedence holds.
-    (void)config::apply_sets(spec.base, a.sets);
-  } else {
-    spec = legacy_sweep_spec(a, base, cli_pinned);
-  }
-  spec.pinned.insert(spec.pinned.end(), cli_pinned.begin(), cli_pinned.end());
-  if (has(a, "insts")) spec.insts = get_u64(a, "insts", 0);
+  // --resume warns about the --config parameters no CSV column records.
+  std::vector<std::string> named;
+  const core::CoreConfig base = machine_of(a, &named);
+  const std::string spec_path = get(a, "spec", "");
+  std::istringstream spec_text(slurp_file(spec_path));
+  const std::optional<std::uint64_t> insts =
+      has(a, "insts") ? std::optional(get_u64(a, "insts", 0)) : std::nullopt;
+  const config::SweepSpec spec =
+      driver::resolve_sweep(spec_text, spec_path, base, sets_of(a), insts);
 
   // --trace FILE sweeps configurations over one prepared trace instead
-  // of generating per job: the bench axis collapses to the trace's own
-  // benchmark name. Each job's trace.backend (flag, --set, or even a
-  // sweep axis) then decides how its worker reads the file: memory
-  // backends share one decoded read-only copy, stream/mmap workers open
-  // the file privately in O(chunk) / O(pages) memory. Generated jobs
-  // under a non-memory backend round-trip a private temp .rsim inside
-  // the runner. The codec is lossless, so the CSV stays byte-identical
-  // across backends.
-  const std::string trace_file = get(a, "trace", "");
-  std::shared_ptr<const trace::Trace> shared_trace;
-  if (!trace_file.empty()) {
-    // Header-only open: just recover the benchmark name.
-    const std::string bench_name = trace::FileTraceSource(trace_file).trace_name();
-    bool found = false;
-    for (auto& axis : spec.axes) {
-      if (axis.path == "bench") {
-        axis.values = {bench_name};
-        found = true;
-      }
-    }
-    if (!found) spec.axes.insert(spec.axes.begin(), {"bench", {bench_name}});
-  }
-
-  auto grid = driver::expand_spec(spec);
-  for (auto& job : grid.jobs) {
-    if (trace_file.empty()) continue;
-    if (job.config.trace_backend == core::TraceBackend::kMemory) {
-      if (!shared_trace) {
-        shared_trace = std::make_shared<trace::Trace>(trace::load_trace(trace_file));
-      }
-      job.trace = shared_trace;
-    } else {
-      job.trace_path = trace_file;
-    }
-  }
+  // of generating per job; the CSV is byte-identical across backends.
+  auto grid = driver::expand_sweep(spec, get(a, "trace", ""), [](const std::string& path) {
+    return std::make_shared<const trace::Trace>(trace::load_trace(path));
+  });
 
   // --resume FILE: the grid points whose complete label row already
   // exists in FILE are skipped; the rest run in batches, each batch
@@ -567,7 +480,8 @@ int cmd_sweep(const Args& a) {
     // FU latencies, ...) cannot be cross-checked: warn so the caller
     // knows resume assumes the same invocation for those.
     std::vector<std::string> unchecked;
-    for (const auto& p : spec.pinned) {
+    named.insert(named.end(), spec.pinned.begin(), spec.pinned.end());
+    for (const auto& p : named) {
       static const char* const kColumnBacked[] = {
           "pipeline.variant", "core.width",    "core.ifq_size", "core.rob_size",
           "core.lsq_size",    "bp.kind",       "mem.perfect",   "mem.with_l2",
@@ -716,10 +630,7 @@ int cmd_sweep(const Args& a) {
 /// and --set), or save the resolved configuration as a config file.
 int cmd_params(const Args& a) {
   const auto& reg = config::ParamRegistry::instance();
-  core::CoreConfig cfg = core::CoreConfig::paper_4wide_perfect();
-  if (has(a, "config")) config::load_config_file(get(a, "config", ""), cfg);
-  config::apply_sets(cfg, a.sets);
-  cfg.validate();
+  const core::CoreConfig cfg = validated_machine_of(a);
 
   if (has(a, "save")) {
     config::save_config_file(get(a, "save", ""), cfg);
@@ -782,7 +693,7 @@ int cmd_serve(const Args& a) {
   }
   // serve.* knobs resolve through the registry like every other
   // parameter: defaults < --config < --set.
-  const auto cfg = config_from(a);
+  const auto cfg = validated_machine_of(a);
   serve::ServeOptions opts;
   opts.unix_path = get(a, "socket", "");
   if (has(a, "tcp")) {
@@ -803,15 +714,6 @@ int cmd_serve(const Args& a) {
   daemon.wait();
   g_serve_daemon.store(nullptr);
   return 0;
-}
-
-/// Whole-file read for inlining --config/--spec contents into a request.
-std::string slurp_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw std::runtime_error("cannot open file: " + path);
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return ss.str();
 }
 
 int cmd_client(const Args& a) {
@@ -881,20 +783,12 @@ int usage() {
       "usage: resim_cli <command> [flags]\n"
       "  gen      --bench NAME --insts N --out FILE [--bp KIND] [--chunk N]\n"
       "           [--compress] [--prefilter]\n"
-      "  sim      --trace FILE [--config FILE] [--set key=value]...\n"
-      "           [--width N --rob N --lsq N --ifq N --ports N]\n"
-      "           [--variant simple|efficient|optimized] [--mem perfect|l1|l2]\n"
-      "           [--bp 2lev|bimodal|gshare|comb|perfect] [--device NAME]\n"
-      "           [--report] [--json FILE]\n"
-      "           [--backend memory|stream|mmap] [--stream]\n"
-      "           [--skip N] [--warmup N] [--max-records N]\n"
+      "  sim      --trace FILE [--config FILE] [--set key=value]... [--device NAME]\n"
+      "           [--report] [--json FILE] [--skip N] [--warmup N] [--max-records N]\n"
       "           [--intervals FILE] [--plan FILE]\n"
-      "  stats    --trace FILE [--backend memory|stream|mmap] [--stream]\n"
-      "           [--config FILE] [--set key=value]...\n"
-      "  sweep    [-j N] [--spec FILE | --bench NAME[,NAME..]|all [--widths 2,4,8]\n"
-      "           [--robs 8,16,32] [--bps 2lev,perfect] [--variants ...]]\n"
-      "           [--config FILE] [--set key=value]... [--trace FILE] [--insts N]\n"
-      "           [--backend memory|stream|mmap] [--stream]\n"
+      "  stats    --trace FILE [--config FILE] [--set key=value]...\n"
+      "  sweep    --spec FILE [-j N] [--config FILE] [--set key=value]...\n"
+      "           [--trace FILE] [--insts N]\n"
       "           [--out FILE | --resume FILE] [--json FILE] [--csv-full FILE]\n"
       "           [--decode-stats FILE]\n"
       "  params   [--config FILE] [--set key=value]... [--save FILE] [--markdown]\n"
@@ -909,13 +803,34 @@ int usage() {
       "              [--format csv|json|csv-full])\n"
       "  schedule --variant NAME --width N\n"
       "  vhdl     --out DIR [--pht N --hist N --btb N --ras N]\n"
-      "--stream is shorthand for --backend stream; every backend produces\n"
-      "bit-identical results. config and sweep-spec file grammars, and the\n"
-      "full parameter table: docs/CONFIG.md (or `resim_cli params`).\n"
-      "sampled execution: --set sample.windows=K [sample.window_insts=W\n"
-      "sample.warmup_insts=U], or --plan FILE; interval stats: --set\n"
-      "sample.interval_insts=N --intervals FILE (docs/SAMPLING.md).\n";
+      "machine: defaults < --config FILE < --set key=value, left to right, as\n"
+      "in a served request. --width --rob --lsq --ifq --ports --variant --bp\n"
+      "--backend each set one parameter (--rob 32 = --set core.rob_size=32)\n"
+      "ahead of every --set. Grammars and parameters: docs/CONFIG.md (or\n"
+      "`resim_cli params`). sampled execution: --set sample.windows=K\n"
+      "[sample.window_insts=W sample.warmup_insts=U], or --plan FILE; interval\n"
+      "stats: --set sample.interval_insts=N --intervals FILE (docs/SAMPLING.md).\n";
   return 2;
+}
+
+const std::map<std::string, Command>& commands() {
+  static const std::map<std::string, Command> table = {
+      {"gen", {cmd_gen, "bench insts out bp chunk compress prefilter", false}},
+      {"sim",
+       {cmd_sim, "trace device report json skip warmup max-records intervals plan", true}},
+      {"stats", {cmd_stats, "trace", true}},
+      {"sweep", {cmd_sweep, "spec j trace insts out resume json csv-full decode-stats", true}},
+      {"params", {cmd_params, "save markdown", true}},
+      {"serve", {cmd_serve, "protocol-markdown socket tcp j", true}},
+      {"client",
+       {cmd_client,
+        "socket tcp id out ping status shutdown sim sweep priority trace config set "
+        "skip warmup max-records spec insts format",
+        false}},
+      {"schedule", {cmd_schedule, "variant width", false}},
+      {"vhdl", {cmd_vhdl, "out pht hist btb ras", false}},
+  };
+  return table;
 }
 
 }  // namespace
@@ -923,18 +838,10 @@ int usage() {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
+  const auto it = commands().find(cmd);
+  if (it == commands().end()) return usage();
   try {
-    const Args args = parse_args(argc, argv, 2);
-    if (cmd == "gen") return cmd_gen(args);
-    if (cmd == "sim") return cmd_sim(args);
-    if (cmd == "stats") return cmd_stats(args);
-    if (cmd == "sweep") return cmd_sweep(args);
-    if (cmd == "params") return cmd_params(args);
-    if (cmd == "serve") return cmd_serve(args);
-    if (cmd == "client") return cmd_client(args);
-    if (cmd == "schedule") return cmd_schedule(args);
-    if (cmd == "vhdl") return cmd_vhdl(args);
-    return usage();
+    return it->second.run(parse_args(argc, argv, it->second));
   } catch (const std::exception& e) {
     std::cerr << "resim_cli " << cmd << ": " << e.what() << '\n';
     return 1;
