@@ -1,10 +1,29 @@
 #include "core/engine.hpp"
 
+#include <algorithm>
+#include <sstream>
 #include <stdexcept>
 
 #include "isa/program.hpp"
 
 namespace resim::core {
+
+namespace {
+
+/// The longest an instruction can legally wait to commit: an
+/// instruction-fetch miss, a data miss, the slowest functional unit and
+/// both redirect penalties, each at its configured worst.
+Cycle longest_stall(const CoreConfig& c) {
+  const cache::MemSysConfig& m = c.mem;
+  const auto miss = [&m](const cache::CacheConfig& l1) -> Cycle {
+    return m.perfect ? 1 : m.with_l2 ? l1.hit_latency + m.l2.miss_latency : l1.miss_latency;
+  };
+  return miss(m.l1i) + miss(m.l1d) +
+         std::max({c.fu.alu_latency, c.fu.mul_latency, c.fu.div_latency}) +
+         c.misfetch_penalty + c.misspec_penalty;
+}
+
+}  // namespace
 
 ReSimEngine::ReSimEngine(const CoreConfig& cfg, trace::TraceSource& source)
     : cfg_(cfg),
@@ -29,6 +48,7 @@ ReSimEngine::ReSimEngine(const CoreConfig& cfg, trace::TraceSource& source)
       ostat_(stats_),
       fetch_(source) {
   cfg_.validate();
+  watchdog_cycles_ = kWatchdogMargin + longest_stall(cfg_);
   issue_cands_.reserve(cfg_.rob_size);
   // The first record carries no PC context: PCs are implicit from the
   // program base until the first branch record resyncs us (DESIGN.md §5).
@@ -68,10 +88,38 @@ bool ReSimEngine::step_major_cycle() {
 
   // Watchdog: a cycle budget without forward progress indicates a model
   // bug; fail loudly rather than spin.
-  if (cycle_ - last_commit_cycle_ > 200'000 && !pipeline_empty()) {
-    throw std::runtime_error("ReSimEngine: no commit in 200k cycles (deadlock?)");
+  if (cycle_ - last_commit_cycle_ > watchdog_cycles_ && !pipeline_empty()) {
+    throw_no_commit();
   }
   return true;
+}
+
+void ReSimEngine::throw_no_commit() const {
+  std::ostringstream os;
+  const auto at = [&os](Cycle c) -> std::ostream& {
+    return c == kNever ? os << "never" : os << "cycle " << c;
+  };
+  os << "ReSimEngine: no commit in " << watchdog_cycles_ << " cycles (the config's longest stall + "
+     << kWatchdogMargin << "; deadlock?) at cycle " << cycle_ << "; ROB head: ";
+  if (rob_.empty()) {
+    os << "empty";
+  } else {
+    const RobEntry& e = rob_.entry(rob_.head_slot());
+    os << "seq " << rob_.inst(rob_.head_slot()).seq << ", format " << "OMB"[static_cast<int>(e.fmt)]
+       << ", " << e.src_pending << " sources pending, dispatched at ";
+    at(e.dispatched_at) << (e.issued ? ", issued, completes at " : ", not issued, completes at ");
+    at(e.issued ? e.complete_at : kNever);
+  }
+  os << "; LSQ head: ";
+  if (lsq_.empty()) {
+    os << "empty";
+  } else {
+    const LsqEntry& l = lsq_.entry(lsq_.head_slot());
+    os << "seq " << l.seq << (l.is_store ? ", store" : ", load") << ", address at ";
+    at(l.addr_ready_at) << (l.is_store ? (l.store_done ? ", done" : ", not done")
+                                        : (l.mem_issued ? ", issued" : ", not issued"));
+  }
+  throw std::runtime_error(os.str());
 }
 
 void ReSimEngine::sample_occupancy_and_advance() {

@@ -250,6 +250,7 @@ class ReSimEngine {
   void squash_and_redirect(Addr resume_pc);
 
   void wake_dependents(int producer_slot);  ///< walk the producer's consumer list
+  [[noreturn]] void throw_no_commit() const;  ///< the watchdog's report
   void sample_occupancy_and_advance();
   [[nodiscard]] bool pipeline_empty() const;
 
@@ -292,6 +293,11 @@ class ReSimEngine {
   std::uint64_t wrong_path_fetched_ = 0;
   std::uint64_t squashed_ = 0;
   Cycle last_commit_cycle_ = 0;
+  /// Cycles without a commit the watchdog allows: kWatchdogMargin past
+  /// the longest stall the configuration can produce, fixed at
+  /// construction so the per-cycle check stays one compare.
+  static constexpr Cycle kWatchdogMargin = 200'000;
+  Cycle watchdog_cycles_ = 0;
 
   // Every record the engine reads comes through this cursor over src_'s
   // SoA batch views (trace/reader.hpp): an index bump and an inlined

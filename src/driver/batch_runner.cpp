@@ -18,11 +18,8 @@
 
 #include "config/names.hpp"
 #include "config/param_registry.hpp"
-#include "driver/sampling.hpp"
+#include "driver/run.hpp"
 #include "trace/batch_cache.hpp"
-#include "trace/file_source.hpp"
-#include "trace/mmap_source.hpp"
-#include "trace/reader.hpp"
 #include "workload/suite.hpp"
 
 namespace resim::driver {
@@ -39,46 +36,59 @@ SimJob SimJob::sweep_point(std::string label, std::string workload,
   return job;
 }
 
-std::unique_ptr<trace::FileTraceSource> open_backend(const std::string& path,
-                                                    core::TraceBackend backend) {
-  if (backend == core::TraceBackend::kMmap) {
-    return std::make_unique<trace::MmapTraceSource>(path);
-  }
-  return std::make_unique<trace::FileTraceSource>(path);
-}
-
 namespace {
 
-/// Worker-private temp .rsim path: pid + a process-wide counter, so
-/// concurrent processes and worker threads never collide.
-std::string private_temp_path() {
+/// A private temp container, unlinked when this dies; an open reader
+/// keeps its inode alive.
+struct TempContainer {
+  std::string path;
+  TempContainer() = default;
+  TempContainer(const TempContainer&) = delete;
+  TempContainer& operator=(const TempContainer&) = delete;
+  ~TempContainer() {
+    if (!path.empty()) std::remove(path.c_str());
+  }
+};
+
+/// The one turn of a SimJob into records: its file, its prepared trace
+/// or a trace generated from its workload, in the form its backend
+/// reads. Stream and mmap jobs without a file get a private `temp`
+/// container, v4 when trace.prefilter is set.
+TraceRecords job_records(const SimJob& job, TempContainer& temp) {
+  const bool memory = job.config.trace_backend == core::TraceBackend::kMemory;
+  if (!job.trace_path.empty()) {
+    return {memory ? load_file(job.trace_path) : nullptr, job.trace_path};
+  }
+  std::shared_ptr<const trace::Trace> t = job.trace;
+  if (!t) {
+    t = std::make_shared<const trace::Trace>(
+        trace::TraceGenerator(workload::make_workload(job.workload), job.gen).generate());
+  }
+  if (memory) return {std::move(t), ""};
+  // pid + a process-wide counter: concurrent processes and workers never
+  // collide. Built with += to sidestep GCC 12's -Wrestrict false
+  // positive (PR105651) on "literal" + std::string chains at -O3.
   static std::atomic<std::uint64_t> counter{0};
-  // Built with += to sidestep GCC 12's -Wrestrict false positive
-  // (PR105651) on "literal" + std::string chains at -O3.
-  std::string p = (std::filesystem::temp_directory_path() / "resim_job").string();
-  p += '_';
-  p += std::to_string(::getpid());
-  p += '_';
-  p += std::to_string(counter.fetch_add(1));
-  p += ".rsim";
-  return p;
+  temp.path = (std::filesystem::temp_directory_path() / "resim_job").string();
+  temp.path += '_';
+  temp.path += std::to_string(::getpid());
+  temp.path += '_';
+  temp.path += std::to_string(counter.fetch_add(1));
+  temp.path += ".rsim";
+  const bool v4 = job.config.trace_prefilter;
+  trace::save_trace(*t, temp.path, trace::kDefaultChunkRecords, v4, v4);
+  return {nullptr, temp.path};
 }
 
-/// Round-trips already-decoded records through a temp file and reopens
-/// them via `backend`; the codec is lossless, so the record stream is
-/// unchanged. Unlinks the temp file as soon as the source opens.
-std::unique_ptr<trace::TraceSource> roundtrip_source(const trace::Trace& t,
-                                                     core::TraceBackend backend) {
-  const std::string path = private_temp_path();
-  trace::save_trace(t, path);
-  try {
-    auto src = open_backend(path, backend);
-    std::remove(path.c_str());  // the open stream / mapping keeps the inode alive
-    return src;
-  } catch (...) {
-    std::remove(path.c_str());  // don't leak the temp file on open failure
-    throw;
-  }
+/// A job's private reader. A temp container is unlinked as soon as it is
+/// open.
+OpenTrace open_job(const SimJob& job) {
+  TempContainer temp;
+  return {job_records(job, temp), job.config.trace_backend};
+}
+
+JobResult simulate(const SimJob& job, trace::TraceSource& src) {
+  return {job.label, job.workload, job.config, run_trace(job.config, src).result};
 }
 
 /// Deterministic serialization of everything that decides a generated
@@ -111,18 +121,13 @@ struct GroupShare {
   std::exception_ptr init_error;  ///< init failed: every member rethrows it
 
   // Planned before the pool starts:
-  core::TraceBackend backend = core::TraceBackend::kMemory;
-  bool prefilter = false;  ///< first member's trace.prefilter (temp-file groups)
+  const SimJob* first = nullptr;  ///< the member whose records the group reads
   std::size_t members = 0;
   std::size_t expected = 0;  ///< min(members, pool threads)
-  std::string src_path;      ///< group streams this existing .rsim ("" otherwise)
-  std::shared_ptr<const trace::Trace> src_trace;  ///< group shares this prepared trace
-  std::string workload;                           ///< generated groups
-  trace::TraceGenConfig gen{};
 
   // Resolved by the first member, released by the last to finish:
-  std::shared_ptr<const trace::Trace> trace;       ///< memory groups: the one decode
-  std::shared_ptr<trace::SharedBatchCache> cache;  ///< file groups (null: v1 fallback)
+  TraceRecords records;  ///< memory groups read the trace, v1 members the path
+  std::shared_ptr<trace::SharedBatchCache> cache;  ///< other file groups
 
   std::atomic<std::size_t> finished{0};  ///< members done
   GroupDecodeStats decoded;  ///< decode counters, copied out on release
@@ -137,48 +142,22 @@ void release_group(GroupShare& g) {
     g.decoded.chunks_decoded = g.cache->chunks_decoded();
     g.decoded.cache_hits = g.cache->hits();
     g.decoded.cache_evictions = g.cache->evictions();
-  } else if (g.trace) {
+  } else if (g.records.decoded) {
     g.decoded.chunks_decoded = 1;  // the single shared load/generate
   }
   g.cache.reset();
-  g.trace.reset();
+  g.records = {};
 }
 
 void init_group(GroupShare& g) {
-  if (g.backend == core::TraceBackend::kMemory) {
-    g.trace = std::make_shared<trace::Trace>(
-        !g.src_path.empty()
-            ? trace::load_trace(g.src_path)
-            : trace::TraceGenerator(workload::make_workload(g.workload), g.gen)
-                  .generate());
-    return;
-  }
-  std::string path = g.src_path;
-  bool owns_temp = false;
-  if (path.empty()) {
-    path = private_temp_path();
-    owns_temp = true;
-    if (g.src_trace) {
-      trace::save_trace(*g.src_trace, path, trace::kDefaultChunkRecords, g.prefilter,
-                        g.prefilter);
-    } else {
-      const trace::Trace t =
-          trace::TraceGenerator(workload::make_workload(g.workload), g.gen).generate();
-      trace::save_trace(t, path, trace::kDefaultChunkRecords, g.prefilter, g.prefilter);
-    }
-  }
+  TempContainer temp;
+  g.records = job_records(*g.first, temp);
+  if (g.records.decoded) return;
   try {
-    g.cache = std::make_shared<trace::SharedBatchCache>(path, g.expected);
+    g.cache = std::make_shared<trace::SharedBatchCache>(g.records.path, g.expected);
   } catch (const std::invalid_argument&) {
-    // v1 container (only possible for a user-supplied src_path): no
-    // chunk index to share — members fall back to private sources.
-    g.cache = nullptr;
-  } catch (...) {
-    if (owns_temp) std::remove(path.c_str());
-    throw;
-  }
-  if (owns_temp) {
-    std::remove(path.c_str());  // the cache's open stream keeps the inode alive
+    // v1 container (only a job's own file can be one): no chunk index to
+    // share, so members read it privately.
   }
 }
 
@@ -194,19 +173,12 @@ JobResult run_one_with_share(const SimJob& job, GroupShare& g) {
 
   job.config.validate();
   JobResult out;
-  out.label = job.label;
-  out.workload = job.workload;
-  out.config = job.config;
-  if (g.trace) {
-    trace::VectorTraceSource src(*g.trace);
-    out.result = run_engine(job.config, src);
-  } else if (g.cache) {
+  if (g.cache) {
     trace::BatchTraceSource src(g.cache);
-    out.result = run_engine(job.config, src);
+    out = simulate(job, src);
   } else {
-    const std::unique_ptr<trace::TraceSource> src =
-        open_backend(g.src_path, job.config.trace_backend);
-    out.result = run_engine(job.config, *src);
+    const OpenTrace in(g.records, job.config.trace_backend);
+    out = simulate(job, in.source());
   }
   if (g.finished.fetch_add(1) + 1 == g.members) release_group(g);
   return out;
@@ -244,14 +216,8 @@ GroupPlan plan_groups(const std::vector<SimJob>& jobs, unsigned threads) {
     }
     const auto [it, inserted] = index.emplace(key, plan.shares.size());
     if (inserted) {
-      auto share = std::make_unique<GroupShare>();
-      share->backend = j.config.trace_backend;
-      share->prefilter = j.config.trace_prefilter;
-      share->src_path = j.trace_path;
-      share->src_trace = j.trace;
-      share->workload = j.workload;
-      share->gen = j.gen;
-      plan.shares.push_back(std::move(share));
+      plan.shares.push_back(std::make_unique<GroupShare>());
+      plan.shares.back()->first = &j;
     }
     GroupShare& g = *plan.shares[it->second];
     plan.of[i] = &g;
@@ -297,41 +263,8 @@ BatchRunner::BatchRunner(unsigned threads)
 
 JobResult BatchRunner::run_one(const SimJob& job) {
   job.config.validate();
-  JobResult out;
-  out.label = job.label;
-  out.workload = job.workload;
-  out.config = job.config;
-  const core::TraceBackend backend = job.config.trace_backend;
-  if (!job.trace_path.empty()) {
-    if (backend == core::TraceBackend::kMemory) {
-      const trace::Trace t = trace::load_trace(job.trace_path);
-      trace::VectorTraceSource src(t);
-      out.result = run_engine(job.config, src);
-    } else {
-      const std::unique_ptr<trace::TraceSource> src =
-          open_backend(job.trace_path, backend);
-      out.result = run_engine(job.config, *src);
-    }
-  } else if (job.trace) {
-    if (backend == core::TraceBackend::kMemory) {
-      trace::VectorTraceSource src(*job.trace);
-      out.result = run_engine(job.config, src);
-    } else {
-      const std::unique_ptr<trace::TraceSource> src = roundtrip_source(*job.trace, backend);
-      out.result = run_engine(job.config, *src);
-    }
-  } else {
-    const trace::Trace t =
-        trace::TraceGenerator(workload::make_workload(job.workload), job.gen).generate();
-    if (backend == core::TraceBackend::kMemory) {
-      trace::VectorTraceSource src(t);
-      out.result = run_engine(job.config, src);
-    } else {
-      const std::unique_ptr<trace::TraceSource> src = roundtrip_source(t, backend);
-      out.result = run_engine(job.config, *src);
-    }
-  }
-  return out;
+  const OpenTrace in = open_job(job);
+  return simulate(job, in.source());
 }
 
 std::vector<JobResult> BatchRunner::run(const std::vector<SimJob>& jobs,
@@ -378,13 +311,28 @@ std::vector<JobResult> BatchRunner::run(const std::vector<SimJob>& jobs,
     for (const auto& share : plan.shares) {
       if (share->members < 2) continue;  // dissolved singleton group
       GroupDecodeStats s = share->decoded;
-      s.workload = !share->workload.empty() ? share->workload : share->src_path;
+      s.workload = !share->first->workload.empty() ? share->first->workload
+                                                   : share->first->trace_path;
       s.members = share->members;
       s.consumers = share->expected;
       decode_stats->push_back(std::move(s));
     }
   }
   return results;
+}
+
+void BatchRunner::run_batches(const std::vector<SimJob>& jobs,
+                              const std::function<void(const std::vector<JobResult>&)>& done,
+                              std::vector<GroupDecodeStats>* decode_stats) const {
+  const std::size_t batch = std::max<std::size_t>(16, threads_ * 4);
+  for (std::size_t first = 0; first < jobs.size(); first += batch) {
+    const auto b = jobs.begin() + static_cast<std::ptrdiff_t>(first);
+    const std::vector<SimJob> slice(
+        b, b + static_cast<std::ptrdiff_t>(std::min(batch, jobs.size() - first)));
+    std::vector<GroupDecodeStats> stats;
+    done(run(slice, decode_stats != nullptr ? &stats : nullptr));
+    if (decode_stats != nullptr) decode_stats->insert(decode_stats->end(), stats.begin(), stats.end());
+  }
 }
 
 std::string csv_escape(const std::string& s) {

@@ -4,16 +4,18 @@
 // (paper §I). A SimJob names one point of that space — a CoreConfig
 // applied to one workload's trace — and BatchRunner shards a vector of
 // jobs across host cores. Every job is simulated by a worker-private
-// ReSimEngine, so a parallel sweep is deterministic and bit-identical
-// to running the same jobs serially: results[i] always corresponds to
-// jobs[i], and no simulation state is shared between jobs. Jobs that
-// read the same trace share the *decode* work (never simulation state)
-// through one producer per group — see run() — so an N-point
-// same-workload sweep decodes each container chunk once, not N times.
+// ReSimEngine through the one run path (driver/run.hpp), so a parallel
+// sweep is deterministic and bit-identical to running the same jobs
+// serially: results[i] always corresponds to jobs[i], and no simulation
+// state is shared between jobs. Jobs that read the same trace share the
+// *decode* work (never simulation state) through one producer per group
+// — see run() — so an N-point same-workload sweep decodes each
+// container chunk once, not N times.
 #ifndef RESIM_DRIVER_BATCH_RUNNER_H
 #define RESIM_DRIVER_BATCH_RUNNER_H
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -21,18 +23,10 @@
 
 #include "core/config.hpp"
 #include "core/engine.hpp"
-#include "trace/file_source.hpp"
-#include "trace/reader.hpp"
 #include "trace/tracegen.hpp"
 #include "trace/writer.hpp"
 
 namespace resim::driver {
-
-/// Opens an on-disk .rsim through a file backend: kMmap maps it
-/// (trace::MmapTraceSource), any other backend streams it
-/// (trace::FileTraceSource).
-[[nodiscard]] std::unique_ptr<trace::FileTraceSource> open_backend(const std::string& path,
-                                                                   core::TraceBackend backend);
 
 /// One point of a design-space sweep.
 ///
@@ -43,13 +37,13 @@ namespace resim::driver {
 /// — trace generation is seeded and therefore deterministic.
 ///
 /// config.trace_backend (the `trace.backend` registry parameter)
-/// selects how each path reads records: kMemory decodes the whole trace
+/// selects how each job reads records: kMemory decodes the whole trace
 /// up front; kStream uses a constant-memory FileTraceSource; kMmap maps
-/// the file and decodes in place. Jobs
-/// without a file (generated or prepared-trace jobs) under a non-memory
-/// backend round-trip their records through a private temp .rsim,
-/// unlinked as soon as the source opens. Every backend is bit-identical
-/// in results; only host memory behavior differs.
+/// the file and decodes in place. A stream or mmap job without a file
+/// (generated or prepared trace) reads a private temp .rsim, v4 when
+/// config.trace_prefilter is set, unlinked as soon as it is open. Every
+/// backend is bit-identical in results; only host memory behavior
+/// differs.
 struct SimJob {
   std::string label;     ///< row label in reports/CSV
   std::string workload;  ///< benchmark name (workload::make_workload registry)
@@ -116,6 +110,14 @@ class BatchRunner {
   [[nodiscard]] std::vector<JobResult> run(
       const std::vector<SimJob>& jobs,
       std::vector<GroupDecodeStats>* decode_stats = nullptr) const;
+
+  /// run() over consecutive batches of max(16, 4 x threads) jobs, each
+  /// batch's results handed to `done` as it completes, so a long sweep's
+  /// rows leave as they finish; concatenated, they equal one run()'s.
+  /// `decode_stats`, when non-null, collects every batch's groups.
+  void run_batches(const std::vector<SimJob>& jobs,
+                   const std::function<void(const std::vector<JobResult>&)>& done,
+                   std::vector<GroupDecodeStats>* decode_stats = nullptr) const;
 
   /// Simulate a single job in the calling thread (always private
   /// decode; the shared producer exists only under run()).

@@ -1,0 +1,96 @@
+#include "driver/run.hpp"
+
+#include <stdexcept>
+
+#include "trace/mmap_source.hpp"
+#include "trace/segment.hpp"
+
+namespace resim::driver {
+
+std::shared_ptr<const trace::Trace> load_file(const std::string& path) {
+  return std::make_shared<const trace::Trace>(trace::load_trace(path));
+}
+
+OpenTrace::OpenTrace(const TraceRecords& records, core::TraceBackend backend)
+    : decoded_(records.decoded) {
+  if (decoded_) {
+    src_ = std::make_unique<trace::VectorTraceSource>(*decoded_);
+    return;
+  }
+  std::unique_ptr<trace::FileTraceSource> file =
+      backend == core::TraceBackend::kMmap
+          ? std::make_unique<trace::MmapTraceSource>(records.path)
+          : std::make_unique<trace::FileTraceSource>(records.path);
+  file_ = file.get();
+  src_ = std::move(file);
+}
+
+const std::string& OpenTrace::name() const {
+  return decoded_ ? decoded_->name : file_->trace_name();
+}
+
+OpenTrace open_trace(const std::string& path, core::TraceBackend backend,
+                     const TraceLoader& load) {
+  return {{backend == core::TraceBackend::kMemory ? load(path) : nullptr, path}, backend};
+}
+
+void RunSpec::validate(const core::CoreConfig& cfg) const {
+  if (max_records && *max_records < warmup) {
+    throw std::invalid_argument(
+        "'max_records' (--max-records) caps the total window, warm-up included, and "
+        "must be >= 'warmup' (--warmup)");
+  }
+  if (!sampled(cfg) || !windowed()) return;
+  const char* member = skip != 0 ? "'skip' (--skip)"
+                       : warmup != 0 ? "'warmup' (--warmup)"
+                                     : "'max_records' (--max-records)";
+  throw std::invalid_argument(std::string(member) +
+                              " describes one window; sampled execution "
+                              "(sample.windows > 0 or --plan) places its own windows");
+}
+
+std::uint64_t RunResult::effective_records() const {
+  return is_sampled()
+             ? sampled.detailed_records + sampled.warmup_records + sampled.skipped_records
+             : skipped + result.trace_records;
+}
+
+RunResult run_trace(const core::CoreConfig& cfg, trace::TraceSource& src,
+                    const RunSpec& spec) {
+  spec.validate(cfg);
+  RunResult out;
+  if (spec.sampled(cfg)) {
+    out.plan = spec.plan ? SamplingPlan::from_file(*spec.plan, src.total_records(),
+                                                   cfg.sample.window_insts,
+                                                   cfg.sample.warmup_insts)
+                         : plan_from_config(cfg, src);
+    out.sampled = run_sampled(cfg, src, out.plan, spec.intervals);
+    out.result = out.sampled.result;
+    return out;
+  }
+  if (!spec.windowed()) {
+    core::ReSimEngine eng(cfg, src);
+    eng.attach_interval_recorder(spec.intervals);
+    out.result = eng.run();
+    eng.flush_intervals();
+    return out;
+  }
+  // The window is one segment after one chunk-hopping gap.
+  trace::SegmentedTraceSource win(src);
+  out.skipped = win.skip_gap(spec.skip);
+  win.open_segment(spec.max_records.value_or(trace::SegmentedTraceSource::kAll));
+  core::ReSimEngine eng(cfg, win);
+  eng.attach_interval_recorder(spec.intervals);
+  // ChampSim-style region run: note the warm-up boundary so the measured
+  // region's IPC excludes cold-start transients.
+  while (win.records_consumed() < spec.warmup && win.peek() != nullptr &&
+         eng.step_major_cycle()) {
+  }
+  out.warm_committed = eng.committed();
+  out.warm_cycles = eng.cycle();
+  out.result = eng.run();
+  eng.flush_intervals();
+  return out;
+}
+
+}  // namespace resim::driver

@@ -202,11 +202,4 @@ SampledResult run_sampled(const core::CoreConfig& cfg, trace::TraceSource& src,
   return out;
 }
 
-core::SimResult run_engine(const core::CoreConfig& cfg, trace::TraceSource& src) {
-  if (cfg.sample.windows == 0) {
-    return core::ReSimEngine(cfg, src).run();
-  }
-  return run_sampled(cfg, src, plan_from_config(cfg, src)).result;
-}
-
 }  // namespace resim::driver

@@ -123,13 +123,6 @@ struct SampledResult {
                                         const SamplingPlan& plan,
                                         core::IntervalRecorder* intervals = nullptr);
 
-/// The one engine entry point for drivers: a full detailed run when
-/// cfg.sample.windows == 0 (byte-identical to pre-sampling behavior),
-/// otherwise a sampled run returning the pooled engine result. This is
-/// what makes sampling a sweep axis: every BatchRunner job funnels
-/// through here.
-[[nodiscard]] core::SimResult run_engine(const core::CoreConfig& cfg, trace::TraceSource& src);
-
 }  // namespace resim::driver
 
 #endif  // RESIM_DRIVER_SAMPLING_H

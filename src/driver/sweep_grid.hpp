@@ -15,7 +15,6 @@
 #define RESIM_DRIVER_SWEEP_GRID_H
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <optional>
@@ -24,6 +23,7 @@
 
 #include "config/sweep_spec.hpp"
 #include "driver/batch_runner.hpp"
+#include "driver/run.hpp"
 
 namespace resim::driver {
 
@@ -49,11 +49,6 @@ struct SweepGrid {
                                               const core::CoreConfig& base,
                                               const std::vector<std::string>& sets,
                                               std::optional<std::uint64_t> insts);
-
-/// Hands out the decoded prepared trace that memory-backend jobs share:
-/// the CLI decodes the file, the daemon lends its resident copy.
-using TraceLoader =
-    std::function<std::shared_ptr<const trace::Trace>(const std::string& path)>;
 
 /// expand_spec() for a run. With a prepared trace (`trace_path` set) the
 /// bench axis collapses to the container's benchmark name, memory-backend

@@ -32,6 +32,7 @@
 #include "core/engine.hpp"
 #include "driver/batch_runner.hpp"
 #include "driver/result_export.hpp"
+#include "driver/run.hpp"
 #include "driver/sweep_grid.hpp"
 #include "core/perf.hpp"
 #include "core/schedule.hpp"

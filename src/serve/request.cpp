@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -121,14 +122,13 @@ SimRequest parse_sim_request(const JsonValue& v) {
   req.trace_path = required_string(v, "trace");
   if (req.trace_path.empty()) bad("member 'trace' must not be empty");
   req.config = resolve_config(v, /*validate=*/true);
-  req.skip = optional_u64(v, "skip").value_or(0);
-  req.warmup = optional_u64(v, "warmup").value_or(0);
-  req.max_records = optional_u64(v, "max_records");
-  if (req.max_records && *req.max_records < req.warmup) {
-    // Same contract as the CLI: --max-records caps the TOTAL window,
-    // warm-up included.
-    bad("member 'max_records' caps the total window (warm-up included) and "
-        "must be >= 'warmup'");
+  req.run.skip = optional_u64(v, "skip").value_or(0);
+  req.run.warmup = optional_u64(v, "warmup").value_or(0);
+  req.run.max_records = optional_u64(v, "max_records");
+  try {
+    req.run.validate(req.config);  // refused here, not after queueing
+  } catch (const std::exception& e) {
+    bad(e.what());
   }
   return req;
 }
@@ -167,39 +167,12 @@ SweepRequest parse_sweep_request(const JsonValue& v) {
 }
 
 void run_sim(const SimRequest& req, SharedTraceCache& traces, const Sink& sink) {
-  const core::CoreConfig& cfg = req.config;
-
-  // Same backend dispatch as `resim_cli sim`, with one daemon upgrade:
-  // the memory backend borrows the decoded trace from the shared cache
-  // instead of re-decoding per request.
-  std::shared_ptr<const trace::Trace> shared;
-  std::optional<trace::VectorTraceSource> vec;
-  std::unique_ptr<trace::FileTraceSource> file;  // stream or mmap
-  std::string name;
-  trace::TraceSource* base = nullptr;
-  if (cfg.trace_backend == core::TraceBackend::kMemory) {
-    shared = traces.get(req.trace_path);
-    name = shared->name;
-    vec.emplace(*shared);
-    base = &*vec;
-  } else {
-    file = driver::open_backend(req.trace_path, cfg.trace_backend);
-    name = file->trace_name();
-    base = file.get();
-  }
-
-  // The window (the whole trace by default) is one segment after one
-  // chunk-hopping gap, as in `sim`.
-  trace::SegmentedTraceSource win(*base);
-  (void)win.skip_gap(req.skip);
-  win.open_segment(req.max_records.value_or(trace::SegmentedTraceSource::kAll));
-
-  core::ReSimEngine eng(cfg, win);
-  driver::JobResult jr;
-  jr.label = name;
-  jr.workload = name;
-  jr.config = cfg;
-  jr.result = eng.run();
+  // The memory backend borrows the resident trace instead of decoding.
+  const driver::OpenTrace in =
+      driver::open_trace(req.trace_path, req.config.trace_backend,
+                         [&traces](const std::string& path) { return traces.get(path); });
+  const driver::JobResult jr{in.name(), in.name(), req.config,
+                             driver::run_trace(req.config, in.source(), req.run).result};
   sink(driver::result_json(jr) + '\n');
 }
 
@@ -208,8 +181,6 @@ void run_sweep(const SweepRequest& req, unsigned threads, SharedTraceCache& trac
   // The memory backend borrows the resident trace, as run_sim does.
   auto grid = driver::expand_sweep(req.spec, req.trace_path,
                                    [&traces](const std::string& path) { return traces.get(path); });
-
-  const driver::BatchRunner runner(threads);
   const std::size_t total = grid.jobs.size();
 
   switch (req.format) {
@@ -223,20 +194,8 @@ void run_sweep(const SweepRequest& req, unsigned threads, SharedTraceCache& trac
       sink(driver::config_csv_header() + '\n');
       break;
   }
-
-  // The CLI's own checkpoint-batch granularity (sweep --resume): results
-  // stream out as each batch completes instead of materializing the
-  // whole grid, and within a batch the runner's job-order determinism
-  // makes the concatenation byte-identical to a single run() call.
-  const std::size_t batch = std::max<std::size_t>(16, runner.threads() * 4);
   std::size_t done = 0;
-  for (std::size_t first = 0; first < total; first += batch) {
-    const auto last = std::min(total, first + batch);
-    const auto b = grid.jobs.begin();
-    const std::vector<driver::SimJob> slice(
-        std::make_move_iterator(b + static_cast<std::ptrdiff_t>(first)),
-        std::make_move_iterator(b + static_cast<std::ptrdiff_t>(last)));
-    const auto part = runner.run(slice);
+  driver::BatchRunner(threads).run_batches(grid.jobs, [&](const auto& part) {
     for (const auto& r : part) {
       ++done;
       switch (req.format) {
@@ -251,7 +210,7 @@ void run_sweep(const SweepRequest& req, unsigned threads, SharedTraceCache& trac
           break;
       }
     }
-  }
+  });
   if (req.format == SweepFormat::kJson) sink("]\n");
 }
 

@@ -9,10 +9,13 @@
 // range violation names the offending field.
 //
 // Running reproduces the one-shot CLI byte for byte — the served-vs-CLI
-// CI gate cmp's both — by reusing the same serializers (result_json,
-// csv_header/csv_row, config_csv_header/row) over the same BatchRunner,
-// and streaming output through a Sink callback in the CLI's own
-// checkpoint-batch granularity so a long sweep's CSV arrives row by row.
+// CI gate cmp's both — because both front ends call the same driver: a
+// sim opens and runs its trace through driver::open_trace and
+// driver::run_trace (sampled or one window, as `sim` runs it), and a
+// sweep streams BatchRunner::run_batches' results, the loop `sweep
+// --resume` checkpoints with, through a Sink callback, so a long sweep's
+// CSV arrives row by row. The serializers (result_json, csv_header/
+// csv_row, config_csv_header/row) are the CLI's.
 //
 // Config/spec text travels INLINE in the request ("config", "spec" hold
 // file contents, not paths), so a client on another machine — or merely
@@ -23,13 +26,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "config/sweep_spec.hpp"
 #include "core/config.hpp"
+#include "driver/run.hpp"
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
 #include "serve/trace_cache.hpp"
@@ -53,18 +56,14 @@ inline constexpr int kMinPriority = 0;
 inline constexpr int kMaxPriority = 9;
 
 /// `sim` request, resolved. Mirrors `resim_cli sim`: one trace, one
-/// configuration, optional record window; the response streams the
-/// exact bytes `sim --json` writes.
+/// configuration, an optional record window or sampling; the response
+/// streams the exact bytes `sim --json` writes.
 struct SimRequest {
   std::string id;
   int priority = 0;
   std::string trace_path;
   core::CoreConfig config{};  ///< defaults < "config" text < "set" list
-  std::uint64_t skip = 0;
-  std::uint64_t warmup = 0;
-  /// Total-window cap including warm-up (like --max-records); absent =
-  /// the whole trace.
-  std::optional<std::uint64_t> max_records;
+  driver::RunSpec run;        ///< "skip", "warmup", "max_records"
 };
 
 /// `sweep` response body format, matching the CLI's three exporters.

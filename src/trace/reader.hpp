@@ -19,6 +19,11 @@
 //                         FAST-style coupling of §I/§VI, through a
 //                         CopiedBatch too (src/baseline/coupled.hpp)
 //
+// Which source a run reads is decided once, in driver/run.hpp:
+// trace.backend maps to VectorTraceSource (memory), FileTraceSource
+// (stream) or MmapTraceSource (mmap), and a window or sampled run wraps
+// that in a SegmentedTraceSource; the CLI and the daemon construct none.
+//
 // peek()/next() are conveniences built on the views, for callers that
 // want one record at a time; ViewCursor does the same for hot loops,
 // reporting consumption once per view instead of once per record.

@@ -278,16 +278,18 @@ TEST(BatchRunnerSharedDecode, SharedDecodeOffFormsNoGroups) {
 }
 
 TEST(BatchRunnerSharedDecode, PrefilterRoundTripKeepsResultsIdentical) {
-  // trace.prefilter switches the group's temp container to v4: the CSV
-  // must not move by a byte.
+  // trace.prefilter switches the temp container to v4, the group's and
+  // each private job's alike: the CSV must not move by a byte.
   const driver::BatchRunner runner(2);
-  auto plain = same_workload_grid(core::TraceBackend::kStream, true);
-  auto filtered = same_workload_grid(core::TraceBackend::kStream, true);
-  for (auto& job : filtered) job.config.trace_prefilter = true;
-  std::ostringstream a, b;
-  driver::write_csv(a, runner.run(plain));
-  driver::write_csv(b, runner.run(filtered));
-  EXPECT_EQ(a.str(), b.str());
+  for (const bool shared : {true, false}) {
+    auto plain = same_workload_grid(core::TraceBackend::kStream, shared);
+    auto filtered = same_workload_grid(core::TraceBackend::kStream, shared);
+    for (auto& job : filtered) job.config.trace_prefilter = true;
+    std::ostringstream a, b;
+    driver::write_csv(a, runner.run(plain));
+    driver::write_csv(b, runner.run(filtered));
+    EXPECT_EQ(a.str(), b.str()) << "shared " << shared;
+  }
 }
 
 }  // namespace

@@ -107,6 +107,22 @@ TEST(Adversarial, SelfDependentRecordsDoNotDeadlock) {
   EXPECT_GE(r.major_cycles, 100u * 10u);  // unpipelined divider chain
 }
 
+TEST(Adversarial, LoadAtTheLongestMissLatencyIsNotADeadlock) {
+  // The registry accepts L1 miss latencies up to 2^20 cycles; one load
+  // that long must finish, not trip the no-commit watchdog.
+  auto cfg = CoreConfig::paper_2wide_cache();
+  cfg.mem.l1d.miss_latency = 1u << 20;
+  std::vector<TraceRecord> recs;
+  for (int i = 0; i < 4; ++i) recs.push_back(TraceRecord::other(OtherFu::kAlu, 1, 1, kNoReg));
+  recs.push_back(TraceRecord::mem(false, 0x10000, 2, 1, kNoReg));
+  for (int i = 0; i < 4; ++i) recs.push_back(TraceRecord::other(OtherFu::kAlu, 3, 2, kNoReg));
+  const trace::Trace t = wrap(recs);
+  trace::VectorTraceSource src(t);
+  const SimResult r = ReSimEngine(cfg, src).run();
+  EXPECT_EQ(r.committed, recs.size());
+  EXPECT_GT(r.major_cycles, std::uint64_t{1} << 20);
+}
+
 TEST(Adversarial, MinimalMachineConfiguration) {
   // Width 1, ROB 2, LSQ 1, IFQ 1: the smallest legal machine.
   auto cfg = CoreConfig::paper_4wide_perfect();

@@ -13,6 +13,7 @@
 #include "core/engine.hpp"
 #include "core/interval.hpp"
 #include "driver/result_export.hpp"
+#include "driver/run.hpp"
 #include "driver/sampling.hpp"
 #include "trace/batch_cache.hpp"
 #include "trace/segment.hpp"
@@ -312,7 +313,7 @@ TEST(RunEngine, SamplingOffIsIdenticalToAPlainRun) {
   trace::VectorTraceSource a(t);
   const auto plain = core::ReSimEngine(cfg, a).run();
   trace::VectorTraceSource b(t);
-  const auto routed = run_engine(cfg, b);
+  const auto routed = run_trace(cfg, b).result;
 
   EXPECT_EQ(routed.committed, plain.committed);
   EXPECT_EQ(routed.fetched, plain.fetched);
@@ -338,9 +339,28 @@ TEST(RunEngine, SampledRunCommitsOnlyTheWindows) {
   cfg.sample.window_insts = 2000;
   cfg.sample.warmup_insts = 500;
   trace::VectorTraceSource src(t);
-  const auto r = run_engine(cfg, src);
+  const auto r = run_trace(cfg, src).result;
   EXPECT_GT(r.committed, 0u);
   EXPECT_LT(r.committed, 30000u);  // far fewer than the full trace
+}
+
+TEST(RunEngine, SampledRunRefusesAWindowNamingIt) {
+  const auto t = make_trace("gzip", 5000);
+  auto cfg = core::CoreConfig::paper_4wide_perfect();
+  cfg.sample.windows = 2;
+  for (const char* member : {"'skip'", "'warmup'", "'max_records'"}) {
+    RunSpec spec;
+    if (member[1] == 's') spec.skip = 100;
+    if (member[1] == 'w') spec.warmup = 100;
+    if (member[1] == 'm') spec.max_records = 1000;
+    trace::VectorTraceSource src(t);
+    try {
+      (void)run_trace(cfg, src, spec);
+      FAIL() << member << " must be refused";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(member), std::string::npos) << e.what();
+    }
+  }
 }
 
 // ---- interval recording ---------------------------------------------------

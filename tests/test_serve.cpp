@@ -18,10 +18,12 @@
 
 #include <gtest/gtest.h>
 
+#include "config/config_file.hpp"
 #include "config/sweep_spec.hpp"
 #include "core/engine.hpp"
 #include "driver/batch_runner.hpp"
 #include "driver/result_export.hpp"
+#include "driver/sampling.hpp"
 #include "driver/sweep_grid.hpp"
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
@@ -304,6 +306,23 @@ TEST(ServeRequest, MissingAndMistypedFieldsRejected) {
       (void)parse_sim_request(req_json(
           R"({"type":"sim","id":"r","trace":"t","warmup":100,"max_records":50})")),
       RequestError);
+}
+
+TEST(ServeRequest, SampledSimRefusesAWindowNamingTheMember) {
+  // A sampled run places its own windows, as `sim` refuses --skip,
+  // --warmup and --max-records next to sample.windows > 0.
+  for (const std::string member : {"skip", "warmup", "max_records"}) {
+    try {
+      (void)parse_sim_request(req_json(R"({"type":"sim","id":"r","trace":"t",)"
+                                       R"("set":["sample.windows=4"],")" +
+                                       member + R"(":100})"));
+      FAIL() << member << " next to sample.windows must be refused";
+    } catch (const RequestError& e) {
+      EXPECT_EQ(e.code(), ErrCode::kBadRequest);
+      EXPECT_NE(std::string(e.what()).find("'" + member + "'"), std::string::npos)
+          << "the offending member must be named: " << e.what();
+    }
+  }
 }
 
 TEST(ServeRequest, SetsOverrideInlineConfigText) {
@@ -597,6 +616,36 @@ TEST_F(ServeDaemonTest, SimResponseIsByteIdenticalToEngineOutput) {
   const auto done = client.request(build_sim_request(spec), got);
   EXPECT_EQ(got.str(), expected);
   EXPECT_EQ(done.bytes, expected.size());
+}
+
+TEST_F(ServeDaemonTest, SampledSimIsByteIdenticalToTheSampledRun) {
+  // sample.windows > 0 samples a served sim as `sim --json` samples it.
+  start_daemon();
+  const std::string path = temp_path("served_sampled.rsim");
+  save(generate("gzip", 6000), path);
+  const std::vector<std::string> sets = {"sample.windows=4", "sample.window_insts=500",
+                                         "sample.warmup_insts=200"};
+
+  std::string expected;
+  {
+    trace::FileTraceSource src(path);
+    driver::JobResult jr;
+    jr.label = src.trace_name();
+    jr.workload = src.trace_name();
+    jr.config = config::resolve_machine("", "test", sets);
+    jr.result = driver::run_sampled(jr.config, src, driver::plan_from_config(jr.config, src))
+                    .result;
+    expected = driver::result_json(jr) + '\n';
+  }
+
+  Client client = Client::connect_to_unix(sock_);
+  SimRequestSpec spec;
+  spec.id = "sampled";
+  spec.trace_path = path;
+  spec.sets = sets;
+  std::ostringstream got;
+  (void)client.request(build_sim_request(spec), got);
+  EXPECT_EQ(got.str(), expected);
 }
 
 TEST_F(ServeDaemonTest, SecondSimOfOneTraceSkipsTheDecode) {

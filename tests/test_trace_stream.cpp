@@ -2,6 +2,8 @@
 // records and accounting (one parameterized source-equivalence test),
 // plus engine identity, edge cases of the file readers, and the batch
 // runner's prepared-trace and trace.backend dispatch.
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -442,10 +444,11 @@ TEST(BatchRunnerStream, TracePathJobsMatchSharedPreparedTrace) {
 
 TEST(BatchRunnerBackend, EveryBackendYieldsIdenticalCsvRows) {
   // The tentpole contract: trace.backend is a host knob, never a result
-  // knob. Generated jobs and trace_path jobs (raw v2, compressed v3, and
-  // legacy v1, which the shared cache declines so the group falls back to
-  // private readers) must produce byte-identical CSV rows on memory,
-  // stream and mmap, at any thread count.
+  // knob. Generated jobs, prepared-trace jobs and trace_path jobs (raw
+  // v2, compressed v3, and legacy v1, which the shared cache declines so
+  // the group falls back to private readers) must produce byte-identical
+  // CSV rows on memory, stream and mmap, at any thread count, with decode
+  // sharing on or off, and through run_one() as through run().
   const std::uint64_t insts = 4000;
   std::vector<SimJob> jobs;
   for (unsigned width : {2u, 4u}) {
@@ -459,31 +462,42 @@ TEST(BatchRunnerBackend, EveryBackendYieldsIdenticalCsvRows) {
   const std::string raw_path = ::testing::TempDir() + "/backend_raw.rsim";
   const std::string lz_path = ::testing::TempDir() + "/backend_lz.rsim";
   const std::string v1_path = ::testing::TempDir() + "/backend_v1.rsim";
-  {
-    const trace::Trace t =
-        trace::TraceGenerator(workload::make_workload("gzip"), jobs[0].gen).generate();
-    trace::save_trace(t, raw_path);
-    trace::save_trace(t, lz_path, trace::kDefaultChunkRecords, /*compress=*/true);
-    trace::testutil::write_v1(v1_path, t, t.records.size());
-  }
+  const auto prepared = std::make_shared<const trace::Trace>(
+      trace::TraceGenerator(workload::make_workload("gzip"), jobs[0].gen).generate());
+  trace::save_trace(*prepared, raw_path);
+  trace::save_trace(*prepared, lz_path, trace::kDefaultChunkRecords, /*compress=*/true);
+  trace::testutil::write_v1(v1_path, *prepared, prepared->records.size());
 
   for (const auto backend : {core::TraceBackend::kMemory, core::TraceBackend::kStream,
                              core::TraceBackend::kMmap}) {
-    for (const std::string& path : {std::string(), raw_path, lz_path, v1_path}) {
-      std::vector<SimJob> variant = jobs;
-      for (auto& job : variant) {
-        job.config.trace_backend = backend;
-        job.trace_path = path;
-      }
-      for (unsigned threads : {1u, 4u}) {
-        const auto results = BatchRunner(threads).run(variant);
-        ASSERT_EQ(results.size(), baseline.size());
-        for (std::size_t i = 0; i < results.size(); ++i) {
-          // The config CSV column set carries no backend column, so rows
-          // must match the memory baseline byte for byte.
-          EXPECT_EQ(csv_row(results[i]), csv_row(baseline[i]))
-              << "backend " << static_cast<int>(backend) << " path '" << path
-              << "' threads " << threads;
+    // "" generates, "prepared" shares the decoded trace, the rest are files.
+    for (const std::string& path :
+         {std::string(), std::string("prepared"), raw_path, lz_path, v1_path}) {
+      for (const bool shared : {true, false}) {
+        std::vector<SimJob> variant = jobs;
+        for (auto& job : variant) {
+          job.config.trace_backend = backend;
+          job.config.trace_shared_decode = shared;
+          if (path == "prepared") {
+            job.trace = prepared;
+          } else {
+            job.trace_path = path;
+          }
+        }
+        const std::string where = "backend " + std::to_string(static_cast<int>(backend)) +
+                                  " input '" + path + "' shared " + std::to_string(shared);
+        for (unsigned threads : {1u, 4u}) {
+          const auto results = BatchRunner(threads).run(variant);
+          ASSERT_EQ(results.size(), baseline.size());
+          for (std::size_t i = 0; i < results.size(); ++i) {
+            // The config CSV column set carries no backend column, so rows
+            // must match the memory baseline byte for byte.
+            EXPECT_EQ(csv_row(results[i]), csv_row(baseline[i])) << where << " threads " << threads;
+          }
+        }
+        for (std::size_t i = 0; i < variant.size(); ++i) {
+          EXPECT_EQ(csv_row(BatchRunner::run_one(variant[i])), csv_row(baseline[i]))
+              << where << " run_one";
         }
       }
     }
@@ -491,6 +505,51 @@ TEST(BatchRunnerBackend, EveryBackendYieldsIdenticalCsvRows) {
   std::remove(raw_path.c_str());
   std::remove(lz_path.c_str());
   std::remove(v1_path.c_str());
+}
+
+TEST(BatchRunnerBackend, NoTempContainerOutlivesARun) {
+  // Stream and mmap jobs without a file read a private resim_job_* temp
+  // container. None may survive the run: not after a clean run, grouped
+  // or private, and not after a job whose container cannot be written
+  // (a branch record with no control type has no encoding).
+  const std::string prefix = "resim_job_" + std::to_string(::getpid()) + "_";
+  const auto temp_containers = [&prefix] {
+    std::size_t n = 0;
+    for (const auto& e : std::filesystem::directory_iterator(
+             std::filesystem::temp_directory_path())) {
+      n += e.path().filename().string().rfind(prefix, 0) == 0 ? 1 : 0;
+    }
+    return n;
+  };
+  ASSERT_EQ(temp_containers(), 0u);
+
+  std::vector<SimJob> jobs;
+  for (unsigned rob : {8u, 16u}) {
+    auto cfg = core::CoreConfig::paper_4wide_perfect();
+    cfg.rob_size = rob;
+    cfg.trace_backend = core::TraceBackend::kMmap;
+    cfg.trace_prefilter = true;
+    jobs.push_back(SimJob::sweep_point("rob" + std::to_string(rob), "gzip", cfg, 2000));
+  }
+  for (const bool shared : {true, false}) {
+    for (auto& job : jobs) job.config.trace_shared_decode = shared;
+    (void)BatchRunner(2).run(jobs);
+    (void)BatchRunner::run_one(jobs[0]);
+    EXPECT_EQ(temp_containers(), 0u) << "shared " << shared;
+  }
+
+  auto broken = std::make_shared<trace::Trace>(
+      trace::TraceGenerator(workload::make_workload("gzip"), jobs[0].gen).generate());
+  broken->records.push_back(
+      trace::TraceRecord::branch(isa::CtrlType::kCond, true, 0x400000, 0x400100, 1, kNoReg));
+  broken->records.back().ctrl = isa::CtrlType::kNone;
+  for (auto& job : jobs) job.trace = broken;
+  for (const bool shared : {true, false}) {
+    for (auto& job : jobs) job.config.trace_shared_decode = shared;
+    EXPECT_THROW((void)BatchRunner(2).run(jobs), std::invalid_argument);
+    EXPECT_THROW((void)BatchRunner::run_one(jobs[0]), std::invalid_argument);
+    EXPECT_EQ(temp_containers(), 0u) << "after a failed write, shared " << shared;
+  }
 }
 
 TEST(BatchRunnerBackend, PreparedTraceJobRoundTripsUnderFileBackends) {

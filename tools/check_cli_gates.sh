@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # CLI gates (docs/CI.md), registered as the ctest entry `cli_gates`:
 # sweep determinism against tests/golden/paper_sweep.csv, sweep
-# --resume, input validation, and the config plane (paper configs,
-# --set precedence, the shorthand aliases, corrupt configs).
+# --resume, input validation, the config plane (paper configs, --set
+# precedence, the shorthand aliases, corrupt configs), sampled
+# simulation, and docs/CONFIG.md's parameter table against
+# `params --markdown`.
 #
 # Usage: tools/check_cli_gates.sh path/to/resim_cli
 # Works in a scratch directory it deletes on exit; any mismatch fails.
@@ -99,4 +101,59 @@ grep -q "core.rob_size" err.txt
 printf 'not.a.param = 3\n' > bad_key.cfg
 ! "$cli" sim --trace ci.rsim --config bad_key.cfg 2> err.txt
 grep -q "bad_key.cfg:1" err.txt
+echo "== sampled simulation"
+# sample.* defaults must be a no-op: explicit zeros produce the
+# byte-identical report, JSON and sweep CSV (docs/SAMPLING.md).
+"$cli" sim --trace ci.rsim --config "$configs/paper_4wide_perfect.cfg" \
+    --report --json sam_a.json > sam_a.txt
+"$cli" sim --trace ci.rsim --config "$configs/paper_4wide_perfect.cfg" \
+    --report --json sam_b.json \
+    --set sample.windows=0 --set sample.interval_insts=0 > sam_b.txt
+cmp sam_a.txt sam_b.txt
+cmp sam_a.json sam_b.json
+"$cli" sweep -j "$jobs" --spec "$configs/paper_sweep.spec" \
+    --set sample.windows=0 --out sam_off.csv
+cmp "$golden" sam_off.csv
+# Sampled execution prints per-window estimates with CIs.
+"$cli" sim --trace ci.rsim --set sample.windows=6 \
+    --set sample.window_insts=4000 --set sample.warmup_insts=1000 > sam_run.txt
+grep -q "sampled 6 windows" sam_run.txt
+grep -q "estimate ipc" sam_run.txt
+# Explicit plan files drive the window starts.
+printf '# window starts\n1000\n20000\n40000\n' > sam.plan
+"$cli" sim --trace ci.rsim --plan sam.plan \
+    --set sample.window_insts=4000 > sam_plan.txt
+grep -q "sampled 3 windows" sam_plan.txt
+# Interval time series: CSV rows and columnar JSON.
+"$cli" sim --trace ci.rsim --set sample.interval_insts=10000 \
+    --intervals iv.csv > /dev/null
+test "$(wc -l < iv.csv)" -eq 6  # header + 5 x 10000-inst rows
+"$cli" sim --trace ci.rsim --set sample.interval_insts=10000 \
+    --intervals iv.json > /dev/null
+grep -q '"interval_insts": 10000' iv.json
+# Sampling is a sweep axis: byte-identical across thread counts.
+printf 'pipeline.variant = optimized\ncore.width = 2,4\ncore.rob_size = 16\nbp.kind = 2lev\n' \
+    > widths.spec
+"$cli" sweep -j 1 --trace ci.rsim --spec widths.spec \
+    --set sample.windows=4 --set sample.window_insts=3000 --out samsw1.csv
+"$cli" sweep -j "$jobs" --trace ci.rsim --spec widths.spec \
+    --set sample.windows=4 --set sample.window_insts=3000 --out samswN.csv
+cmp samsw1.csv samswN.csv
+# Misuse is refused with a named flag, not silently ignored.
+! "$cli" sim --trace ci.rsim --intervals nope.csv 2> sam_err.txt
+grep -q "interval_insts" sam_err.txt
+! "$cli" sim --trace ci.rsim --set sample.windows=2 --skip 100 2> sam_err.txt
+grep -q -- "--skip" sam_err.txt
+
+echo "== doc drift"
+# docs/CONFIG.md's parameter table is generated output; a new or
+# changed parameter must ship with the regenerated table (the only
+# '|'-prefixed lines in the file are that table).
+"$cli" params --markdown > params_table.md
+grep '^|' "$root/docs/CONFIG.md" > doc_table.md
+diff -u doc_table.md params_table.md || {
+  echo "docs/CONFIG.md parameter table is stale; run" \
+       "'resim_cli params --markdown' and paste the table in"
+  exit 1
+}
 echo "cli gates: PASS"

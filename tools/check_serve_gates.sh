@@ -5,8 +5,9 @@
 # one-shot CLI writes:
 #
 #  * `sim --json` for both paper machines, each served twice (all but
-#    the first request reuse the daemon's resident decoded trace), and
-#    for the default machine with no config file at all;
+#    the first request reuse the daemon's resident decoded trace), for
+#    the default machine with no config file at all, and for a sampled
+#    run (sample.windows > 0);
 #  * after `gen` rewrites the trace in place with another length, the
 #    next served sim matches `sim --json` on the new file, not the old;
 #  * the paper spec sweep as CSV, JSON and full-config CSV, against -j1
@@ -14,7 +15,8 @@
 #    pinned --set.
 #
 # Then `status` must count exactly two trace loads, and a `shutdown`
-# request must drain the daemon and exit it cleanly.
+# request must drain the daemon and exit it cleanly. Last, docs/SERVE.md's
+# protocol tables must equal `serve --protocol-markdown`.
 #
 # Usage: tools/check_serve_gates.sh path/to/resim_cli
 # Works in a scratch directory (with the daemon's socket) that it deletes
@@ -22,7 +24,8 @@
 set -euo pipefail
 
 cli=$(realpath "$1")
-configs=$(cd "$(dirname "$0")/../configs" && pwd)
+root=$(cd "$(dirname "$0")/.." && pwd)
+configs="$root/configs"
 jobs=$(nproc)
 work=$(mktemp -d)
 serve_pid=
@@ -56,6 +59,12 @@ done
 "$cli" sim --trace ci.rsim --json cli_bare.json > /dev/null
 client --sim --trace ci.rsim --out srv_bare.json
 cmp cli_bare.json srv_bare.json || { echo "served sim without --config differs"; exit 1; }
+
+# A sampled sim runs its windows on both sides.
+sampled="--set sample.windows=4 --set sample.window_insts=5000 --set sample.warmup_insts=2000"
+"$cli" sim --trace ci.rsim $sampled --json cli_sampled.json > /dev/null
+client --sim --trace ci.rsim $sampled --out srv_sampled.json
+cmp cli_sampled.json srv_sampled.json || { echo "served sampled sim differs"; exit 1; }
 
 echo "== trace rewritten in place"
 "$cli" gen --bench gzip --insts 30000 --out ci.rsim
@@ -97,4 +106,17 @@ client --shutdown
 wait "$serve_pid"
 serve_pid=
 grep -q "shut down" serve_log.txt
+
+echo "== doc drift"
+# docs/SERVE.md's message-type and error-code tables are generated from
+# the MsgType/ErrCode enums; a protocol change must ship with the
+# regenerated tables (the only '|'-prefixed lines in the file).
+"$cli" serve --protocol-markdown > protocol.md
+grep '^|' protocol.md > serve_tables.md
+grep '^|' "$root/docs/SERVE.md" > serve_doc.md
+diff -u serve_doc.md serve_tables.md || {
+  echo "docs/SERVE.md protocol tables are stale; run" \
+       "'resim_cli serve --protocol-markdown' and paste them in"
+  exit 1
+}
 echo "serve gates: PASS"

@@ -34,7 +34,6 @@
 #include "core/cmp.hpp"
 #include "core/interval.hpp"
 #include "driver/result_export.hpp"
-#include "driver/sampling.hpp"
 #include "driver/sweep_grid.hpp"
 #include "resim/resim.hpp"
 #include "serve/client.hpp"
@@ -211,19 +210,10 @@ int cmd_stats(const Args& a) {
   // checker next to a trace inspection. The resolved trace.backend also
   // drives how this very inspection reads the file.
   const auto cfg = validated_machine_of(a);
-  const std::string path = get(a, "trace", "trace.rsim");
-  std::string name;
-  trace::TraceStats s;
-  if (cfg.trace_backend == core::TraceBackend::kMemory) {
-    const trace::Trace t = trace::load_trace(path);
-    name = t.name;
-    s = trace::analyze(t);
-  } else {  // stream or mmap: decodes one chunk at a time
-    const auto src = driver::open_backend(path, cfg.trace_backend);
-    name = src->trace_name();
-    s = trace::analyze(*src);
-  }
-  std::cout << name << ": " << s.summary() << '\n'
+  const driver::OpenTrace in =
+      driver::open_trace(get(a, "trace", "trace.rsim"), cfg.trace_backend, driver::load_file);
+  const trace::TraceStats s = trace::analyze(in.source());
+  std::cout << in.name() << ": " << s.summary() << '\n'
             << "  loads " << s.load_records << ", stores " << s.store_records
             << ", branches " << s.branch_records << '\n'
             << "  branch fraction " << s.branch_fraction() << ", mem fraction "
@@ -232,73 +222,32 @@ int cmd_stats(const Args& a) {
 }
 
 int cmd_sim(const Args& a) {
-  const std::string path = get(a, "trace", "trace.rsim");
   const auto cfg = validated_machine_of(a);
-
-  const std::uint64_t skip = get_u64(a, "skip", 0);
-  const std::uint64_t warmup = get_u64(a, "warmup", 0);
-  const bool windowed = skip != 0 || warmup != 0 || has(a, "max-records");
-  // --max-records caps the TOTAL simulated window, warm-up included.
-  const std::uint64_t max_records = has(a, "max-records")
-                                        ? get_u64(a, "max-records", 0)
-                                        : trace::SegmentedTraceSource::kAll;
-  if (max_records < warmup) {  // kAll compares greater than any warmup
-    throw std::invalid_argument(
-        "--max-records caps the total window (warm-up included) and must be >= --warmup");
-  }
-
-  // trace.backend picks how the file is read: decoded up front
-  // (memory), chunk-streamed in O(chunk) RSS (stream), or mapped and
-  // decoded in place (mmap). All three produce bit-identical SimResults.
-  trace::Trace t;
-  std::optional<trace::VectorTraceSource> vec;
-  std::unique_ptr<trace::FileTraceSource> file;  // stream or mmap
-  std::string name;
-  trace::TraceSource* base = nullptr;
-  if (cfg.trace_backend == core::TraceBackend::kMemory) {
-    t = trace::load_trace(path);
-    name = t.name;
-    vec.emplace(t);
-    base = &*vec;
-  } else {
-    file = driver::open_backend(path, cfg.trace_backend);
-    name = file->trace_name();
-    base = file.get();
-  }
-  // Sampled execution (sample.windows > 0 or --plan FILE) replaces the
-  // single --skip/--warmup window with the plan's own windows.
-  const bool sampled = cfg.sample.windows > 0 || has(a, "plan");
-  if (sampled && windowed) {
-    throw std::invalid_argument(
-        "--skip/--warmup/--max-records describe one window; sampled execution "
-        "(sample.windows > 0 or --plan) places its own windows");
-  }
+  driver::RunSpec spec;
+  spec.skip = get_u64(a, "skip", 0);
+  spec.warmup = get_u64(a, "warmup", 0);
+  if (has(a, "max-records")) spec.max_records = get_u64(a, "max-records", 0);
+  if (has(a, "plan")) spec.plan = get(a, "plan", "");
+  spec.validate(cfg);  // before the trace is opened
   if (has(a, "intervals") && cfg.sample.interval_insts == 0) {
     throw std::invalid_argument(
         "--intervals needs an interval length: --set sample.interval_insts=N");
   }
   core::IntervalRecorder intervals(cfg.sample.interval_insts);
-  core::IntervalRecorder* irec = cfg.sample.interval_insts > 0 ? &intervals : nullptr;
+  if (cfg.sample.interval_insts > 0) spec.intervals = &intervals;
 
+  const driver::OpenTrace in =
+      driver::open_trace(get(a, "trace", "trace.rsim"), cfg.trace_backend, driver::load_file);
+  const auto wall0 = std::chrono::steady_clock::now();
+  const driver::RunResult run = driver::run_trace(cfg, in.source(), spec);
+  const core::SimResult& r = run.result;
   const unsigned sched_latency =
       core::PipelineSchedule::make(cfg.variant, cfg.width).latency();
-  core::SimResult r;
-  std::uint64_t effective_records = 0;  ///< incl. skipped/warmup (stderr Minsts/s)
-  const auto wall0 = std::chrono::steady_clock::now();
-  if (sampled) {
-    const driver::SamplingPlan plan =
-        has(a, "plan") ? driver::SamplingPlan::from_file(get(a, "plan", ""),
-                                                         base->total_records(),
-                                                         cfg.sample.window_insts,
-                                                         cfg.sample.warmup_insts)
-                       : driver::plan_from_config(cfg, *base);
-    const driver::SampledResult sr = driver::run_sampled(cfg, *base, plan, irec);
-    r = sr.result;
-    effective_records = sr.detailed_records + sr.warmup_records + sr.skipped_records;
-
-    std::cout << "trace " << name << ": sampled " << sr.windows.size() << " windows x "
-              << plan.window_records << " records (warmup " << plan.warmup_records
-              << "), " << 100.0 * sr.coverage() << "% of " << plan.total_records
+  if (run.is_sampled()) {
+    const driver::SampledResult& sr = run.sampled;
+    std::cout << "trace " << in.name() << ": sampled " << sr.windows.size() << " windows x "
+              << run.plan.window_records << " records (warmup " << run.plan.warmup_records
+              << "), " << 100.0 * sr.coverage() << "% of " << run.plan.total_records
               << " records in detail\n"
               << "engine: " << core::variant_name(cfg.variant) << " pipeline, "
               << sched_latency << " minors/major\n"
@@ -311,61 +260,32 @@ int cmd_sim(const Args& a) {
               << "estimate branch_mpki " << sr.branch_mpki.mean << " +/- "
               << sr.branch_mpki.ci95 << '\n';
   } else {
-    // The window (the whole trace unless windowed) is one segment after
-    // one chunk-hopping gap.
-    trace::SegmentedTraceSource win(*base);
-    const std::uint64_t skipped = win.skip_gap(skip);
-    win.open_segment(max_records);
-    core::ReSimEngine eng(cfg, win);
-    eng.attach_interval_recorder(irec);
-    std::uint64_t warm_committed = 0;
-    std::uint64_t warm_cycles = 0;
-    if (warmup > 0) {
-      // ChampSim-style region run: snapshot at the warm-up boundary so the
-      // measured region's IPC excludes cold-start transients.
-      while (win.records_consumed() < warmup && win.peek() != nullptr &&
-             eng.step_major_cycle()) {
-      }
-      const auto w = eng.result();
-      warm_committed = w.committed;
-      warm_cycles = w.major_cycles;
-      while (eng.step_major_cycle()) {
-      }
-      r = eng.result();
-    } else {
-      while (eng.step_major_cycle()) {
-      }
-      r = eng.result();
-    }
-    eng.flush_intervals();
-    effective_records = skipped + r.trace_records;
-
     const auto& dev = fpga::device_by_name(get(a, "device", "xc4vlx40"));
-    const auto rpt = core::fpga_throughput(r, dev.minor_clock_mhz, eng.schedule().latency());
-
-    std::cout << "trace " << name << ": committed " << r.committed << " insts, "
+    const auto rpt = core::fpga_throughput(r, dev.minor_clock_mhz, sched_latency);
+    std::cout << "trace " << in.name() << ": committed " << r.committed << " insts, "
               << r.major_cycles << " cycles, IPC " << r.ipc() << '\n'
               << "engine: " << core::variant_name(cfg.variant) << " pipeline, "
-              << eng.schedule().latency() << " minors/major, " << r.minor_cycles
+              << sched_latency << " minors/major, " << r.minor_cycles
               << " minor cycles\n"
               << dev.name << ": " << rpt.mips << " MIPS ("
               << rpt.mips_processed << " incl. wrong path), trace feed "
               << rpt.trace_mbytes_per_sec << " MB/s\n";
-    if (windowed) {
-      std::cout << "window: skipped " << skip << " records, warm-up " << warmup
+    if (spec.windowed()) {
+      std::cout << "window: skipped " << spec.skip << " records, warm-up " << spec.warmup
                 << ", simulated " << r.trace_records << " records\n";
-      if (file) {
-        std::cout << "window: chunk-skip seek jumped " << file->chunks_skipped()
+      if (in.file() != nullptr) {
+        std::cout << "window: chunk-skip seek jumped " << in.file()->chunks_skipped()
                   << " chunks unread\n";
       }
     }
-    if (warmup > 0) {
-      if (win.records_consumed() < warmup) {
-        std::cout << "warning: trace ended during warm-up (" << win.records_consumed()
-                  << " of " << warmup << " records); no measured region\n";
+    if (spec.warmup > 0) {
+      // The window's records all flowed through the warm-up first.
+      if (r.trace_records < spec.warmup) {
+        std::cout << "warning: trace ended during warm-up (" << r.trace_records << " of "
+                  << spec.warmup << " records); no measured region\n";
       } else {
-        const auto m_committed = r.committed - warm_committed;
-        const auto m_cycles = r.major_cycles - warm_cycles;
+        const auto m_committed = r.committed - run.warm_committed;
+        const auto m_cycles = r.major_cycles - run.warm_cycles;
         std::cout << "measured region (post warm-up): committed " << m_committed
                   << " in " << m_cycles << " cycles, IPC "
                   << (m_cycles == 0 ? 0.0
@@ -382,8 +302,8 @@ int cmd_sim(const Args& a) {
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
   if (wall_s > 0.0) {
-    std::cerr << "timing: " << static_cast<double>(effective_records) / wall_s / 1e6
-              << " effective Minsts/s (" << effective_records << " records incl. "
+    std::cerr << "timing: " << static_cast<double>(run.effective_records()) / wall_s / 1e6
+              << " effective Minsts/s (" << run.effective_records() << " records incl. "
                  "skipped/warmup in " << wall_s << " s)\n";
   }
   if (has(a, "intervals")) {
@@ -404,14 +324,9 @@ int cmd_sim(const Args& a) {
     std::cout << "\n-- statistics --\n" << r.stats.report();
   }
   if (has(a, "json")) {
-    driver::JobResult jr;
-    jr.label = name;
-    jr.workload = name;
-    jr.config = cfg;
-    jr.result = std::move(r);
     std::ofstream f(get(a, "json", ""));
     if (!f) throw std::runtime_error("cannot open output file: " + get(a, "json", ""));
-    f << driver::result_json(jr) << '\n';
+    f << driver::result_json({in.name(), in.name(), cfg, r}) << '\n';
   }
   return 0;
 }
@@ -436,9 +351,7 @@ int cmd_sweep(const Args& a) {
 
   // --trace FILE sweeps configurations over one prepared trace instead
   // of generating per job; the CSV is byte-identical across backends.
-  auto grid = driver::expand_sweep(spec, get(a, "trace", ""), [](const std::string& path) {
-    return std::make_shared<const trace::Trace>(trace::load_trace(path));
-  });
+  auto grid = driver::expand_sweep(spec, get(a, "trace", ""), driver::load_file);
 
   // --resume FILE: the grid points whose complete label row already
   // exists in FILE are skipped; the rest run in batches, each batch
@@ -551,27 +464,19 @@ int cmd_sweep(const Args& a) {
   std::vector<driver::JobResult> results;
   std::size_t appended = 0;
   if (!resume.empty()) {
-    // Checkpointed execution: batches of jobs, each appended + flushed on
-    // completion, then freed — a resumable sweep is exactly the kind too
-    // big to hold every result in memory. A kill between batches loses
-    // at most one batch.
+    // Checkpointed execution: each batch appended + flushed on completion,
+    // then freed — a resumable sweep is exactly the kind too big to hold
+    // every result in memory. A kill between batches loses at most one.
     std::ofstream f(resume, std::ios::app);
     if (!f) throw std::runtime_error("cannot open output file: " + resume);
-    const std::size_t batch = std::max<std::size_t>(16, runner.threads() * 4);
-    for (std::size_t first = 0; first < grid.jobs.size(); first += batch) {
-      const auto last = std::min(grid.jobs.size(), first + batch);
-      const auto b = grid.jobs.begin();
-      const std::vector<driver::SimJob> slice(
-          std::make_move_iterator(b + static_cast<std::ptrdiff_t>(first)),
-          std::make_move_iterator(b + static_cast<std::ptrdiff_t>(last)));
-      std::vector<driver::GroupDecodeStats> batch_stats;
-      const auto part =
-          runner.run(slice, want_decode_stats ? &batch_stats : nullptr);
-      for (const auto& r : part) f << driver::csv_row(r, grid.extra_csv_paths) << '\n';
-      f.flush();
-      appended += part.size();
-      decode_stats.insert(decode_stats.end(), batch_stats.begin(), batch_stats.end());
-    }
+    runner.run_batches(
+        grid.jobs,
+        [&](const auto& part) {
+          for (const auto& r : part) f << driver::csv_row(r, grid.extra_csv_paths) << '\n';
+          f.flush();
+          appended += part.size();
+        },
+        want_decode_stats ? &decode_stats : nullptr);
   } else {
     results = runner.run(grid.jobs, want_decode_stats ? &decode_stats : nullptr);
   }
