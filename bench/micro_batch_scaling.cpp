@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
   // SAME compressed .rsim through the stream backend. Private decode
   // inflates the LZ + bit-unpack work by the point count; the shared
   // producer (trace/batch_cache.hpp) decodes each chunk once and fans
-  // SoA batches out. The ratio is the headline decode-once win and is
+  // the decoded batches out. The ratio is the headline decode-once win and is
   // gated in CI on multi-core hosts (tools/check_bench_regression.py).
   const std::string fan_path =
       (std::filesystem::temp_directory_path() /

@@ -21,35 +21,35 @@
 namespace resim::baseline {
 
 /// TraceSource that pulls records from a live TraceGenerator, up to one
-/// container chunk at a time, into a reused batch.
+/// container chunk at a time, into a reused staging vector it lends in
+/// place.
 class StreamingTraceSource final : public trace::TraceSource {
  public:
   explicit StreamingTraceSource(trace::TraceGenerator& gen) : gen_(gen) {}
 
   [[nodiscard]] trace::BatchView fetch_view() override {
-    if (batch_.drained()) {
+    if (pos_ == staging_.size()) {
       staging_.clear();
+      pos_ = 0;
       while (staging_.size() < trace::kDefaultChunkRecords && gen_.step(staging_) != 0) {
       }
-      batch_.fill(staging_.data(), staging_.size());
     }
-    return batch_.view();
+    return {staging_.data() + pos_, staging_.size() - pos_};
   }
 
   void consume_view(std::size_t n) override {
-    bits_ += batch_.consume(n);
+    check_consume(n, staging_.size() - pos_);
+    pos_ += n;
     records_ += n;
   }
 
-  [[nodiscard]] std::uint64_t bits_consumed() const override { return bits_; }
   [[nodiscard]] std::uint64_t records_consumed() const override { return records_; }
 
  private:
   trace::TraceGenerator& gen_;
-  trace::CopiedBatch batch_;
   std::vector<trace::TraceRecord> staging_;
+  std::size_t pos_ = 0;  ///< next unconsumed record in staging_
   std::uint64_t records_ = 0;
-  std::uint64_t bits_ = 0;
 };
 
 struct CoupledResult {

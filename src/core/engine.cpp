@@ -183,7 +183,7 @@ SimResult ReSimEngine::result() const {
   r.major_cycles = cycle_;
   r.minor_cycles = static_cast<std::uint64_t>(cycle_) * sched_.latency();
   r.trace_records = src_.records_consumed();
-  r.trace_bits = src_.bits_consumed();
+  r.trace_bits = fetch_.wire_bits();
   r.stats = stats_;
   // Fold predictor and cache statistics into the report.
   r.stats.merge(bp_.stats());

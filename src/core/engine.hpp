@@ -300,12 +300,14 @@ class ReSimEngine {
   Cycle watchdog_cycles_ = 0;
 
   // Every record the engine reads comes through this cursor over src_'s
-  // SoA batch views (trace/reader.hpp): an index bump and an inlined
-  // column gather per record, one virtual fetch_view() per batch. Each
-  // reader (stage_fetch, squash_and_redirect, functional_warmup)
-  // flushes it before returning, so between stages and cycles the
-  // source's counters and position are exact and result() and the
-  // sampling driver see no batching.
+  // views (trace/reader.hpp): a pointer into the source's own
+  // TraceRecords, an index bump per record and one virtual fetch_view()
+  // per view. The cursor also sums the wire bits of every record it
+  // hands out, which result() reports as trace_bits. Each reader
+  // (stage_fetch, squash_and_redirect, functional_warmup) flushes it
+  // before returning, so between stages and cycles the source's record
+  // count and position are exact and result() and the sampling driver
+  // see no batching.
   trace::ViewCursor fetch_;
 
   // Fetch state.

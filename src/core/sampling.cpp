@@ -59,7 +59,7 @@ std::uint64_t ReSimEngine::functional_warmup(std::uint64_t max_records) {
   Addr pc = fetch_pc_;
   std::uint64_t done = 0;
   while (done < max_records && fetch_.peek() != nullptr) {
-    const trace::TraceRecord rec = fetch_.next();
+    const trace::TraceRecord& rec = fetch_.next();
     ++done;
     if (rec.wrong_path) continue;  // tagged: no architectural effect
 

@@ -214,11 +214,10 @@ const RecordBatch& BatchTraceSource::load_chunk(std::uint64_t idx, std::uint64_t
   return *batch_;
 }
 
-std::uint64_t BatchTraceSource::hop_chunk(std::uint64_t idx, std::uint64_t /*first*/) {
+void BatchTraceSource::hop_chunk(std::uint64_t idx, std::uint64_t /*first*/) {
   // Moving the position past the hopped chunk lets the others evict it.
   batch_.reset();
   cache_->update_position(id_, idx + 1);
-  return cache_->chunk(idx).header.raw_bytes;
 }
 
 void BatchTraceSource::restart() {

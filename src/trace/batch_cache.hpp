@@ -6,8 +6,9 @@
 // LZ-expands) every chunk itself, so an N-point sweep pays N full
 // decodes of identical bytes. The cache turns that into a decode-once
 // pipeline: the first consumer to need a chunk becomes its producer,
-// decodes it into an immutable SoA RecordBatch (batch.hpp), and every
-// other consumer picks the batch up by shared_ptr.
+// decodes it into an immutable RecordBatch of TraceRecords (batch.hpp),
+// and every other consumer reads that batch in place through its
+// shared_ptr.
 //
 // Memory stays bounded by `capacity` batches via LRU eviction with
 // backpressure:
@@ -59,8 +60,8 @@ namespace resim::trace {
 
 class SharedBatchCache {
  public:
-  /// ~16 batches * <=4096 records * 29 B/record: a low-single-digit-MB
-  /// window per workload group.
+  /// ~16 batches * <=4096 records * 40 B/record: about 2.6 MB per
+  /// workload group.
   static constexpr std::size_t kDefaultCapacity = 16;
 
   /// Opens `path`, validates the container header, and scans the chunk
@@ -171,7 +172,7 @@ class BatchTraceSource final : public ChunkCursor {
 
  private:
   const RecordBatch& load_chunk(std::uint64_t idx, std::uint64_t first) override;
-  std::uint64_t hop_chunk(std::uint64_t idx, std::uint64_t first) override;
+  void hop_chunk(std::uint64_t idx, std::uint64_t first) override;
   void restart() override;
 
   std::shared_ptr<SharedBatchCache> cache_;

@@ -110,15 +110,13 @@ void ChunkDecoder::decode_next(std::uint64_t n, RecordBatch& out) {
   const std::uint64_t left = left_ - k;
   left_ = 0;  // a record that fails to decode closes the chunk
   out.resize(k);
-  TraceRecord r;
   for (std::size_t i = 0; i < k; ++i) {
     try {
-      r = decode(br_);
+      out[i] = decode(br_);
     } catch (const std::out_of_range&) {
       fail(path_, "truncated payload at record " + std::to_string(next_record_ + i));
     }
-    if (delta_filtered_) delta_.unfilter(r);
-    out.set(i, r);
+    if (delta_filtered_) delta_.unfilter(out[i]);
   }
   next_record_ += k;
   left_ = left;

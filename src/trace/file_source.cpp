@@ -27,11 +27,10 @@ const RecordBatch& FileTraceSource::load_chunk(std::uint64_t idx, std::uint64_t 
   return batch_;
 }
 
-std::uint64_t FileTraceSource::hop_chunk(std::uint64_t idx, std::uint64_t first) {
+void FileTraceSource::hop_chunk(std::uint64_t idx, std::uint64_t first) {
   const ChunkHeader ch = read_chunk_header(*bytes_, header(), header().record_count - first);
   bytes_->seek(bytes_->pos() + ch.payload_bytes);
   check_end(idx + 1);
-  return ch.raw_bytes;
 }
 
 void FileTraceSource::restart() {

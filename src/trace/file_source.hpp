@@ -37,7 +37,7 @@ class FileTraceSource : public ChunkCursor {
 
  private:
   const RecordBatch& load_chunk(std::uint64_t idx, std::uint64_t first) override;
-  std::uint64_t hop_chunk(std::uint64_t idx, std::uint64_t first) override;
+  void hop_chunk(std::uint64_t idx, std::uint64_t first) override;
   void restart() override;
   /// Rejects bytes after the last chunk once chunk `idx` is passed.
   void check_end(std::uint64_t idx) const;

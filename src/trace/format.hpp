@@ -45,6 +45,15 @@ inline constexpr std::uint64_t kRegNone = 63;  ///< wire encoding of kNoReg
 /// Exact encoded size of a record in bits.
 [[nodiscard]] unsigned encoded_bits(const TraceRecord& r);
 
+/// encoded_bits() of a decoded record's format, by table lookup: the
+/// read path's per-record count (ViewCursor, reader.hpp), where the
+/// format sequence is data and a branch on it would mispredict. Index 3
+/// is the reserved tag, which decode() rejects.
+[[nodiscard]] inline unsigned format_bits(RecFormat fmt) {
+  static constexpr std::uint8_t kBits[4] = {kOtherBits, kMemBits, kBranchBits, kOtherBits};
+  return kBits[static_cast<std::uint8_t>(fmt) & 3];
+}
+
 /// Encodes one record; throws std::invalid_argument on a branch record
 /// with ctrl == kNone (the 2-bit ctrl field has no encoding for it).
 void encode(const TraceRecord& r, BitWriter& w);

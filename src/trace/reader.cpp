@@ -18,49 +18,12 @@ std::uint64_t TraceSource::skip(std::uint64_t n) {
   return done;
 }
 
-const TraceRecord* TraceSource::peek() {
-  const BatchView v = fetch_view();
-  if (v.empty()) return nullptr;
-  v.batch->get(v.first, peeked_);
-  return &peeked_;
-}
-
 TraceRecord TraceSource::next() {
   const TraceRecord* r = peek();
   if (r == nullptr) throw std::out_of_range("TraceSource::next: past end of stream");
   const TraceRecord out = *r;
   consume_view(1);
   return out;
-}
-
-// --- VectorTraceSource ---------------------------------------------------------
-
-BatchView VectorTraceSource::fetch_view() {
-  if (batch_.drained()) {
-    batch_.fill(trace_.records.data() + pos_,
-                std::min<std::size_t>(kDefaultChunkRecords, trace_.records.size() - pos_));
-  }
-  return batch_.view();
-}
-
-void VectorTraceSource::consume_view(std::size_t n) {
-  bits_ += batch_.consume(n);
-  pos_ += n;
-}
-
-std::uint64_t VectorTraceSource::skip(std::uint64_t n) {
-  const std::size_t k =
-      static_cast<std::size_t>(std::min<std::uint64_t>(n, trace_.records.size() - pos_));
-  for (std::size_t i = 0; i < k; ++i) bits_ += encoded_bits(trace_.records[pos_ + i]);
-  pos_ += k;
-  batch_.clear();
-  return k;
-}
-
-void VectorTraceSource::rewind() {
-  batch_.clear();
-  pos_ = 0;
-  bits_ = 0;
 }
 
 // --- ChunkCursor ---------------------------------------------------------------
@@ -76,15 +39,12 @@ BatchView ChunkCursor::fetch_view() {
     ++chunks_decoded_;
     max_batch_records_ = std::max(max_batch_records_, batch_->size());
   }
-  return {batch_, pos_, batch_->size() - pos_};
+  return {batch_->data() + pos_, batch_->size() - pos_};
 }
 
 void ChunkCursor::consume_view(std::size_t n) {
   if (n == 0) return;
-  if (batch_ == nullptr || n > batch_->size() - pos_) {
-    throw std::logic_error("ChunkCursor::consume_view: more than the view holds");
-  }
-  bits_ += batch_->bits_in(pos_, n);
+  check_consume(n, batch_ == nullptr ? 0 : batch_->size() - pos_);
   consumed_ += n;
   pos_ += n;
 }
@@ -98,11 +58,10 @@ std::uint64_t ChunkCursor::skip(std::uint64_t n) {
         std::min<std::uint64_t>(hdr_.record_count - loaded_, hdr_.chunk_records);
     if (n - done < len) break;
     batch_ = nullptr;
-    const std::uint64_t raw_bytes = hop_chunk(chunk_, loaded_);
+    hop_chunk(chunk_, loaded_);
     ++chunk_;
     loaded_ += len;
     consumed_ += len;
-    bits_ += raw_bytes * 8;
     done += len;
     ++chunks_skipped_;
   }
@@ -115,7 +74,6 @@ void ChunkCursor::rewind() {
   chunk_ = 0;
   loaded_ = 0;
   consumed_ = 0;
-  bits_ = 0;
   chunks_skipped_ = 0;
   restart();
 }

@@ -14,9 +14,10 @@
 //                     (chunk-hopping skip(); nothing is decoded or
 //                     counted here)
 //
-// bits_consumed()/records_consumed() count only records handed through
-// segments — gap records never appear in the consumer's totals, so an
-// engine run over a window reports the region's own trace statistics.
+// records_consumed() counts only records handed through segments — gap
+// records never appear in the consumer's totals, so an engine run over a
+// window reports the region's own trace statistics (and its ViewCursor,
+// which reads only segment records, the region's own wire bits).
 // inner_position() reports the absolute
 // record cursor of the inner source (its records_consumed(), which by
 // the TraceSource contract includes skipped records), which is what the
@@ -46,23 +47,19 @@ class SegmentedTraceSource final : public TraceSource {
     if (remaining_ == 0) return {};
     BatchView v = inner_.fetch_view();
     if (v.count > remaining_) v.count = static_cast<std::size_t>(remaining_);
-    last_view_ = v;
+    last_count_ = v.count;
     return v;
   }
 
   void consume_view(std::size_t n) override {
     if (n == 0) return;
-    if (last_view_.batch == nullptr || n > last_view_.count) {
-      throw std::logic_error("SegmentedTraceSource::consume_view: more than the view holds");
-    }
-    bits_ += last_view_.batch->bits_in(last_view_.first, n);
+    check_consume(n, last_count_);
     remaining_ -= n;
     consumed_ += n;
-    last_view_ = {};
+    last_count_ = 0;
     inner_.consume_view(n);
   }
 
-  [[nodiscard]] std::uint64_t bits_consumed() const override { return bits_; }
   [[nodiscard]] std::uint64_t records_consumed() const override { return consumed_; }
   [[nodiscard]] std::uint64_t total_records() const override { return inner_.total_records(); }
 
@@ -75,7 +72,7 @@ class SegmentedTraceSource final : public TraceSource {
   std::uint64_t close_segment() {
     const std::uint64_t unused = remaining_;
     remaining_ = 0;
-    last_view_ = {};
+    last_count_ = 0;
     return unused;
   }
 
@@ -99,8 +96,7 @@ class SegmentedTraceSource final : public TraceSource {
   TraceSource& inner_;
   std::uint64_t remaining_ = 0;  ///< current segment allowance
   std::uint64_t consumed_ = 0;   ///< records handed through segments
-  std::uint64_t bits_ = 0;
-  BatchView last_view_{};  ///< view handed out, for consume_view accounting
+  std::size_t last_count_ = 0;   ///< records in the view handed out
 };
 
 }  // namespace resim::trace

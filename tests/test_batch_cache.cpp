@@ -1,7 +1,7 @@
 // SharedBatchCache / BatchTraceSource: decode-once fan-out identity.
 //
 // The bar for every test here is byte-identity: reading a trace through
-// the shared-batch plane (SoA batches, one producer, N consumers) must
+// the shared-batch plane (decoded batches, one producer, N consumers) must
 // be indistinguishable — records, counters, engine results, sweep CSVs —
 // from the private per-job sources it replaces.
 #include <atomic>

@@ -193,10 +193,8 @@ TEST(Trace, TotalBitsMatchesPayload) {
   dec.decode_next(ch.record_count, decoded);
   EXPECT_EQ(dec.left(), 0u);
   ASSERT_EQ(decoded.size(), t.records.size());
-  TraceRecord r;
   for (std::size_t i = 0; i < decoded.size(); ++i) {
-    decoded.get(i, r);
-    EXPECT_TRUE(records_equal(t.records[i], r));
+    EXPECT_TRUE(records_equal(t.records[i], decoded[i]));
   }
 }
 
@@ -613,21 +611,40 @@ TEST(VectorTraceSource, RewindResetsConsumptionCounters) {
 
   VectorTraceSource src(t);
   while (src.peek() != nullptr) (void)src.next();
-  const auto bits_first = src.bits_consumed();
   const auto records_first = src.records_consumed();
   EXPECT_EQ(records_first, t.records.size());
-  EXPECT_GT(bits_first, 0u);
 
   src.rewind();
-  EXPECT_EQ(src.bits_consumed(), 0u);
   EXPECT_EQ(src.records_consumed(), 0u);
   ASSERT_NE(src.peek(), nullptr);
   EXPECT_TRUE(records_equal(*src.peek(), t.records.front()));
 
-  // A full second pass consumes exactly the same bit/record totals.
+  // A full second pass consumes exactly the same record total.
   while (src.peek() != nullptr) (void)src.next();
-  EXPECT_EQ(src.bits_consumed(), bits_first);
   EXPECT_EQ(src.records_consumed(), records_first);
+}
+
+TEST(VectorTraceSource, LendsTheTraceInPlace) {
+  // The view is the rest of the trace itself, not a copy: after a skip
+  // and partial consumes it starts at the next unconsumed record of
+  // trace.records and runs to its end.
+  Rng rng(11);
+  Trace t;
+  for (int i = 0; i < 10000; ++i) t.records.push_back(random_record(rng));
+
+  VectorTraceSource src(t);
+  EXPECT_EQ(src.skip(4100), 4100u);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{37}, std::size_t{4095}}) {
+    BatchView v = src.fetch_view();
+    ASSERT_EQ(v.records, t.records.data() + src.records_consumed());
+    ASSERT_EQ(v.count, t.records.size() - src.records_consumed());
+    src.consume_view(n);
+    v = src.fetch_view();
+    EXPECT_EQ(v.records, t.records.data() + src.records_consumed());
+    EXPECT_EQ(v.count, t.records.size() - src.records_consumed());
+  }
+  EXPECT_EQ(src.peek(), t.records.data() + src.records_consumed());
+  EXPECT_THROW(src.consume_view(t.records.size()), std::logic_error);
 }
 
 // ---- container v4 (delta pre-filter ahead of LZ) --------------------------
@@ -768,7 +785,6 @@ TEST(VectorTraceSource, RewindMidStream) {
   EXPECT_EQ(src.records_consumed(), 2u);
   src.rewind();
   EXPECT_EQ(src.records_consumed(), 0u);
-  EXPECT_EQ(src.bits_consumed(), 0u);
   EXPECT_TRUE(records_equal(src.next(), t.records[0]));
 }
 
@@ -873,7 +889,6 @@ TEST(ChunkDecoder, RoundTripAtEveryTailOffset) {
   std::set<std::uint64_t> tail_offsets;
   ChunkDecoder dec("tail");
   RecordBatch batch;
-  TraceRecord got;
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
     Rng rng(seed);
     for (std::uint64_t chunk = 0; chunk < 120; ++chunk) {
@@ -897,8 +912,7 @@ TEST(ChunkDecoder, RoundTripAtEveryTailOffset) {
         while (dec.left() > 0) {
           dec.decode_next(1 + rng.below(n), batch);
           for (std::size_t i = 0; i < batch.size(); ++i, ++next) {
-            batch.get(i, got);
-            ASSERT_TRUE(records_equal(got, records[next]))
+            ASSERT_TRUE(records_equal(batch[i], records[next]))
                 << "seed " << seed << " n " << n << " stored " << int(how) << " record "
                 << next;
           }
@@ -1068,7 +1082,6 @@ TEST(ChunkDecoder, RawPayloadEndingAtAGuardPageIsNotReadPast) {
   ASSERT_EQ(::mprotect(base + page, page, PROT_NONE), 0);
   ChunkDecoder dec("guard");
   RecordBatch batch;
-  TraceRecord got;
   Rng rng(5);
   for (int round = 0; round < 3; ++round) {
     for (std::uint64_t n = 1; n <= 40; ++n) {
@@ -1084,8 +1097,7 @@ TEST(ChunkDecoder, RawPayloadEndingAtAGuardPageIsNotReadPast) {
       dec.decode_next(n, batch);
       ASSERT_EQ(batch.size(), n);
       for (std::size_t i = 0; i < n; ++i) {
-        batch.get(i, got);
-        ASSERT_TRUE(records_equal(got, records[i])) << "n " << n << " record " << i;
+        ASSERT_TRUE(records_equal(batch[i], records[i])) << "n " << n << " record " << i;
       }
     }
   }

@@ -16,6 +16,7 @@
 #include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "driver/batch_runner.hpp"
+#include "driver/sampling.hpp"
 #include "trace/batch_cache.hpp"
 #include "trace/file_source.hpp"
 #include "trace/mmap_source.hpp"
@@ -45,11 +46,12 @@ std::string temp_path(const std::string& leaf) { return ::testing::TempDir() + "
 // through SegmentedTraceSource by seeded (skip, warmup, window) draws and
 // drained by all three reading styles (peek/next, partial views, a
 // ViewCursor). Every source must hand over exactly the records a plain
-// index walk over the trace predicts, with identical records_consumed
-// and bits_consumed; the chunk cursors must also agree on the inner
-// accounting (chunk hops count frame bits) and on chunks_skipped, and
-// hold at most one chunk decoded (a v1 payload, one unframed chunk, is
-// decoded in kDefaultChunkRecords-record pieces: two here).
+// index walk over the trace predicts, with identical records_consumed;
+// the chunk cursors must also agree on chunks_skipped, and hold at most
+// one chunk decoded (a v1 payload, one unframed chunk, is decoded in
+// kDefaultChunkRecords-record pieces: two here). Wire bits are counted
+// by the engine's cursor alone; EngineResultsMatchOverAWindow
+// checks that count on every source.
 
 constexpr std::uint32_t kChunk = 512;
 constexpr std::uint64_t kRecords = 5000;  // 9 full chunks + a 392-record tail
@@ -127,13 +129,9 @@ void drain_segment(SegmentedTraceSource& seg, unsigned style, Rng& rng,
   if (style == 0) {
     while (seg.peek() != nullptr) out.push_back(seg.next());
   } else if (style == 1) {
-    TraceRecord r;
     for (BatchView v = seg.fetch_view(); !v.empty(); v = seg.fetch_view()) {
       const std::size_t k = 1 + rng.below(v.count);  // partial views too
-      for (std::size_t i = 0; i < k; ++i) {
-        v.batch->get(v.first + i, r);
-        out.push_back(r);
-      }
+      out.insert(out.end(), v.records, v.records + k);
       seg.consume_view(k);
     }
   } else {
@@ -147,7 +145,7 @@ void drain_segment(SegmentedTraceSource& seg, unsigned style, Rng& rng,
 struct Trail {
   std::vector<TraceRecord> records;
   std::vector<std::uint64_t> counters;  ///< segment + inner accounting
-  std::vector<std::uint64_t> inner;     ///< inner bits and chunks_skipped (cursors)
+  std::vector<std::uint64_t> inner;     ///< chunks_skipped (cursors)
 };
 
 Trail run_draw(Reader& rd, const std::vector<Region>& regions, std::uint64_t seed) {
@@ -162,12 +160,8 @@ Trail run_draw(Reader& rd, const std::vector<Region>& regions, std::uint64_t see
       drain_segment(seg, style++ % 3, rng, t.records);
       seg.close_segment();
       t.counters.push_back(seg.records_consumed());
-      t.counters.push_back(seg.bits_consumed());
       t.counters.push_back(seg.inner_position());
-      if (rd.cursor != nullptr) {
-        t.inner.push_back(rd.src->bits_consumed());
-        t.inner.push_back(rd.cursor->chunks_skipped());
-      }
+      if (rd.cursor != nullptr) t.inner.push_back(rd.cursor->chunks_skipped());
     }
   }
   return t;
@@ -179,21 +173,16 @@ Trail expected_draw(const Trace& trace, const std::vector<Region>& regions) {
   const std::uint64_t n = trace.records.size();
   std::uint64_t pos = 0;
   std::uint64_t seg_records = 0;
-  std::uint64_t seg_bits = 0;
   for (const Region& r : regions) {
     const std::uint64_t skipped = std::min(r.skip, n - pos);
     pos += skipped;
     t.counters.push_back(skipped);
     for (const std::uint64_t len : {r.warmup, r.window}) {
       const std::uint64_t take = std::min(len, n - pos);
-      for (std::uint64_t i = 0; i < take; ++i) {
-        t.records.push_back(trace.records[pos + i]);
-        seg_bits += encoded_bits(trace.records[pos + i]);
-      }
+      for (std::uint64_t i = 0; i < take; ++i) t.records.push_back(trace.records[pos + i]);
       pos += take;
       seg_records += take;
       t.counters.push_back(seg_records);
-      t.counters.push_back(seg_bits);
       t.counters.push_back(pos);
     }
   }
@@ -251,7 +240,6 @@ TEST_P(SourceEquivalence, EverySourceAgreesOnSeededWindows) {
       // rewind() restarts every cursor from record zero.
       rd.cursor->rewind();
       EXPECT_EQ(rd.src->records_consumed(), 0u);
-      EXPECT_EQ(rd.src->bits_consumed(), 0u);
       EXPECT_EQ(rd.cursor->chunks_skipped(), 0u);
       ASSERT_NE(rd.src->peek(), nullptr);
       EXPECT_TRUE(records_equal(rd.src->next(), trace_.records.front()));
@@ -282,25 +270,66 @@ TEST_P(SourceEquivalence, SkipHopsWholeChunksUnread) {
   }
 }
 
+/// Wire bits of trace records [first, first + n).
+std::uint64_t bits_of(const Trace& t, std::uint64_t first, std::uint64_t n) {
+  std::uint64_t bits = 0;
+  for (std::uint64_t i = first; i < first + n; ++i) bits += encoded_bits(t.records[i]);
+  return bits;
+}
+
 TEST_P(SourceEquivalence, EngineResultsMatchOverAWindow) {
+  // Whole, windowed (the skip hops four 512-record chunks) and sampled
+  // runs on every source. The engine's cursor is the one wire-bit
+  // count: trace_bits must be the encoded_bits of exactly the records
+  // the engine consumed, and every source must agree on every result.
   const auto cfg = core::CoreConfig::paper_4wide_perfect();
-  std::vector<core::SimResult> results;
-  for (Reader& rd : open_all()) {
-    SegmentedTraceSource seg(*rd.src);
-    (void)seg.skip_gap(2100);
-    seg.open_segment(2000);
-    results.push_back(core::ReSimEngine(cfg, seg).run());
-    if (rd.cursor != nullptr) {
-      EXPECT_LE(rd.cursor->max_batch_records(), decoded_bound()) << rd.name;
+  const auto plan = driver::SamplingPlan::uniform(kRecords, /*k=*/3, /*w=*/400, /*u=*/300);
+  for (const char* mode : {"whole", "window", "sampled"}) {
+    SCOPED_TRACE(mode);
+    std::vector<core::SimResult> results;
+    for (Reader& rd : open_all()) {
+      SCOPED_TRACE(rd.name);
+      core::SimResult r;
+      std::uint64_t want_records = 0;
+      std::uint64_t want_bits = 0;
+      if (mode == std::string("whole")) {
+        r = core::ReSimEngine(cfg, *rd.src).run();
+        want_records = kRecords;
+        want_bits = trace_.total_bits();
+      } else if (mode == std::string("window")) {
+        SegmentedTraceSource seg(*rd.src);
+        ASSERT_EQ(seg.skip_gap(2100), 2100u);
+        seg.open_segment(2000);
+        r = core::ReSimEngine(cfg, seg).run();
+        want_records = 2000;
+        want_bits = bits_of(trace_, 2100, 2000);
+        if (rd.cursor != nullptr && GetParam() != kContainerV1) {
+          EXPECT_EQ(rd.cursor->chunks_skipped(), 4u);
+        }
+      } else {
+        const driver::SampledResult s = driver::run_sampled(cfg, *rd.src, plan);
+        ASSERT_EQ(s.windows.size(), plan.starts.size());
+        for (const driver::SampledWindow& w : s.windows) {
+          want_records += w.warmup_used + w.records;
+          want_bits += bits_of(trace_, w.start - w.warmup_used, w.warmup_used + w.records);
+        }
+        r = s.result;
+      }
+      EXPECT_EQ(r.trace_records, want_records);
+      EXPECT_EQ(r.trace_bits, want_bits);
+      if (rd.cursor != nullptr) {
+        EXPECT_LE(rd.cursor->max_batch_records(), decoded_bound());
+      }
+      results.push_back(r);
     }
-  }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].committed, results[0].committed);
-    EXPECT_EQ(results[i].fetched, results[0].fetched);
-    EXPECT_EQ(results[i].squashed, results[0].squashed);
-    EXPECT_EQ(results[i].major_cycles, results[0].major_cycles);
-    EXPECT_EQ(results[i].trace_records, results[0].trace_records);
-    EXPECT_EQ(results[i].trace_bits, results[0].trace_bits);
+    for (std::size_t i = 1; i < results.size(); ++i) {
+      EXPECT_EQ(results[i].committed, results[0].committed);
+      EXPECT_EQ(results[i].fetched, results[0].fetched);
+      EXPECT_EQ(results[i].squashed, results[0].squashed);
+      EXPECT_EQ(results[i].major_cycles, results[0].major_cycles);
+      EXPECT_EQ(results[i].trace_records, results[0].trace_records);
+      EXPECT_EQ(results[i].trace_bits, results[0].trace_bits);
+    }
   }
 }
 

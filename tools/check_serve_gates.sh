@@ -15,8 +15,11 @@
 #    pinned --set.
 #
 # Then `status` must count exactly two trace loads, and a `shutdown`
-# request must drain the daemon and exit it cleanly. Last, docs/SERVE.md's
-# protocol tables must equal `serve --protocol-markdown`.
+# request must drain the daemon and exit it cleanly. A second daemon then
+# takes raw bytes no well-behaved client sends (the hostile-input probe):
+# each must be answered with its named error or a clean drop, and the
+# daemon must still serve `sim --json` bytes afterwards. Last,
+# docs/SERVE.md's protocol tables must equal `serve --protocol-markdown`.
 #
 # Usage: tools/check_serve_gates.sh path/to/resim_cli
 # Works in a scratch directory (with the daemon's socket) that it deletes
@@ -106,6 +109,82 @@ client --shutdown
 wait "$serve_pid"
 serve_pid=
 grep -q "shut down" serve_log.txt
+
+echo "== hostile input"
+# Invalid JSON, unknown request types, zero and oversized length
+# prefixes, truncated frames and a mid-request disconnect: every one is
+# answered with a NAMED error (or a clean drop), and the daemon keeps
+# serving afterwards.
+"$cli" serve --socket hostile.sock -j 2 2> hostile_log.txt &
+serve_pid=$!
+for _ in $(seq 50); do [ -S hostile.sock ] && break; sleep 0.1; done
+python3 - <<'PY'
+import socket, struct
+
+def conn():
+    s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    s.connect("hostile.sock")
+    assert "hello" in read_frame(s)
+    return s
+
+def read_frame(s):
+    hdr = b""
+    while len(hdr) < 4:
+        b = s.recv(4 - len(hdr))
+        if not b:
+            return None
+        hdr += b
+    (n,) = struct.unpack("<I", hdr)
+    body = b""
+    while len(body) < n:
+        c = s.recv(n - len(body))
+        if not c:
+            return None
+        body += c
+    return body.decode()
+
+def frame(payload):
+    b = payload.encode()
+    return struct.pack("<I", len(b)) + b
+
+s = conn()
+s.sendall(frame("not json at all"))
+r = read_frame(s); assert '"code":"bad-json"' in r, r
+s.sendall(frame('{"type":"frobnicate","id":"x"}'))
+r = read_frame(s); assert '"code":"unknown-type"' in r, r
+s.sendall(frame('{"type":"sim","id":"x"}'))
+r = read_frame(s); assert '"code":"bad-request"' in r, r
+s.close()
+
+s = conn()  # oversized length prefix: error, then dropped
+s.sendall(struct.pack("<I", (8 << 20) + 1))
+r = read_frame(s); assert '"code":"frame-too-large"' in r, r
+assert read_frame(s) is None
+s.close()
+
+s = conn()  # zero-length frame: error, then dropped
+s.sendall(b"\0\0\0\0")
+r = read_frame(s); assert '"code":"bad-frame"' in r, r
+assert read_frame(s) is None
+s.close()
+
+s = conn()  # truncated frame, then vanish
+s.sendall(struct.pack("<I", 100) + b"x" * 10)
+s.close()
+
+s = conn()  # valid request, then vanish before the response
+s.sendall(frame('{"type":"sim","id":"doomed","trace":"ci.rsim"}'))
+s.close()
+print("hostile probe: every case answered by name, no crash")
+PY
+# The daemon is still standing and still serving the CLI's bytes.
+"$cli" client --socket hostile.sock --ping
+"$cli" client --socket hostile.sock --sim --trace ci.rsim \
+    --config "$configs/paper_4wide_perfect.cfg" --out after.json
+cmp cli_new.json after.json
+"$cli" client --socket hostile.sock --shutdown
+wait "$serve_pid"
+serve_pid=
 
 echo "== doc drift"
 # docs/SERVE.md's message-type and error-code tables are generated from

@@ -6,6 +6,10 @@
 #    the memory, stream and mmap backends, containers v2/v3/v4, -j1/-jN
 #    and shared decode on/off; LZ halves the container at least, and the
 #    delta pre-filter never loses to plain LZ;
+#  * windowed round trip: over 1000-record chunks, full and windowed
+#    (`--skip 15000 --warmup 1000`) sims agree on every backend and
+#    container while the skip hops whole (compressed) chunks unread,
+#    plus a spec sweep with --json/--csv-full exports;
 #  * decode-once: a same-trace file-backend sweep decodes every chunk
 #    exactly once at any -j (tools/check_decode_once.py).
 #
@@ -62,6 +66,35 @@ cmp tracefile_shared.csv tracefile_streamed.csv
 cmp tracefile_shared.csv tracefile_mmap_lz.csv
 cmp tracefile_shared.csv tracefile_stream_v4.csv
 cmp tracefile_shared.csv tracefile_private_v4.csv
+
+echo "== windowed round trip"
+# Small chunks put many chunk boundaries inside the skip and the window.
+"$cli" gen --bench parser --insts 20000 --chunk 1000 --out san.rsim
+"$cli" gen --bench parser --insts 20000 --chunk 1000 --compress --out san_lz.rsim
+"$cli" gen --bench parser --insts 20000 --chunk 1000 --compress --prefilter --out san_v4.rsim
+"$cli" sim --trace san.rsim > san_mem.txt
+for src in san.rsim san_lz.rsim san_v4.rsim; do
+  for backend in stream mmap; do
+    "$cli" sim --trace "$src" --backend "$backend" > san_b.txt
+    diff san_mem.txt san_b.txt
+  done
+done
+# Chunk-skipping seek over compressed chunks: the windowed run must
+# match while seeking whole chunks unread (never inflated).
+"$cli" sim --trace san.rsim --skip 15000 --warmup 1000 > san_win_mem.txt
+"$cli" sim --trace san_lz.rsim --skip 15000 --warmup 1000 --backend stream > san_win_stream.txt
+"$cli" sim --trace san_lz.rsim --skip 15000 --warmup 1000 --backend mmap > san_win_mmap.txt
+"$cli" sim --trace san_v4.rsim --skip 15000 --warmup 1000 --backend stream > san_win_v4.txt
+grep -q "chunk-skip seek jumped" san_win_stream.txt
+grep -q "chunk-skip seek jumped" san_win_mmap.txt
+grep -q "chunk-skip seek jumped" san_win_v4.txt
+diff <(grep -v "chunk-skip" san_win_mem.txt) <(grep -v "chunk-skip" san_win_stream.txt)
+diff <(grep -v "chunk-skip" san_win_mem.txt) <(grep -v "chunk-skip" san_win_mmap.txt)
+diff <(grep -v "chunk-skip" san_win_mem.txt) <(grep -v "chunk-skip" san_win_v4.txt)
+# Spec sweep exports (cli_gates compares them across -j; under the
+# sanitizers this run must simply come out clean).
+"$cli" sweep -j 2 --spec "$spec" --insts 3000 --out /dev/null --json san.json \
+    --csv-full san_full.csv
 
 echo "== decode-once gate"
 # The checker's own teeth first: its --self-test doctors a stats export
