@@ -131,6 +131,25 @@ test "$(wc -l < iv.csv)" -eq 6  # header + 5 x 10000-inst rows
 "$cli" sim --trace ci.rsim --set sample.interval_insts=10000 \
     --intervals iv.json > /dev/null
 grep -q '"interval_insts": 10000' iv.json
+# Interval rows, sampled windows and the post-warm-up region, pinned to
+# tests/golden/region_*: a whole, a windowed and a sampled run on the
+# cache machine with a 2-level predictor, so every column moves.
+for run in whole window sampled; do
+  case $run in
+    whole) args=(--set sample.interval_insts=5000) ;;
+    window) args=(--skip 17000 --warmup 3000 --max-records 20000
+                  --set sample.interval_insts=2000) ;;
+    sampled) args=(--set sample.windows=5 --set sample.window_insts=3000
+                   --set sample.warmup_insts=1000 --set sample.interval_insts=600) ;;
+  esac
+  for ext in csv json; do
+    "$cli" sim --trace ci.rsim --config "$configs/paper_2wide_cache.cfg" \
+        --set bp.kind=2lev "${args[@]}" --intervals "region_$run.$ext" > "region_$run.txt"
+    cmp "$root/tests/golden/region_$run.$ext" "region_$run.$ext"
+  done
+done
+cmp "$root/tests/golden/region_window.txt" region_window.txt
+cmp "$root/tests/golden/region_sampled.txt" region_sampled.txt
 # Sampling is a sweep axis: byte-identical across thread counts.
 printf 'pipeline.variant = optimized\ncore.width = 2,4\ncore.rob_size = 16\nbp.kind = 2lev\n' \
     > widths.spec
