@@ -84,7 +84,6 @@ class BitReader {
   /// Skip to the next byte boundary.
   void align_byte();
 
-  [[nodiscard]] std::uint64_t bit_pos() const { return bit_pos_; }
   [[nodiscard]] std::uint64_t bits_remaining() const {
     return data_.size() * 8 - bit_pos_;
   }

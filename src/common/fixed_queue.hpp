@@ -39,12 +39,6 @@ class FixedQueue {
     return buf_[head_];
   }
 
-  /// Element i positions from the front (0 == front).
-  [[nodiscard]] const T& at(std::size_t i) const {
-    if (i >= size_) throw std::out_of_range("FixedQueue::at");
-    return buf_[wrap(head_ + i)];
-  }
-
   T pop() {
     if (empty()) throw std::logic_error("FixedQueue::pop on empty queue");
     T v = buf_[head_];
@@ -56,24 +50,6 @@ class FixedQueue {
   void clear() {
     head_ = 0;
     size_ = 0;
-  }
-
-  /// Drop every element for which pred(elem) is true (used for squash).
-  template <typename Pred>
-  std::size_t remove_if(Pred pred) {
-    std::size_t kept = 0, removed = 0;
-    const std::size_t n = size_;
-    for (std::size_t i = 0; i < n; ++i) {
-      T& v = buf_[wrap(head_ + i)];
-      if (pred(v)) {
-        ++removed;
-      } else {
-        buf_[wrap(head_ + kept)] = v;
-        ++kept;
-      }
-    }
-    size_ = kept;
-    return removed;
   }
 
  private:

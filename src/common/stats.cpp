@@ -2,7 +2,6 @@
 
 #include <iomanip>
 #include <sstream>
-#include <stdexcept>
 
 namespace resim {
 
@@ -36,12 +35,6 @@ bool StatsRegistry::has_counter(std::string_view name) const {
   return it != counters_.end() && it->second.touched();
 }
 
-double StatsRegistry::ratio(std::string_view num, std::string_view den) const {
-  const auto d = value(den);
-  if (d == 0) return 0.0;
-  return static_cast<double>(value(num)) / static_cast<double>(d);
-}
-
 void StatsRegistry::merge(const StatsRegistry& other) {
   for (const auto& [name, c] : other.counters_) {
     if (c.touched()) counter(name).add(c.value());
@@ -49,54 +42,6 @@ void StatsRegistry::merge(const StatsRegistry& other) {
   for (const auto& [name, o] : other.occupancies_) {
     if (o.touched()) occupancy(name).merge_from(o);
   }
-}
-
-void StatsRegistry::reset() {
-  for (auto& [name, c] : counters_) c.reset();
-  for (auto& [name, o] : occupancies_) o.reset();
-}
-
-StatsSnapshot StatsRegistry::snapshot() const {
-  StatsSnapshot s;
-  for (const auto& [name, c] : counters_) {
-    if (c.touched()) s.counters.emplace(name, c.value());
-  }
-  for (const auto& [name, o] : occupancies_) {
-    if (o.touched()) {
-      s.occupancies.emplace(name, StatsSnapshot::Occ{o.sum(), o.samples(), o.max()});
-    }
-  }
-  return s;
-}
-
-StatsSnapshot StatsRegistry::delta(const StatsSnapshot& newer, const StatsSnapshot& older) {
-  StatsSnapshot d;
-  for (const auto& [name, v] : newer.counters) {
-    const std::uint64_t base = older.value(name);
-    if (v < base) {
-      std::string msg = "StatsRegistry::delta: counter '";
-      msg += name;
-      msg += "' decreased between snapshots";
-      throw std::logic_error(msg);
-    }
-    d.counters.emplace(name, v - base);
-  }
-  for (const auto& [name, o] : newer.occupancies) {
-    StatsSnapshot::Occ base{};
-    if (auto it = older.occupancies.find(name); it != older.occupancies.end()) {
-      base = it->second;
-    }
-    if (o.sum < base.sum || o.samples < base.samples) {
-      std::string msg = "StatsRegistry::delta: occupancy '";
-      msg += name;
-      msg += "' decreased between snapshots";
-      throw std::logic_error(msg);
-    }
-    // max is the newer running max: an upper bound for the region, since
-    // a running max cannot be subtracted (documented on StatsSnapshot).
-    d.occupancies.emplace(name, StatsSnapshot::Occ{o.sum - base.sum, o.samples - base.samples, o.max});
-  }
-  return d;
 }
 
 std::string StatsRegistry::report() const {

@@ -19,8 +19,7 @@
 // event has touched it (add()/sample(), including add(0)). Resolving a
 // handle alone does not publish the name, so eager handle resolution is
 // invisible in the output — reports stay byte-identical with the old
-// create-on-first-event behavior. reset() zeroes values but keeps
-// touched stats visible, exactly like the old name-persistence.
+// create-on-first-event behavior.
 #ifndef RESIM_COMMON_STATS_H
 #define RESIM_COMMON_STATS_H
 
@@ -41,7 +40,6 @@ class Counter {
   [[nodiscard]] std::uint64_t value() const { return value_; }
   /// An event has hit this counter (controls report/export visibility).
   [[nodiscard]] bool touched() const { return touched_; }
-  void reset() { value_ = 0; }
 
  private:
   std::uint64_t value_ = 0;
@@ -64,7 +62,6 @@ class Occupancy {
   [[nodiscard]] std::uint64_t sum() const { return sum_; }
   [[nodiscard]] std::uint64_t samples() const { return samples_; }
   [[nodiscard]] bool touched() const { return touched_; }
-  void reset() { sum_ = samples_ = max_ = 0; }
 
   /// Fold another tracker in: the union average weighs each side by its
   /// sample count, the union max is the max of maxima.
@@ -82,34 +79,6 @@ class Occupancy {
   bool touched_ = false;
 };
 
-/// A cheap, value-typed capture of a registry's touched stats at one
-/// instant. Snapshots exist so interval recorders and sampled runs can
-/// compute per-region deltas without string lookups in the cycle loop:
-/// the engine snapshots at region boundaries (cold path), and
-/// StatsRegistry::delta() subtracts two snapshots into a region-local
-/// view. Untouched (resolved-but-silent) stats are excluded, mirroring
-/// the report()/merge() visibility contract.
-struct StatsSnapshot {
-  struct Occ {
-    std::uint64_t sum = 0;
-    std::uint64_t samples = 0;
-    /// Running max at snapshot time. A max cannot be "un-merged", so in
-    /// a delta this carries the NEWER snapshot's max (upper bound for
-    /// the region), not a region-exact max.
-    std::uint64_t max = 0;
-  };
-
-  std::map<std::string, std::uint64_t, std::less<>> counters;
-  std::map<std::string, Occ, std::less<>> occupancies;
-
-  /// Counter value by name; 0 if absent (same contract as
-  /// StatsRegistry::value on an untouched name).
-  [[nodiscard]] std::uint64_t value(std::string_view name) const {
-    auto it = counters.find(name);
-    return it == counters.end() ? 0 : it->second;
-  }
-};
-
 /// Named registry. Counters and occupancy trackers are created on first
 /// use; names are hierarchical by convention ("fetch.insn", "bpred.dir_hits").
 /// References returned by counter()/occupancy() are stable handles: the
@@ -123,29 +92,11 @@ class StatsRegistry {
   [[nodiscard]] std::uint64_t value(std::string_view name) const;
   [[nodiscard]] bool has_counter(std::string_view name) const;
 
-  /// Ratio of two counters; 0 if the denominator is 0.
-  [[nodiscard]] double ratio(std::string_view num, std::string_view den) const;
-
   /// Fold another registry into this one: touched counters add their
   /// values, touched occupancy trackers merge sums/samples and take the
   /// max of maxima. Untouched (resolved-but-silent) stats are skipped,
   /// so merging never publishes names the source never reported.
   void merge(const StatsRegistry& other);
-
-  void reset();
-
-  /// Capture every touched stat's current value. O(stats) map copies —
-  /// cold-path only (region boundaries), never per cycle.
-  [[nodiscard]] StatsSnapshot snapshot() const;
-
-  /// Region delta between two snapshots of the SAME monotonically
-  /// advancing registry: counters subtract (a name absent from `older`
-  /// counts as 0), occupancy sums/samples subtract, occupancy max is
-  /// `newer`'s running max (see StatsSnapshot::Occ). Throws
-  /// std::logic_error naming the stat if any value decreased — that
-  /// means the snapshots are from different registries or out of order.
-  [[nodiscard]] static StatsSnapshot delta(const StatsSnapshot& newer,
-                                           const StatsSnapshot& older);
 
   /// sim-outorder style text report, one "name  value" line per touched
   /// stat, sorted by name.

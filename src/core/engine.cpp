@@ -127,8 +127,6 @@ void ReSimEngine::sample_occupancy_and_advance() {
   ostat_.rob.sample(rob_.size());
   ostat_.lsq.sample(lsq_.size());
   ++cycle_;
-  // One never-taken compare when no recorder is attached (sentinel ~0).
-  if (committed_ >= interval_next_) record_interval_boundary();
 }
 
 void ReSimEngine::wake_dependents(int producer_slot) {

@@ -56,8 +56,6 @@
 
 namespace resim::core {
 
-class IntervalRecorder;  // core/interval.hpp
-
 // --- per-stage statistics structs ------------------------------------------
 // Each stage resolves its counters ONCE at engine construction (the
 // constructors live in the stage's own translation unit, next to the code
@@ -155,16 +153,45 @@ struct SimResult {
     return major_cycles == 0 ? 0.0
                              : static_cast<double>(committed) / static_cast<double>(major_cycles);
   }
-  /// Records processed per major cycle (Table 3 counts wrong-path work).
-  [[nodiscard]] double processed_per_cycle() const {
-    return major_cycles == 0
-               ? 0.0
-               : static_cast<double>(trace_records) / static_cast<double>(major_cycles);
-  }
   [[nodiscard]] double bits_per_record() const {
     return trace_records == 0
                ? 0.0
                : static_cast<double>(trace_bits) / static_cast<double>(trace_records);
+  }
+};
+
+/// A stretch of a run: the difference of two ReSimEngine::region()
+/// readings (or one reading: the stretch since construction). An
+/// interval row, a sampled window and the post-warm-up region are each
+/// one Region.
+struct Region {
+  std::uint64_t committed = 0;   ///< correct-path instructions committed
+  std::uint64_t cycles = 0;      ///< major cycles
+  std::uint64_t branches = 0;    ///< committed branches ("commit.branches")
+  std::uint64_t mispredicts = 0; ///< resolved mispredicts ("fetch.mispredicts")
+  std::uint64_t il1_misses = 0;  ///< L1-I misses, functional warmup's included (0 when perfect)
+  std::uint64_t dl1_misses = 0;  ///< L1-D misses, functional warmup's included (0 when perfect)
+
+  /// The stretch from reading `from` to this later reading.
+  [[nodiscard]] Region operator-(const Region& from) const {
+    return {committed - from.committed,   cycles - from.cycles,
+            branches - from.branches,     mispredicts - from.mispredicts,
+            il1_misses - from.il1_misses, dl1_misses - from.dl1_misses};
+  }
+  [[nodiscard]] double ipc() const {
+    return cycles == 0 ? 0.0 : static_cast<double>(committed) / static_cast<double>(cycles);
+  }
+  /// Combined L1 misses per kilo-instruction (committed).
+  [[nodiscard]] double mpki() const {
+    return committed == 0 ? 0.0
+                          : 1000.0 * static_cast<double>(il1_misses + dl1_misses) /
+                                static_cast<double>(committed);
+  }
+  /// Branch mispredicts per kilo-instruction (committed).
+  [[nodiscard]] double branch_mpki() const {
+    return committed == 0
+               ? 0.0
+               : 1000.0 * static_cast<double>(mispredicts) / static_cast<double>(committed);
   }
 };
 
@@ -206,24 +233,12 @@ class ReSimEngine {
   /// Cold: the cycle loop never calls it; tests call it between cycles.
   void check_invariants() const;
 
-  // --- sampling / interval-stats plane (core/sampling.cpp) ----------------
+  // --- sampling plane (core/sampling.cpp) -----------------------------------
 
-  /// Full-view snapshot of the engine's statistics: core stats merged
-  /// with predictor and cache stats, exactly the registry result()
-  /// reports. Cold path (region/interval boundaries only).
-  [[nodiscard]] StatsSnapshot stats_snapshot() const;
-
-  /// Attach (or detach with nullptr) an interval recorder. While
-  /// attached, every rec->interval_insts() committed instructions the
-  /// engine closes an interval with a stats snapshot. The steady-state
-  /// cost in the cycle loop is one integer compare; with no recorder the
-  /// threshold is an unreachable sentinel.
-  void attach_interval_recorder(IntervalRecorder* rec);
-
-  /// Close the trailing partial interval (no-op if empty or detached).
-  /// Call after the run drains; run()/result() do not do this implicitly
-  /// because result() is const and repeatable.
-  void flush_intervals();
+  /// The counts a measured stretch is cut from, since construction; the
+  /// stretch between two readings is their difference. Reads the stage
+  /// counters and the L1 caches directly: cheap enough for any boundary.
+  [[nodiscard]] Region region() const;
 
   /// Functional warmup (docs/SAMPLING.md): consume up to `max_records`
   /// records from the source, updating the branch predictor and caches
@@ -322,14 +337,6 @@ class ReSimEngine {
   // Per-cycle port usage.
   unsigned read_ports_used_ = 0;
   unsigned write_ports_used_ = 0;
-
-  // Interval-stats plane (core/sampling.cpp). interval_next_ is the
-  // committed-inst threshold for the next boundary; ~0 (the sentinel
-  // when no recorder is attached) keeps the cycle loop's check to one
-  // never-taken compare.
-  void record_interval_boundary();
-  IntervalRecorder* intervals_ = nullptr;
-  std::uint64_t interval_next_ = ~std::uint64_t{0};
 };
 
 }  // namespace resim::core

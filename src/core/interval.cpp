@@ -1,30 +1,12 @@
 #include "core/interval.hpp"
 
-#include <utility>
-
 namespace resim::core {
 
-void IntervalRecorder::boundary(const StatsSnapshot& cumulative, std::uint64_t committed,
-                                std::uint64_t cycles) {
-  if (committed == last_committed_) return;  // empty interval: nothing to close
-
-  const StatsSnapshot d = StatsRegistry::delta(cumulative, last_);
-
-  IntervalRow row;
-  row.index = rows_.size();
-  row.end_inst = committed;
-  row.end_cycle = cycles;
-  row.committed = committed - last_committed_;
-  row.cycles = cycles - last_cycles_;
-  row.branches = d.value("commit.branches");
-  row.mispredicts = d.value("fetch.mispredicts");
-  row.il1_misses = d.value("il1.misses");
-  row.dl1_misses = d.value("dl1.misses");
-  rows_.push_back(row);
-
-  last_ = cumulative;
-  last_committed_ = committed;
-  last_cycles_ = cycles;
+void IntervalRecorder::close(const Region& now) {
+  if (interval_insts_ == 0 || now.committed == last_.committed) return;
+  rows_.push_back({rows_.size(), now.committed, now.cycles, now - last_});
+  last_ = now;
+  while (next_ <= now.committed) next_ += interval_insts_;
 }
 
 }  // namespace resim::core

@@ -1,79 +1,62 @@
 // Interval statistics: a time series of per-interval IPC/MPKI rows
 // (docs/SAMPLING.md §"Interval stats").
 //
-// The engine snapshots its cumulative stats every `interval_insts`
-// committed instructions (a cold-path boundary event — the cycle loop
-// itself only compares committed_ against a precomputed threshold) and
-// hands the snapshot here. IntervalRecorder subtracts consecutive
-// snapshots with StatsRegistry::delta() and keeps one compact row per
-// interval; exporters render the rows as columnar CSV/JSON
-// (driver/result_export.hpp).
+// The driver's stepping loop feeds the recorder after every cycle; the
+// engine knows nothing of it. Each time the committed count reaches the
+// next multiple of `interval_insts`, the recorder reads
+// ReSimEngine::region() and keeps the difference from the previous
+// boundary as one compact row; exporters render the rows as columnar
+// CSV/JSON (driver/result_export.hpp).
 #ifndef RESIM_CORE_INTERVAL_H
 #define RESIM_CORE_INTERVAL_H
 
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.hpp"
+#include "core/engine.hpp"
 
 namespace resim::core {
 
-/// One interval of the time series. All event counts are interval-local
-/// (deltas); `end_inst`/`end_cycle` are cumulative positions so plots
-/// have an x-axis without re-summing.
+/// One interval of the time series: its region (interval-local counts)
+/// and the cumulative position it ended at, so plots have an x-axis
+/// without re-summing.
 struct IntervalRow {
-  std::uint64_t index = 0;       ///< 0-based interval number
-  std::uint64_t end_inst = 0;    ///< cumulative committed insts at the boundary
-  std::uint64_t end_cycle = 0;   ///< cumulative major cycles at the boundary
-  std::uint64_t committed = 0;   ///< insts committed in this interval
-  std::uint64_t cycles = 0;      ///< major cycles elapsed in this interval
-  std::uint64_t branches = 0;    ///< committed branches in this interval
-  std::uint64_t mispredicts = 0; ///< resolved mispredicts in this interval
-  std::uint64_t il1_misses = 0;  ///< L1-I misses in this interval (0 when perfect)
-  std::uint64_t dl1_misses = 0;  ///< L1-D misses in this interval (0 when perfect)
-
-  [[nodiscard]] double ipc() const {
-    return cycles == 0 ? 0.0 : static_cast<double>(committed) / static_cast<double>(cycles);
-  }
-  /// Combined L1 misses per kilo-instruction (committed).
-  [[nodiscard]] double mpki() const {
-    return committed == 0 ? 0.0
-                          : 1000.0 * static_cast<double>(il1_misses + dl1_misses) /
-                                static_cast<double>(committed);
-  }
-  /// Branch mispredicts per kilo-instruction (committed).
-  [[nodiscard]] double branch_mpki() const {
-    return committed == 0
-               ? 0.0
-               : 1000.0 * static_cast<double>(mispredicts) / static_cast<double>(committed);
-  }
+  std::uint64_t index = 0;      ///< 0-based interval number
+  std::uint64_t end_inst = 0;   ///< cumulative committed insts at the boundary
+  std::uint64_t end_cycle = 0;  ///< cumulative major cycles at the boundary
+  Region region;
 };
 
-/// Accumulates the interval time series for one engine run. Attached to
-/// a ReSimEngine via attach_interval_recorder(); the engine calls
-/// boundary() every `interval_insts` committed instructions and once
-/// more at the end of the run (flush_intervals — the trailing partial
-/// interval).
+/// Accumulates the interval time series for one engine run: call
+/// after_cycle() after every cycle and close() once the run drains (the
+/// trailing partial interval). A recorder with interval_insts 0 records
+/// nothing.
 class IntervalRecorder {
  public:
-  explicit IntervalRecorder(std::uint64_t interval_insts) : interval_insts_(interval_insts) {}
+  explicit IntervalRecorder(std::uint64_t interval_insts)
+      : interval_insts_(interval_insts),
+        next_(interval_insts == 0 ? ~std::uint64_t{0} : interval_insts) {}
 
-  [[nodiscard]] std::uint64_t interval_insts() const { return interval_insts_; }
+  /// One compare: closes the interval once the engine's commits reach
+  /// the next boundary.
+  void after_cycle(const ReSimEngine& eng) {
+    if (eng.committed() >= next_) close(eng.region());
+  }
 
-  /// Close the current interval at a boundary. `cumulative` is the
-  /// engine's full stats snapshot (core + predictor + caches merged);
-  /// `committed`/`cycles` are the engine's cumulative counts. A call
-  /// with no new committed instructions is a no-op, so flushing twice
-  /// (or flushing exactly on a boundary) never emits an empty row.
-  void boundary(const StatsSnapshot& cumulative, std::uint64_t committed, std::uint64_t cycles);
+  /// Close the current interval at reading `now`. A call with no new
+  /// committed instructions is a no-op, so closing twice (or at the end
+  /// of a run that drained exactly on a boundary) never emits an empty
+  /// row.
+  void close(const Region& now);
 
   [[nodiscard]] const std::vector<IntervalRow>& rows() const { return rows_; }
 
  private:
   std::uint64_t interval_insts_;
-  StatsSnapshot last_{};
-  std::uint64_t last_committed_ = 0;
-  std::uint64_t last_cycles_ = 0;
+  /// Committed count of the next boundary; width commits can overshoot
+  /// one, so close() moves it past the current count. ~0 records nothing.
+  std::uint64_t next_;
+  Region last_{};
   std::vector<IntervalRow> rows_;
 };
 

@@ -1,8 +1,8 @@
-// Sampling / interval-stats plane of ReSimEngine (docs/SAMPLING.md).
+// Sampling plane of ReSimEngine (docs/SAMPLING.md).
 //
-// Everything here is off the cycle loop's hot path: interval boundaries
-// fire every sample.interval_insts committed instructions, and
-// functional warmup runs between detailed windows of a sampled run.
+// Everything here is off the cycle loop's hot path: region() is read at
+// interval and window boundaries, and functional warmup runs between
+// detailed windows of a sampled run.
 //
 // Functional warmup mirrors the architectural (correct-path) effects of
 // Fetch + Commit without any timing: the implicit-PC walk and branch
@@ -15,40 +15,19 @@
 #include <stdexcept>
 
 #include "core/engine.hpp"
-#include "core/interval.hpp"
 
 namespace resim::core {
 
-StatsSnapshot ReSimEngine::stats_snapshot() const {
-  StatsRegistry merged = stats_;
-  merged.merge(bp_.stats());
-  mem_.export_stats(merged);
-  return merged.snapshot();
-}
-
-void ReSimEngine::attach_interval_recorder(IntervalRecorder* rec) {
-  intervals_ = rec;
-  if (rec == nullptr || rec->interval_insts() == 0) {
-    intervals_ = nullptr;
-    interval_next_ = ~std::uint64_t{0};
-    return;
-  }
-  // First boundary after the NEXT full interval from wherever we are —
-  // attaching mid-run starts a fresh interval, it does not backfill.
-  interval_next_ = committed_ + rec->interval_insts();
-}
-
-void ReSimEngine::record_interval_boundary() {
-  // Width commits can overshoot a boundary; advance the threshold past
-  // the current count so each row spans at least one full interval.
-  const std::uint64_t n = intervals_->interval_insts();
-  intervals_->boundary(stats_snapshot(), committed_, cycle_);
-  while (interval_next_ <= committed_) interval_next_ += n;
-}
-
-void ReSimEngine::flush_intervals() {
-  if (intervals_ == nullptr) return;
-  intervals_->boundary(stats_snapshot(), committed_, cycle_);
+Region ReSimEngine::region() const {
+  const auto misses = [](const cache::TagCache* c) -> std::uint64_t {
+    return c == nullptr ? 0 : c->misses();
+  };
+  return {committed_,
+          cycle_,
+          cstat_.branches.value(),
+          fstat_.mispredicts.value(),
+          misses(mem_.icache()),
+          misses(mem_.dcache())};
 }
 
 std::uint64_t ReSimEngine::functional_warmup(std::uint64_t max_records) {

@@ -161,10 +161,11 @@ void write_config_csv(std::ostream& os, const std::vector<JobResult>& results) {
 void write_intervals_csv(std::ostream& os, const std::vector<core::IntervalRow>& rows) {
   os << "interval,end_inst,end_cycle,committed,cycles,branches,mispredicts,"
         "il1_misses,dl1_misses,ipc,mpki,branch_mpki\n";
-  for (const auto& r : rows) {
-    os << r.index << ',' << r.end_inst << ',' << r.end_cycle << ',' << r.committed << ','
-       << r.cycles << ',' << r.branches << ',' << r.mispredicts << ',' << r.il1_misses
-       << ',' << r.dl1_misses << ',' << fixed6(r.ipc()) << ',' << fixed6(r.mpki()) << ','
+  for (const auto& row : rows) {
+    const core::Region& r = row.region;
+    os << row.index << ',' << row.end_inst << ',' << row.end_cycle << ',' << r.committed << ','
+       << r.cycles << ',' << r.branches << ',' << r.mispredicts << ',' << r.il1_misses << ','
+       << r.dl1_misses << ',' << fixed6(r.ipc()) << ',' << fixed6(r.mpki()) << ','
        << fixed6(r.branch_mpki()) << '\n';
   }
 }
@@ -184,18 +185,18 @@ void write_intervals_json(std::ostream& os, const std::vector<core::IntervalRow>
   os << "{\n";
   os << "  \"interval_insts\": " << interval_insts << ",\n";
   os << "  \"intervals\": " << rows.size() << ",\n";
-  column("end_inst", [](const core::IntervalRow& r) { return r.end_inst; });
-  column("end_cycle", [](const core::IntervalRow& r) { return r.end_cycle; });
-  column("committed", [](const core::IntervalRow& r) { return r.committed; });
-  column("cycles", [](const core::IntervalRow& r) { return r.cycles; });
-  column("branches", [](const core::IntervalRow& r) { return r.branches; });
-  column("mispredicts", [](const core::IntervalRow& r) { return r.mispredicts; });
-  column("il1_misses", [](const core::IntervalRow& r) { return r.il1_misses; });
-  column("dl1_misses", [](const core::IntervalRow& r) { return r.dl1_misses; });
-  column("ipc", [](const core::IntervalRow& r) { return fixed6(r.ipc()); });
-  column("mpki", [](const core::IntervalRow& r) { return fixed6(r.mpki()); });
-  column("branch_mpki", [](const core::IntervalRow& r) { return fixed6(r.branch_mpki()); },
-         true);
+  using Row = core::IntervalRow;
+  column("end_inst", [](const Row& r) { return r.end_inst; });
+  column("end_cycle", [](const Row& r) { return r.end_cycle; });
+  column("committed", [](const Row& r) { return r.region.committed; });
+  column("cycles", [](const Row& r) { return r.region.cycles; });
+  column("branches", [](const Row& r) { return r.region.branches; });
+  column("mispredicts", [](const Row& r) { return r.region.mispredicts; });
+  column("il1_misses", [](const Row& r) { return r.region.il1_misses; });
+  column("dl1_misses", [](const Row& r) { return r.region.dl1_misses; });
+  column("ipc", [](const Row& r) { return fixed6(r.region.ipc()); });
+  column("mpki", [](const Row& r) { return fixed6(r.region.mpki()); });
+  column("branch_mpki", [](const Row& r) { return fixed6(r.region.branch_mpki()); }, true);
   os << "}\n";
 }
 

@@ -49,6 +49,20 @@ void RunSpec::validate(const core::CoreConfig& cfg) const {
                               "(sample.windows > 0 or --plan) places its own windows");
 }
 
+namespace {
+
+/// Runs `eng` to its end. Without a recorder this is ReSimEngine::run();
+/// with one, every cycle ends with the recorder's boundary compare and
+/// the trailing partial interval closes once the pipeline drains.
+core::SimResult finish(core::ReSimEngine& eng, core::IntervalRecorder* intervals) {
+  if (intervals == nullptr) return eng.run();
+  while (eng.step_major_cycle()) intervals->after_cycle(eng);
+  intervals->close(eng.region());
+  return eng.result();
+}
+
+}  // namespace
+
 std::uint64_t RunResult::effective_records() const {
   return is_sampled()
              ? sampled.detailed_records + sampled.warmup_records + sampled.skipped_records
@@ -70,9 +84,7 @@ RunResult run_trace(const core::CoreConfig& cfg, trace::TraceSource& src,
   }
   if (!spec.windowed()) {
     core::ReSimEngine eng(cfg, src);
-    eng.attach_interval_recorder(spec.intervals);
-    out.result = eng.run();
-    eng.flush_intervals();
+    out.result = finish(eng, spec.intervals);
     return out;
   }
   // The window is one segment after one chunk-hopping gap.
@@ -80,16 +92,14 @@ RunResult run_trace(const core::CoreConfig& cfg, trace::TraceSource& src,
   out.skipped = win.skip_gap(spec.skip);
   win.open_segment(spec.max_records.value_or(trace::SegmentedTraceSource::kAll));
   core::ReSimEngine eng(cfg, win);
-  eng.attach_interval_recorder(spec.intervals);
   // ChampSim-style region run: note the warm-up boundary so the measured
   // region's IPC excludes cold-start transients.
   while (win.records_consumed() < spec.warmup && win.peek() != nullptr &&
          eng.step_major_cycle()) {
+    if (spec.intervals != nullptr) spec.intervals->after_cycle(eng);
   }
-  out.warm_committed = eng.committed();
-  out.warm_cycles = eng.cycle();
-  out.result = eng.run();
-  eng.flush_intervals();
+  out.warm = eng.region();
+  out.result = finish(eng, spec.intervals);
   return out;
 }
 

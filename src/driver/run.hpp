@@ -81,9 +81,8 @@ struct RunResult {
   core::SimResult result;  ///< sampled runs: pooled over the windows
   SamplingPlan plan;       ///< sampled runs only: no starts otherwise
   SampledResult sampled;   ///< sampled runs only
-  std::uint64_t skipped = 0;         ///< windowed runs: records skipped unread
-  std::uint64_t warm_committed = 0;  ///< committed when the warm-up ended
-  std::uint64_t warm_cycles = 0;     ///< cycles when the warm-up ended
+  std::uint64_t skipped = 0;  ///< windowed runs: records skipped unread
+  core::Region warm;          ///< windowed runs: the engine's region() when the warm-up ended
 
   [[nodiscard]] bool is_sampled() const { return !plan.starts.empty(); }
   /// Every record the run got past: skipped, warmed and simulated.

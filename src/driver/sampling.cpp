@@ -96,8 +96,8 @@ SamplingPlan plan_from_config(const core::CoreConfig& cfg, const trace::TraceSou
   const std::uint64_t total = src.total_records();
   if (total == 0) {
     throw std::invalid_argument(
-        "sampled simulation needs the trace length up front; this source cannot "
-        "report it (live generator or v1 container) — use a prepared .rsim trace");
+        "sampled simulation needs the trace length up front; this source reports no "
+        "records (a live generator, or an empty trace) — use a prepared .rsim trace");
   }
   return SamplingPlan::uniform(total, cfg.sample.windows, cfg.sample.window_insts,
                                cfg.sample.warmup_insts);
@@ -127,7 +127,6 @@ SampledResult run_sampled(const core::CoreConfig& cfg, trace::TraceSource& src,
 
   trace::SegmentedTraceSource seg(src);
   core::ReSimEngine eng(cfg, seg);
-  if (intervals != nullptr) eng.attach_interval_recorder(intervals);
 
   SampledResult out;
   out.plan_total_records = plan.total_records;
@@ -156,32 +155,21 @@ SampledResult run_sampled(const core::CoreConfig& cfg, trace::TraceSource& src,
 
     // Detailed window: run to the segment's end AND pipeline drain, so
     // every fetched record commits or squashes inside its own window.
-    const auto snap0 = eng.stats_snapshot();
-    const std::uint64_t committed0 = eng.committed();
-    const std::uint64_t cycles0 = eng.cycle();
+    const core::Region region0 = eng.region();
     const std::uint64_t consumed0 = seg.records_consumed();
 
     seg.open_segment(plan.window_records);
     while (eng.step_major_cycle()) {
+      if (intervals != nullptr) intervals->after_cycle(eng);
     }
     seg.close_segment();
 
-    const auto d = StatsRegistry::delta(eng.stats_snapshot(), snap0);
-    SampledWindow w;
-    w.start = start;
-    w.records = seg.records_consumed() - consumed0;
-    w.warmup_used = warmup_done;
-    w.committed = eng.committed() - committed0;
-    w.cycles = eng.cycle() - cycles0;
-    w.branches = d.value("commit.branches");
-    w.mispredicts = d.value("fetch.mispredicts");
-    w.il1_misses = d.value("il1.misses");
-    w.dl1_misses = d.value("dl1.misses");
-    out.detailed_records += w.records;
-    if (w.records != 0) out.windows.push_back(w);
+    const std::uint64_t records = seg.records_consumed() - consumed0;
+    out.detailed_records += records;
+    if (records != 0) out.windows.push_back({start, warmup_done, records, eng.region() - region0});
   }
 
-  eng.flush_intervals();
+  if (intervals != nullptr) intervals->close(eng.region());
   out.result = eng.result();
   out.skipped_records = seg.inner_position() - seg.records_consumed();
 
@@ -192,9 +180,9 @@ SampledResult run_sampled(const core::CoreConfig& cfg, trace::TraceSource& src,
   mpki_xs.reserve(out.windows.size());
   bmpki_xs.reserve(out.windows.size());
   for (const auto& w : out.windows) {
-    ipc_xs.push_back(w.ipc());
-    mpki_xs.push_back(w.mpki());
-    bmpki_xs.push_back(w.branch_mpki());
+    ipc_xs.push_back(w.region.ipc());
+    mpki_xs.push_back(w.region.mpki());
+    bmpki_xs.push_back(w.region.branch_mpki());
   }
   out.ipc = estimate(ipc_xs);
   out.mpki = estimate(mpki_xs);

@@ -50,32 +50,13 @@ struct SamplingPlan {
   void validate() const;
 };
 
-/// One detailed window's measurements (interval-delta of the engine's
-/// pooled stats across the window, including its pipeline-drain tail).
+/// One detailed window: where it sat and its region, which includes its
+/// pipeline-drain tail but not the functional warmup before it.
 struct SampledWindow {
   std::uint64_t start = 0;        ///< absolute record index the window began at
   std::uint64_t warmup_used = 0;  ///< functional-warmup records actually replayed
   std::uint64_t records = 0;      ///< trace records consumed by the window
-  std::uint64_t committed = 0;
-  std::uint64_t cycles = 0;
-  std::uint64_t branches = 0;
-  std::uint64_t mispredicts = 0;
-  std::uint64_t il1_misses = 0;
-  std::uint64_t dl1_misses = 0;
-
-  [[nodiscard]] double ipc() const {
-    return cycles == 0 ? 0.0 : static_cast<double>(committed) / static_cast<double>(cycles);
-  }
-  [[nodiscard]] double mpki() const {
-    return committed == 0 ? 0.0
-                          : 1000.0 * static_cast<double>(il1_misses + dl1_misses) /
-                                static_cast<double>(committed);
-  }
-  [[nodiscard]] double branch_mpki() const {
-    return committed == 0
-               ? 0.0
-               : 1000.0 * static_cast<double>(mispredicts) / static_cast<double>(committed);
-  }
+  core::Region region;
 };
 
 /// Whole-trace estimate of one metric: per-window mean with a 95%
@@ -117,8 +98,8 @@ struct SampledResult {
                                             const trace::TraceSource& src);
 
 /// Run the sampled simulation over `src` (consumed in one pass). An
-/// optional interval recorder receives boundaries from inside the
-/// detailed windows. The plan must be validate()-clean.
+/// optional interval recorder is fed from inside the detailed windows.
+/// The plan must be validate()-clean.
 [[nodiscard]] SampledResult run_sampled(const core::CoreConfig& cfg, trace::TraceSource& src,
                                         const SamplingPlan& plan,
                                         core::IntervalRecorder* intervals = nullptr);

@@ -4,15 +4,6 @@
 
 namespace resim::fpga {
 
-const char* family_name(Family f) {
-  switch (f) {
-    case Family::kVirtex2Pro: return "Virtex-2Pro";
-    case Family::kVirtex4: return "Virtex-4";
-    case Family::kVirtex5: return "Virtex-5";
-  }
-  return "?";
-}
-
 const std::vector<Device>& device_catalog() {
   static const std::vector<Device> kCatalog = {
       // name,        family,            slices, bram, f_minor (paper §V.C)

@@ -17,8 +17,6 @@ namespace resim::fpga {
 
 enum class Family : std::uint8_t { kVirtex2Pro, kVirtex4, kVirtex5 };
 
-[[nodiscard]] const char* family_name(Family f);
-
 struct Device {
   std::string name;
   Family family = Family::kVirtex4;

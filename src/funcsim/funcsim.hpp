@@ -43,9 +43,6 @@ class FuncSim {
   [[nodiscard]] InstSeq executed() const { return seq_; }
 
   [[nodiscard]] std::uint64_t reg(Reg r) const { return regs_[r]; }
-  void set_reg(Reg r, std::uint64_t v) {
-    if (r != kZeroReg) regs_[r] = v;
-  }
 
   [[nodiscard]] const MemoryImage& memory() const { return mem_; }
   [[nodiscard]] MemoryImage& memory() { return mem_; }

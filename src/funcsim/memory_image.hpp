@@ -42,8 +42,6 @@ class MemoryImage {
 
   void store(Addr addr, std::uint64_t value) { written_[normalize(addr)] = value; }
 
-  [[nodiscard]] std::size_t written_words() const { return written_.size(); }
-
   void reset() { written_.clear(); }
 
  private:

@@ -100,28 +100,21 @@ void Daemon::wait() {
   if (executor_thread_.joinable()) executor_thread_.join();
   // In-flight responses are done; now unblock session threads parked in
   // recv and join them.
-  std::vector<std::thread> threads;
+  std::vector<SessionThread> sessions;
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
-    for (const auto& weak : sessions_) {
+    for (const auto& st : sessions_) {
       // weak_ptr::lock, not a mutex:
-      if (const auto live = weak.lock()) shutdown_fd(live->fd.get());  // resim-lint: allow(lock-discipline)
+      if (const auto live = st.session.lock()) shutdown_fd(live->fd.get());  // resim-lint: allow(lock-discipline)
     }
-    threads.swap(session_threads_);
+    sessions.swap(sessions_);
   }
-  for (auto& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  for (auto& st : sessions) st.thread.join();
   unix_listener_.reset();
   tcp_listener_.reset();
   started_.store(false);
   log_line("serve: shut down (" + std::to_string(completed_.load()) +
            " completed, " + std::to_string(failed_.load()) + " failed)");
-}
-
-void Daemon::run() {
-  start();
-  wait();
 }
 
 void Daemon::accept_loop() {
@@ -163,15 +156,29 @@ void Daemon::accept_loop() {
         auto session = std::make_shared<Session>(std::move(conn));
         open_sessions_.fetch_add(1);
         std::lock_guard<std::mutex> lock(sessions_mu_);
-        sessions_.push_back(session);
-        session_threads_.emplace_back(
-            [this, session]() mutable { session_loop(std::move(session)); });
+        reap_sessions();
+        sessions_.push_back(
+            {session, std::thread([this, session]() mutable { session_loop(std::move(session)); })});
       }
     }
   }
   // No new requests can arrive (sessions check stopping_); let the
   // executor drain what was already accepted, then exit.
   queue_.close();
+}
+
+void Daemon::reap_sessions() {
+  // The thread holds its session until session_loop returns, so an
+  // expired session's thread is finishing: the join is immediate, and it
+  // frees the thread's stack now rather than at wait().
+  for (auto it = sessions_.begin(); it != sessions_.end();) {
+    if (it->session.expired()) {
+      it->thread.join();
+      it = sessions_.erase(it);
+    } else {
+      ++it;
+    }
+  }
 }
 
 void Daemon::session_loop(std::shared_ptr<Session> session) {

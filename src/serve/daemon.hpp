@@ -69,9 +69,6 @@ class Daemon {
   /// idle timeout ends the wait.
   void wait();
 
-  /// start() + wait() — the CLI's blocking entry point.
-  void run();
-
   /// Begin graceful shutdown: refuse new connections/requests, drain
   /// the queue, finish in-flight streams. Safe from any thread and from
   /// a signal handler (one non-blocking pipe write).
@@ -82,12 +79,19 @@ class Daemon {
 
  private:
   struct Session;
+  /// A connection's thread; its session expires once the thread is done
+  /// with it and no queued job still streams to it.
+  struct SessionThread {
+    std::weak_ptr<Session> session;
+    std::thread thread;
+  };
   struct PendingJob {
     std::shared_ptr<Session> session;
     std::variant<SimRequest, SweepRequest> request;
   };
 
   void accept_loop();
+  void reap_sessions();  ///< caller holds sessions_mu_
   void executor_loop();
   void session_loop(std::shared_ptr<Session> session);
   void handle_payload(const std::shared_ptr<Session>& session_ptr,
@@ -110,8 +114,7 @@ class Daemon {
   std::thread accept_thread_;
   std::thread executor_thread_;
   std::mutex sessions_mu_;
-  std::vector<std::thread> session_threads_;
-  std::vector<std::weak_ptr<Session>> sessions_;
+  std::vector<SessionThread> sessions_;
 
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};

@@ -66,20 +66,6 @@ class BoundedPriorityQueue {
     cv_.notify_all();
   }
 
-  /// Stop accepting pushes AND discard everything still queued (hard
-  /// shutdown). Returns the number of jobs dropped.
-  std::size_t close_and_clear() {
-    std::size_t dropped = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
-      dropped = items_.size();
-      items_.clear();
-    }
-    cv_.notify_all();
-    return dropped;
-  }
-
   [[nodiscard]] std::size_t pending() const {
     std::lock_guard<std::mutex> lock(mu_);
     return items_.size();

@@ -5,7 +5,6 @@
 // be indistinguishable — records, counters, engine results, sweep CSVs —
 // from the private per-job sources it replaces.
 #include <atomic>
-#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <sstream>
@@ -17,6 +16,7 @@
 
 #include "core/engine.hpp"
 #include "driver/batch_runner.hpp"
+#include "temp_path.hpp"
 #include "trace/batch_cache.hpp"
 #include "trace/file_source.hpp"
 #include "trace/segment.hpp"
@@ -36,12 +36,10 @@ Trace generate(const std::string& bench, std::uint64_t insts) {
   return TraceGenerator(workload::make_workload(bench), g).generate();
 }
 
-std::string temp_path(const std::string& leaf) { return ::testing::TempDir() + "/" + leaf; }
-
 /// Saves `t` in the container flavor `flavor` ("v2", "v3", "v4").
-std::string save_flavor(const Trace& t, const std::string& leaf,
-                        const std::string& flavor, std::uint32_t chunk_records = 512) {
-  const std::string path = temp_path(leaf + "_" + flavor + ".rsim");
+TempPath save_flavor(const Trace& t, const std::string& leaf, const std::string& flavor,
+                     std::uint32_t chunk_records = 512) {
+  TempPath path(leaf + "_" + flavor + ".rsim");
   save_trace(t, path, chunk_records, /*compress=*/flavor != "v2",
              /*prefilter=*/flavor == "v4");
   return path;
@@ -49,10 +47,9 @@ std::string save_flavor(const Trace& t, const std::string& leaf,
 
 TEST(SharedBatchCache, V1ContainerRejected) {
   Trace t = generate("gzip", 200);
-  const std::string path = temp_path("cache_v1.rsim");
+  const TempPath path("cache_v1.rsim");
   testutil::write_v1(path, t, t.records.size());
   EXPECT_THROW(SharedBatchCache{path}, std::invalid_argument);
-  std::remove(path.c_str());
 }
 
 // ---- engine identity ------------------------------------------------------
@@ -63,14 +60,13 @@ TEST(BatchTraceSource, EngineResultsMatchVectorSourceAcrossVersions) {
   VectorTraceSource vsrc(t);
   const auto want = core::ReSimEngine(cfg, vsrc).run();
   for (const std::string flavor : {"v2", "v3", "v4"}) {
-    const std::string path = save_flavor(t, "engine", flavor);
+    const TempPath path = save_flavor(t, "engine", flavor);
     BatchTraceSource src(std::make_shared<SharedBatchCache>(path));
     const auto got = core::ReSimEngine(cfg, src).run();
     EXPECT_EQ(got.committed, want.committed) << flavor;
     EXPECT_EQ(got.major_cycles, want.major_cycles) << flavor;
     EXPECT_EQ(got.trace_records, want.trace_records) << flavor;
     EXPECT_EQ(got.trace_bits, want.trace_bits) << flavor;
-    std::remove(path.c_str());
   }
 }
 
@@ -78,7 +74,7 @@ TEST(BatchTraceSource, EngineResultsMatchVectorSourceAcrossVersions) {
 
 TEST(SharedBatchCache, ConcurrentConsumersSeeIdenticalStreamsDecodeOnce) {
   const Trace t = generate("vpr", 12000);
-  const std::string path = save_flavor(t, "fanout", "v3", /*chunk_records=*/256);
+  const TempPath path = save_flavor(t, "fanout", "v3", /*chunk_records=*/256);
   constexpr std::size_t kConsumers = 4;
   const auto cache =
       std::make_shared<SharedBatchCache>(path, /*expected_consumers=*/kConsumers);
@@ -138,7 +134,6 @@ TEST(SharedBatchCache, ConcurrentConsumersSeeIdenticalStreamsDecodeOnce) {
   // exactly once and every other read was a cache hit.
   EXPECT_EQ(cache->chunks_decoded(), cache->chunk_count());
   EXPECT_EQ(cache->hits(), (kConsumers - 1) * cache->chunk_count());
-  std::remove(path.c_str());
 }
 
 TEST(SharedBatchCache, TinyCapacityStillCorrectUnderEvictionPressure) {
@@ -146,7 +141,7 @@ TEST(SharedBatchCache, TinyCapacityStillCorrectUnderEvictionPressure) {
   // and chunks get evicted and re-decoded; correctness (identical
   // streams) must survive even though decode-once does not.
   const Trace t = generate("gzip", 6000);
-  const std::string path = save_flavor(t, "pressure", "v3", /*chunk_records=*/128);
+  const TempPath path = save_flavor(t, "pressure", "v3", /*chunk_records=*/128);
   constexpr std::size_t kConsumers = 3;
   const auto cache = std::make_shared<SharedBatchCache>(path, kConsumers,
                                                         /*capacity=*/2);
@@ -173,7 +168,6 @@ TEST(SharedBatchCache, TinyCapacityStillCorrectUnderEvictionPressure) {
   }
   EXPECT_GE(cache->chunks_decoded(), cache->chunk_count());
   EXPECT_GT(cache->evictions(), 0u);
-  std::remove(path.c_str());
 }
 
 TEST(SharedBatchCache, InterleavedSegmentedConsumersStayIndependent) {
@@ -183,7 +177,7 @@ TEST(SharedBatchCache, InterleavedSegmentedConsumersStayIndependent) {
   Trace t = generate("parser", 4000);
   ASSERT_GE(t.records.size(), 2348u);
   t.records.resize(2348);  // 4 full 512-record chunks + a 300-record tail
-  const std::string path = save_flavor(t, "multi", "v2");
+  const TempPath path = save_flavor(t, "multi", "v2");
 
   auto cache = std::make_shared<SharedBatchCache>(path, /*expected_consumers=*/2);
   BatchTraceSource a(cache);
@@ -206,7 +200,6 @@ TEST(SharedBatchCache, InterleavedSegmentedConsumersStayIndependent) {
   EXPECT_EQ(wa.records_consumed(), 600u);
   EXPECT_EQ(wb.records_consumed(), 500u);
   EXPECT_EQ(b.chunks_skipped(), 3u);
-  std::remove(path.c_str());
 }
 
 // ---- batch-runner grouping ------------------------------------------------

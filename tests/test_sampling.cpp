@@ -2,7 +2,6 @@
 // construction/validation, functional warmup, interval recording, and
 // the sampled-vs-full accuracy + sampling-off identity contracts
 // (docs/SAMPLING.md).
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -15,7 +14,9 @@
 #include "driver/result_export.hpp"
 #include "driver/run.hpp"
 #include "driver/sampling.hpp"
+#include "temp_path.hpp"
 #include "trace/batch_cache.hpp"
+#include "trace/file_source.hpp"
 #include "trace/segment.hpp"
 #include "trace/tracegen.hpp"
 #include "trace/writer.hpp"
@@ -35,8 +36,6 @@ trace::Trace make_trace(const std::string& bench, std::uint64_t insts) {
   g.wrong_path_block = cfg.wrong_path_block();
   return trace::TraceGenerator(workload::make_workload(bench), g).generate();
 }
-
-std::string temp_path(const std::string& leaf) { return ::testing::TempDir() + "/" + leaf; }
 
 // ---- SegmentedTraceSource -------------------------------------------------
 
@@ -90,7 +89,7 @@ TEST(SegmentedTraceSource, ViewsAreTruncatedAtTheAllowance) {
   // BatchTraceSource lends whole shared chunks; the segment adaptor
   // must clip its views at the allowance.
   const auto t = make_trace("gzip", 2000);
-  const std::string path = temp_path("seg_views.rsim");
+  const TempPath path("seg_views.rsim");
   trace::save_trace(t, path, /*chunk_records=*/512);
   trace::BatchTraceSource base(std::make_shared<trace::SharedBatchCache>(path));
   trace::SegmentedTraceSource seg(base);
@@ -105,7 +104,6 @@ TEST(SegmentedTraceSource, ViewsAreTruncatedAtTheAllowance) {
   EXPECT_EQ(seg.records_consumed(), 7u);
   EXPECT_EQ(seg.remaining(), 0u);
   EXPECT_TRUE(seg.fetch_view().empty());
-  std::remove(path.c_str());
 }
 
 // ---- SamplingPlan ---------------------------------------------------------
@@ -142,7 +140,7 @@ TEST(SamplingPlan, UniformRejectsZeroWindows) {
 }
 
 TEST(SamplingPlan, FromFileParsesCommentsAndBlankLines) {
-  const std::string path = temp_path("plan_ok.txt");
+  const TempPath path("plan_ok.txt");
   {
     std::ofstream out(path);
     out << "# sampling plan\n\n100\n  900 \n2000\n";
@@ -152,11 +150,10 @@ TEST(SamplingPlan, FromFileParsesCommentsAndBlankLines) {
   EXPECT_EQ(plan.starts[0], 100u);
   EXPECT_EQ(plan.starts[1], 900u);
   EXPECT_EQ(plan.starts[2], 2000u);
-  std::remove(path.c_str());
 }
 
 TEST(SamplingPlan, FromFileRejectsGarbageWithLineNumber) {
-  const std::string path = temp_path("plan_bad.txt");
+  const TempPath path("plan_bad.txt");
   {
     std::ofstream out(path);
     out << "100\nnot-a-number\n";
@@ -167,7 +164,6 @@ TEST(SamplingPlan, FromFileRejectsGarbageWithLineNumber) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find(":2:"), std::string::npos) << e.what();
   }
-  std::remove(path.c_str());
 }
 
 TEST(SamplingPlan, ValidateRejectsOverlapAndOutOfRange) {
@@ -192,6 +188,11 @@ TEST(SamplingPlan, PlanFromConfigNeedsAKnownTraceLength) {
   const auto plan = plan_from_config(cfg, src);
   EXPECT_EQ(plan.total_records, t.records.size());
   EXPECT_EQ(plan.starts.size(), 4u);
+  // A v1 container's header carries its record count too.
+  const TempPath v1("plan_v1.rsim");
+  trace::testutil::write_v1(v1, t, t.records.size());
+  trace::FileTraceSource file(v1);
+  EXPECT_EQ(plan_from_config(cfg, file).starts, plan.starts);
 
   // A source that cannot report its length is rejected up front.
   class Unknown final : public trace::TraceSource {
@@ -219,8 +220,7 @@ TEST(FunctionalWarmup, ReplaysRecordsWithoutCycleAccounting) {
   EXPECT_EQ(eng.committed(), 0u);  // warmup commits nothing
   EXPECT_EQ(eng.cycle(), 0u);      // and burns no cycles
   // The warmup record count is observable in the stats plane.
-  const auto snap = eng.stats_snapshot();
-  EXPECT_EQ(snap.value("sample.warmup_records"), 1000u);
+  EXPECT_EQ(eng.stats().value("sample.warmup_records"), 1000u);
 }
 
 TEST(FunctionalWarmup, WarmCachesMissLessThanColdOnTheSameWindow) {
@@ -239,27 +239,25 @@ TEST(FunctionalWarmup, WarmCachesMissLessThanColdOnTheSameWindow) {
   seg_w.open_segment(kStart);
   EXPECT_EQ(warm.functional_warmup(kStart), kStart);
   (void)seg_w.close_segment();
-  const auto warm0 = warm.stats_snapshot();
+  const core::Region warm0 = warm.region();
   // Warmup drove real cache fills: the miss counters already moved.
-  EXPECT_GT(warm0.value("il1.misses") + warm0.value("dl1.misses"), 0u);
+  EXPECT_GT(warm0.il1_misses + warm0.dl1_misses, 0u);
   seg_w.open_segment(kWindow);
   while (warm.step_major_cycle()) {
   }
-  const auto dw = StatsRegistry::delta(warm.stats_snapshot(), warm0);
+  const core::Region dw = warm.region() - warm0;
 
   trace::VectorTraceSource base_c(t);
   trace::SegmentedTraceSource seg_c(base_c);
   core::ReSimEngine cold(cfg, seg_c);
   seg_c.skip_gap(kStart);
-  const auto cold0 = cold.stats_snapshot();
+  const core::Region cold0 = cold.region();
   seg_c.open_segment(kWindow);
   while (cold.step_major_cycle()) {
   }
-  const auto dc = StatsRegistry::delta(cold.stats_snapshot(), cold0);
+  const core::Region dc = cold.region() - cold0;
 
-  const std::uint64_t warm_misses = dw.value("il1.misses") + dw.value("dl1.misses");
-  const std::uint64_t cold_misses = dc.value("il1.misses") + dc.value("dl1.misses");
-  EXPECT_LT(warm_misses, cold_misses);
+  EXPECT_LT(dw.il1_misses + dw.dl1_misses, dc.il1_misses + dc.dl1_misses);
 }
 
 // ---- sampled runs ---------------------------------------------------------
@@ -358,19 +356,68 @@ TEST(RunEngine, SampledRunRefusesAWindowNamingIt) {
   }
 }
 
+// ---- regions --------------------------------------------------------------
+
+TEST(Region, ReadsWhatTheReportCounts) {
+  // region() reads the stage counters and the L1 caches directly; the
+  // report merges the same counters by name. Both predictors mispredict
+  // under 2lev, and only the cache machine has L1 counters.
+  const auto t = make_trace("gzip", 20000);
+  for (core::CoreConfig cfg :
+       {core::CoreConfig::paper_4wide_perfect(), core::CoreConfig::paper_2wide_cache()}) {
+    cfg.bp.kind = bpred::DirKind::kTwoLevel;
+    SCOPED_TRACE(cfg.mem.perfect ? "perfect" : "cache");
+    trace::VectorTraceSource src(t);
+    core::ReSimEngine eng(cfg, src);
+    const core::SimResult r = eng.run();
+    const core::Region g = eng.region();
+    EXPECT_EQ(g.committed, r.committed);
+    EXPECT_EQ(g.cycles, r.major_cycles);
+    EXPECT_EQ(g.branches, r.stats.value("commit.branches"));
+    EXPECT_EQ(g.mispredicts, r.stats.value("fetch.mispredicts"));
+    EXPECT_EQ(g.il1_misses, r.stats.value("il1.misses"));
+    EXPECT_EQ(g.dl1_misses, r.stats.value("dl1.misses"));
+    EXPECT_GT(g.branches, 0u);
+    EXPECT_GT(g.mispredicts, 0u);
+    EXPECT_EQ(g.dl1_misses > 0, !cfg.mem.perfect);
+  }
+}
+
+TEST(Region, SampledWindowsSumToThePooledResult) {
+  // Cycles and commits happen only inside detailed windows, so the
+  // windows partition the pooled counts. (L1 misses do not sum: the
+  // functional warmup between windows misses too.)
+  const auto t = make_trace("gzip", 30000);
+  auto cfg = core::CoreConfig::paper_2wide_cache();
+  cfg.bp.kind = bpred::DirKind::kTwoLevel;
+  trace::VectorTraceSource src(t);
+  const auto plan = SamplingPlan::uniform(t.records.size(), 5, 3000, 1000);
+  const SampledResult s = run_sampled(cfg, src, plan);
+  ASSERT_EQ(s.windows.size(), 5u);
+  core::Region sum;
+  for (const SampledWindow& w : s.windows) {
+    sum.committed += w.region.committed;
+    sum.cycles += w.region.cycles;
+    sum.branches += w.region.branches;
+    sum.mispredicts += w.region.mispredicts;
+  }
+  EXPECT_EQ(sum.committed, s.result.committed);
+  EXPECT_EQ(sum.cycles, s.result.major_cycles);
+  EXPECT_EQ(sum.branches, s.result.stats.value("commit.branches"));
+  EXPECT_EQ(sum.mispredicts, s.result.stats.value("fetch.mispredicts"));
+  EXPECT_GT(sum.mispredicts, 0u);
+}
+
 // ---- interval recording ---------------------------------------------------
 
 TEST(IntervalRecorder, RowsPartitionTheRun) {
   const auto t = make_trace("gzip", 20000);
   const auto cfg = core::CoreConfig::paper_4wide_perfect();
   trace::VectorTraceSource src(t);
-  core::ReSimEngine eng(cfg, src);
   core::IntervalRecorder rec(/*interval_insts=*/5000);
-  eng.attach_interval_recorder(&rec);
-  while (eng.step_major_cycle()) {
-  }
-  eng.flush_intervals();
-  const auto r = eng.result();
+  RunSpec spec;
+  spec.intervals = &rec;
+  const auto r = run_trace(cfg, src, spec).result;
 
   const auto& rows = rec.rows();
   ASSERT_GE(rows.size(), 4u);
@@ -380,9 +427,9 @@ TEST(IntervalRecorder, RowsPartitionTheRun) {
   for (const auto& row : rows) {
     EXPECT_GT(row.end_inst, prev_end);
     prev_end = row.end_inst;
-    committed += row.committed;
-    cycles += row.cycles;
-    EXPECT_GT(row.ipc(), 0.0);
+    committed += row.region.committed;
+    cycles += row.region.cycles;
+    EXPECT_GT(row.region.ipc(), 0.0);
   }
   // The rows partition the whole run: per-interval deltas sum back to
   // the totals.
@@ -391,25 +438,34 @@ TEST(IntervalRecorder, RowsPartitionTheRun) {
   EXPECT_EQ(rows.back().end_inst, r.committed);
 }
 
-TEST(IntervalRecorder, FlushIsIdempotentAndSkipsEmptyTails) {
+TEST(IntervalRecorder, CloseIsIdempotentAndSkipsEmptyTails) {
   const auto t = make_trace("gzip", 10000);
   const auto cfg = core::CoreConfig::paper_4wide_perfect();
   trace::VectorTraceSource src(t);
   core::ReSimEngine eng(cfg, src);
   core::IntervalRecorder rec(2500);
-  eng.attach_interval_recorder(&rec);
-  while (eng.step_major_cycle()) {
-  }
-  eng.flush_intervals();
+  while (eng.step_major_cycle()) rec.after_cycle(eng);
+  rec.close(eng.region());
   const auto n = rec.rows().size();
-  eng.flush_intervals();  // boundary at an unchanged commit count: no-op
+  EXPECT_GE(n, 4u);
+  rec.close(eng.region());  // boundary at an unchanged commit count: no-op
   EXPECT_EQ(rec.rows().size(), n);
+}
+
+TEST(IntervalRecorder, ZeroLengthRecordsNothing) {
+  const auto t = make_trace("gzip", 5000);
+  trace::VectorTraceSource src(t);
+  core::IntervalRecorder rec(0);
+  RunSpec spec;
+  spec.intervals = &rec;
+  (void)run_trace(core::CoreConfig::paper_4wide_perfect(), src, spec);
+  EXPECT_TRUE(rec.rows().empty());
 }
 
 TEST(IntervalExport, CsvAndJsonCarryEveryRow) {
   std::vector<core::IntervalRow> rows(2);
-  rows[0] = {0, 1000, 600, 1000, 600, 100, 5, 2, 3};
-  rows[1] = {1, 2000, 1300, 1000, 700, 120, 8, 1, 4};
+  rows[0] = {0, 1000, 600, {1000, 600, 100, 5, 2, 3}};
+  rows[1] = {1, 2000, 1300, {1000, 700, 120, 8, 1, 4}};
 
   std::ostringstream csv;
   write_intervals_csv(csv, rows);
@@ -439,7 +495,7 @@ TEST(IntervalRecorder, SampledRunRecordsInsideWindows) {
   const auto s = run_sampled(cfg, src, plan, &rec);
   ASSERT_FALSE(rec.rows().empty());
   std::uint64_t committed = 0;
-  for (const auto& row : rec.rows()) committed += row.committed;
+  for (const auto& row : rec.rows()) committed += row.region.committed;
   EXPECT_EQ(committed, s.result.committed);
 }
 

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -33,6 +34,7 @@
 #include "serve/request.hpp"
 #include "serve/socket.hpp"
 #include "serve/trace_cache.hpp"
+#include "temp_path.hpp"
 #include "trace/file_source.hpp"
 #include "trace/tracegen.hpp"
 #include "trace/writer.hpp"
@@ -40,10 +42,6 @@
 
 namespace resim::serve {
 namespace {
-
-std::string temp_path(const std::string& leaf) {
-  return ::testing::TempDir() + "/" + leaf;
-}
 
 // ---- JSON parser: hostile input -------------------------------------------
 
@@ -238,14 +236,6 @@ TEST(ServeQueue, CloseUnblocksAWaitingPopper) {
   EXPECT_EQ(got, std::nullopt);
 }
 
-TEST(ServeQueue, CloseAndClearDropsPending) {
-  BoundedPriorityQueue<int> q(8);
-  ASSERT_TRUE(q.try_push(1, 0));
-  ASSERT_TRUE(q.try_push(2, 0));
-  EXPECT_EQ(q.close_and_clear(), 2u);
-  EXPECT_EQ(q.pop(), std::nullopt);
-}
-
 // ---- protocol tables (the generated docs/SERVE.md tables) ------------------
 
 TEST(ServeProtocol, MarkdownCoversEveryEnumerator) {
@@ -403,7 +393,7 @@ void save(const trace::Trace& t, const std::string& path) {
 }
 
 TEST(ServeTraceCache, TraceStaysResidentWithNoBorrower) {
-  const std::string path = temp_path("cache_hit.rsim");
+  const TempPath path("cache_hit.rsim");
   save(generate("gzip", 2000), path);
   SharedTraceCache cache;
   const trace::Trace* first = nullptr;
@@ -420,8 +410,8 @@ TEST(ServeTraceCache, TraceStaysResidentWithNoBorrower) {
 }
 
 TEST(ServeTraceCache, HoldsOneTraceAtATime) {
-  const std::string a = temp_path("cache_one_a.rsim");
-  const std::string b = temp_path("cache_one_b.rsim");
+  const TempPath a("cache_one_a.rsim");
+  const TempPath b("cache_one_b.rsim");
   save(generate("gzip", 2000), a);
   save(generate("vpr", 2000), b);
   SharedTraceCache cache;
@@ -434,7 +424,7 @@ TEST(ServeTraceCache, HoldsOneTraceAtATime) {
 }
 
 TEST(ServeTraceCache, FileRewrittenInPlaceReloads) {
-  const std::string path = temp_path("cache_rewrite.rsim");
+  const TempPath path("cache_rewrite.rsim");
   const trace::Trace old = generate("gzip", 2000);
   save(old, path);
   SharedTraceCache cache;
@@ -448,14 +438,14 @@ TEST(ServeTraceCache, FileRewrittenInPlaceReloads) {
 }
 
 TEST(ServeTraceCache, DeletedFileThrowsNamingPathAndCacheRecovers) {
-  const std::string gone = temp_path("cache_gone.rsim");
-  const std::string other = temp_path("cache_other.rsim");
+  const TempPath gone("cache_gone.rsim");
+  const TempPath other("cache_other.rsim");
   const trace::Trace kept = generate("vpr", 1500);
   save(generate("gzip", 2000), gone);
   save(kept, other);
   SharedTraceCache cache;
   (void)cache.get(gone);
-  std::filesystem::remove(gone);
+  std::filesystem::remove(gone.str());
   try {
     (void)cache.get(gone);
     FAIL() << "a deleted trace must not be served";
@@ -469,8 +459,8 @@ TEST(ServeTraceCache, DeletedFileThrowsNamingPathAndCacheRecovers) {
 }
 
 TEST(ServeTraceCache, ConcurrentGetsOfTwoTracesEachGetTheirOwn) {
-  const std::string a = temp_path("cache_mt_a.rsim");
-  const std::string b = temp_path("cache_mt_b.rsim");
+  const TempPath a("cache_mt_a.rsim");
+  const TempPath b("cache_mt_b.rsim");
   const trace::Trace ta = generate("gzip", 1000);
   const trace::Trace tb = generate("vpr", 1200);
   ASSERT_NE(ta.size(), tb.size());
@@ -544,13 +534,11 @@ class RawConn {
 class ServeDaemonTest : public ::testing::Test {
  protected:
   void start_daemon(unsigned max_pending = 8, unsigned idle_timeout_s = 0) {
-    sock_ = temp_path("served_" +
-                      std::string(::testing::UnitTest::GetInstance()
-                                      ->current_test_info()
-                                      ->name()) +
-                      ".sock");
+    sock_.emplace("served_" +
+                  std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+                  ".sock");
     ServeOptions o;
-    o.unix_path = sock_;
+    o.unix_path = *sock_;
     o.threads = 2;
     o.max_pending = max_pending;
     o.idle_timeout_s = idle_timeout_s;
@@ -563,15 +551,16 @@ class ServeDaemonTest : public ::testing::Test {
       daemon_->request_stop();
       daemon_->wait();
     }
+    sock_.reset();  // the daemon leaves its socket file behind
   }
 
-  std::string sock_;
+  std::optional<TempPath> sock_;
   std::optional<Daemon> daemon_;
 };
 
 TEST_F(ServeDaemonTest, PingStatusShutdown) {
   start_daemon();
-  Client client = Client::connect_to_unix(sock_);
+  Client client = Client::connect_to_unix(*sock_);
   client.ping("p1");
 
   std::ostringstream status;
@@ -588,9 +577,26 @@ TEST_F(ServeDaemonTest, PingStatusShutdown) {
   daemon_.reset();
 }
 
+TEST_F(ServeDaemonTest, FinishedSessionsReleaseTheirThreads) {
+  // Every connection gets a thread. A finished one must be joined while
+  // the daemon runs: left for wait(), each keeps its stack (two
+  // mappings) until shutdown.
+  const auto mappings = [] {
+    std::ifstream maps("/proc/self/maps");
+    std::size_t n = 0;
+    for (std::string line; std::getline(maps, line);) ++n;
+    return n;
+  };
+  start_daemon();
+  Client::connect_to_unix(*sock_).ping("warm");
+  const std::size_t before = mappings();
+  for (int i = 0; i < 64; ++i) Client::connect_to_unix(*sock_).ping(std::to_string(i));
+  EXPECT_LE(mappings(), before + 8);
+}
+
 TEST_F(ServeDaemonTest, SimResponseIsByteIdenticalToEngineOutput) {
   start_daemon();
-  const std::string path = temp_path("served_sim.rsim");
+  const TempPath path("served_sim.rsim");
   save_trace(generate("gzip", 4000), path, 512, /*compress=*/true,
              /*prefilter=*/false);
 
@@ -608,7 +614,7 @@ TEST_F(ServeDaemonTest, SimResponseIsByteIdenticalToEngineOutput) {
     expected = driver::result_json(jr) + '\n';
   }
 
-  Client client = Client::connect_to_unix(sock_);
+  Client client = Client::connect_to_unix(*sock_);
   SimRequestSpec spec;
   spec.id = "sim1";
   spec.trace_path = path;
@@ -621,7 +627,7 @@ TEST_F(ServeDaemonTest, SimResponseIsByteIdenticalToEngineOutput) {
 TEST_F(ServeDaemonTest, SampledSimIsByteIdenticalToTheSampledRun) {
   // sample.windows > 0 samples a served sim as `sim --json` samples it.
   start_daemon();
-  const std::string path = temp_path("served_sampled.rsim");
+  const TempPath path("served_sampled.rsim");
   save(generate("gzip", 6000), path);
   const std::vector<std::string> sets = {"sample.windows=4", "sample.window_insts=500",
                                          "sample.warmup_insts=200"};
@@ -638,7 +644,7 @@ TEST_F(ServeDaemonTest, SampledSimIsByteIdenticalToTheSampledRun) {
     expected = driver::result_json(jr) + '\n';
   }
 
-  Client client = Client::connect_to_unix(sock_);
+  Client client = Client::connect_to_unix(*sock_);
   SimRequestSpec spec;
   spec.id = "sampled";
   spec.trace_path = path;
@@ -650,10 +656,10 @@ TEST_F(ServeDaemonTest, SampledSimIsByteIdenticalToTheSampledRun) {
 
 TEST_F(ServeDaemonTest, SecondSimOfOneTraceSkipsTheDecode) {
   start_daemon();
-  const std::string path = temp_path("served_twice.rsim");
+  const TempPath path("served_twice.rsim");
   save(generate("gzip", 3000), path);
 
-  Client client = Client::connect_to_unix(sock_);
+  Client client = Client::connect_to_unix(*sock_);
   SimRequestSpec spec;
   spec.trace_path = path;
   std::ostringstream first;
@@ -690,7 +696,7 @@ TEST_F(ServeDaemonTest, SweepCsvIsByteIdenticalToExporterOutput) {
     }
   }
 
-  Client client = Client::connect_to_unix(sock_);
+  Client client = Client::connect_to_unix(*sock_);
   SweepRequestSpec spec;
   spec.id = "sw1";
   spec.spec_text = spec_text;
@@ -701,7 +707,7 @@ TEST_F(ServeDaemonTest, SweepCsvIsByteIdenticalToExporterOutput) {
 
 TEST_F(ServeDaemonTest, InvalidJsonAnswersBadJson) {
   start_daemon();
-  RawConn conn(sock_);
+  RawConn conn(*sock_);
   conn.expect_hello();
   conn.send_raw(encode_frame("this is not json"));
   conn.expect_error("bad-json");
@@ -709,7 +715,7 @@ TEST_F(ServeDaemonTest, InvalidJsonAnswersBadJson) {
 
 TEST_F(ServeDaemonTest, UnknownRequestTypeIsNamed) {
   start_daemon();
-  RawConn conn(sock_);
+  RawConn conn(*sock_);
   conn.expect_hello();
   conn.send_raw(encode_frame(R"({"type":"frobnicate","id":"x"})"));
   conn.expect_error("unknown-type");
@@ -717,7 +723,7 @@ TEST_F(ServeDaemonTest, UnknownRequestTypeIsNamed) {
 
 TEST_F(ServeDaemonTest, NonObjectAndNonRequestPayloadsAreBadRequests) {
   start_daemon();
-  RawConn conn(sock_);
+  RawConn conn(*sock_);
   conn.expect_hello();
   conn.send_raw(encode_frame("42"));
   conn.expect_error("bad-request");
@@ -732,7 +738,7 @@ TEST_F(ServeDaemonTest, NonObjectAndNonRequestPayloadsAreBadRequests) {
 TEST_F(ServeDaemonTest, HostileLengthPrefixesDropTheConnection) {
   start_daemon();
   {
-    RawConn conn(sock_);
+    RawConn conn(*sock_);
     conn.expect_hello();
     conn.send_raw(std::string(4, '\0'));  // zero-length frame
     conn.expect_error("bad-frame");
@@ -740,7 +746,7 @@ TEST_F(ServeDaemonTest, HostileLengthPrefixesDropTheConnection) {
         << "an unsynchronized stream must be dropped";
   }
   {
-    RawConn conn(sock_);
+    RawConn conn(*sock_);
     conn.expect_hello();
     const std::uint32_t len = kMaxFrameBytes + 1;
     std::string prefix(4, '\0');
@@ -750,14 +756,14 @@ TEST_F(ServeDaemonTest, HostileLengthPrefixesDropTheConnection) {
     EXPECT_EQ(conn.read_frame(), std::nullopt);
   }
   // The daemon is unharmed: a fresh, polite client still gets served.
-  Client client = Client::connect_to_unix(sock_);
+  Client client = Client::connect_to_unix(*sock_);
   client.ping("still-alive");
 }
 
 TEST_F(ServeDaemonTest, TruncatedFrameThenDisconnectLeavesDaemonHealthy) {
   start_daemon();
   {
-    RawConn conn(sock_);
+    RawConn conn(*sock_);
     conn.expect_hello();
     // Announce 100 bytes, deliver 10, vanish.
     std::string prefix(4, '\0');
@@ -765,13 +771,13 @@ TEST_F(ServeDaemonTest, TruncatedFrameThenDisconnectLeavesDaemonHealthy) {
     conn.send_raw(prefix + std::string(10, 'x'));
     conn.close();
   }
-  Client client = Client::connect_to_unix(sock_);
+  Client client = Client::connect_to_unix(*sock_);
   client.ping("after-truncation");
 }
 
 TEST_F(ServeDaemonTest, MidRequestDisconnectLosesOnlyThatRequest) {
   start_daemon();
-  const std::string path = temp_path("served_disc.rsim");
+  const TempPath path("served_disc.rsim");
   save_trace(generate("gzip", 4000), path, 512, /*compress=*/true,
              /*prefilter=*/false);
 
@@ -779,7 +785,7 @@ TEST_F(ServeDaemonTest, MidRequestDisconnectLosesOnlyThatRequest) {
   spec.id = "doomed";
   spec.trace_path = path;
   {
-    RawConn conn(sock_);
+    RawConn conn(*sock_);
     conn.expect_hello();
     conn.send_raw(encode_frame(build_sim_request(spec)));
     conn.close();  // gone before (possibly mid-) response
@@ -787,7 +793,7 @@ TEST_F(ServeDaemonTest, MidRequestDisconnectLosesOnlyThatRequest) {
 
   // The daemon must still serve the identical request, with identical
   // bytes, to the next client.
-  Client client = Client::connect_to_unix(sock_);
+  Client client = Client::connect_to_unix(*sock_);
   spec.id = "survivor";
   std::ostringstream a;
   (void)client.request(build_sim_request(spec), a);

@@ -78,17 +78,6 @@ TEST(StatsHandles, AddZeroPublishes) {
   EXPECT_NE(s.report().find("commit.squashed_insts"), std::string::npos);
 }
 
-TEST(StatsHandles, ResetZeroesButKeepsVisibility) {
-  StatsRegistry s;
-  s.counter("a").add(7);
-  s.occupancy("b").sample(3);
-  s.reset();
-  EXPECT_TRUE(s.has_counter("a"));
-  EXPECT_EQ(s.value("a"), 0u);
-  EXPECT_EQ(s.occupancy("b").samples(), 0u);
-  EXPECT_NE(s.report().find('a'), std::string::npos);
-}
-
 // ---- merge ----------------------------------------------------------------
 
 TEST(StatsMerge, CountersAddAndUntouchedAreSkipped) {
@@ -129,84 +118,6 @@ TEST(StatsMerge, MergeIntoEmptyEqualsCopy) {
 }
 
 // ---- snapshot / delta -----------------------------------------------------
-
-TEST(StatsSnapshotDelta, SnapshotCapturesTouchedOnly) {
-  StatsRegistry s;
-  s.counter("fired").add(3);
-  (void)s.counter("silent");  // resolved, never fired
-  s.occupancy("occ.fired").sample(5);
-  (void)s.occupancy("occ.silent");
-  const StatsSnapshot snap = s.snapshot();
-  EXPECT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.value("fired"), 3u);
-  EXPECT_EQ(snap.value("silent"), 0u);  // absent reads as 0
-  ASSERT_EQ(snap.occupancies.size(), 1u);
-  EXPECT_EQ(snap.occupancies.at("occ.fired").sum, 5u);
-  EXPECT_EQ(snap.occupancies.at("occ.fired").samples, 1u);
-  EXPECT_EQ(snap.occupancies.at("occ.fired").max, 5u);
-}
-
-TEST(StatsSnapshotDelta, SnapshotIsAValueCopy) {
-  StatsRegistry s;
-  s.counter("c").add(2);
-  const StatsSnapshot snap = s.snapshot();
-  s.counter("c").add(10);
-  EXPECT_EQ(snap.value("c"), 2u);  // later events don't leak into it
-}
-
-TEST(StatsSnapshotDelta, DeltaSubtractsCounters) {
-  StatsRegistry s;
-  s.counter("commit.insts").add(100);
-  const StatsSnapshot before = s.snapshot();
-  s.counter("commit.insts").add(40);
-  s.counter("new.in_region").add(7);  // first touched inside the region
-  const StatsSnapshot after = s.snapshot();
-  const StatsSnapshot d = StatsRegistry::delta(after, before);
-  EXPECT_EQ(d.value("commit.insts"), 40u);
-  EXPECT_EQ(d.value("new.in_region"), 7u);
-}
-
-TEST(StatsSnapshotDelta, DeltaSubtractsOccupancySumsAndSamples) {
-  StatsRegistry s;
-  s.occupancy("occ.rob").sample(10);
-  s.occupancy("occ.rob").sample(12);  // sum 22, samples 2, max 12
-  const StatsSnapshot before = s.snapshot();
-  s.occupancy("occ.rob").sample(4);  // sum 26, samples 3, max still 12
-  const StatsSnapshot after = s.snapshot();
-  const StatsSnapshot d = StatsRegistry::delta(after, before);
-  const auto& occ = d.occupancies.at("occ.rob");
-  EXPECT_EQ(occ.sum, 4u);
-  EXPECT_EQ(occ.samples, 1u);
-  // Running max can't be un-merged: the delta carries the newer max as
-  // an upper bound for the region (documented on StatsSnapshot::Occ).
-  EXPECT_EQ(occ.max, 12u);
-}
-
-TEST(StatsSnapshotDelta, DeltaThrowsOnDecreasedCounter) {
-  StatsRegistry s;
-  s.counter("c").add(10);
-  const StatsSnapshot big = s.snapshot();
-  s.reset();
-  s.counter("c").add(3);
-  const StatsSnapshot small = s.snapshot();
-  try {
-    (void)StatsRegistry::delta(small, big);
-    FAIL() << "expected std::logic_error";
-  } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("'c'"), std::string::npos);
-  }
-}
-
-TEST(StatsSnapshotDelta, DeltaOfEqualSnapshotsIsZero) {
-  StatsRegistry s;
-  s.counter("c").add(5);
-  s.occupancy("o").sample(2);
-  const StatsSnapshot snap = s.snapshot();
-  const StatsSnapshot d = StatsRegistry::delta(snap, snap);
-  EXPECT_EQ(d.value("c"), 0u);
-  EXPECT_EQ(d.occupancies.at("o").sum, 0u);
-  EXPECT_EQ(d.occupancies.at("o").samples, 0u);
-}
 
 // ---- engine-level: result() is repeatable and handle-driven ---------------
 

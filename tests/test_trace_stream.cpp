@@ -4,10 +4,10 @@
 // runner's prepared-trace and trace.backend dispatch.
 #include <unistd.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,6 +17,7 @@
 #include "core/engine.hpp"
 #include "driver/batch_runner.hpp"
 #include "driver/sampling.hpp"
+#include "temp_path.hpp"
 #include "trace/batch_cache.hpp"
 #include "trace/file_source.hpp"
 #include "trace/mmap_source.hpp"
@@ -36,8 +37,6 @@ Trace generate(const std::string& bench, std::uint64_t insts) {
   g.max_insts = insts;
   return TraceGenerator(workload::make_workload(bench), g).generate();
 }
-
-std::string temp_path(const std::string& leaf) { return ::testing::TempDir() + "/" + leaf; }
 
 // ---- source equivalence ----------------------------------------------------
 //
@@ -74,15 +73,14 @@ class SourceEquivalence : public ::testing::TestWithParam<std::uint32_t> {
     trace_ = TraceGenerator(workload::make_workload("vortex"), g).generate();
     ASSERT_GE(trace_.records.size(), kRecords);
     trace_.records.resize(kRecords);
-    path_ = temp_path("equiv_v" + std::to_string(GetParam()) + ".rsim");
+    path_.emplace("equiv_v" + std::to_string(GetParam()) + ".rsim");
     if (GetParam() == kContainerV1) {
-      testutil::write_v1(path_, trace_, trace_.records.size());
+      testutil::write_v1(*path_, trace_, trace_.records.size());
     } else {
-      save_trace(trace_, path_, kChunk, /*compress=*/GetParam() >= kContainerV3,
+      save_trace(trace_, *path_, kChunk, /*compress=*/GetParam() >= kContainerV3,
                  /*prefilter=*/GetParam() == kContainerV4);
     }
   }
-  void TearDown() override { std::remove(path_.c_str()); }
 
   /// Fresh readers; the shared cache declines v1.
   std::vector<Reader> open_all() const {
@@ -92,10 +90,10 @@ class SourceEquivalence : public ::testing::TestWithParam<std::uint32_t> {
       ChunkCursor* raw = c.get();
       out.push_back({name, std::move(c), raw});
     };
-    add("stream", std::make_unique<FileTraceSource>(path_));
-    add("mmap", std::make_unique<MmapTraceSource>(path_));
+    add("stream", std::make_unique<FileTraceSource>(*path_));
+    add("mmap", std::make_unique<MmapTraceSource>(*path_));
     if (GetParam() != kContainerV1) {
-      add("shared", std::make_unique<BatchTraceSource>(std::make_shared<SharedBatchCache>(path_)));
+      add("shared", std::make_unique<BatchTraceSource>(std::make_shared<SharedBatchCache>(*path_)));
     }
     for (const auto& r : out) {
       if (r.cursor == nullptr) continue;
@@ -113,7 +111,7 @@ class SourceEquivalence : public ::testing::TestWithParam<std::uint32_t> {
   }
 
   Trace trace_;
-  std::string path_;
+  std::optional<TempPath> path_;
 };
 
 /// One sampled region: gap records skipped, then a warm-up segment and
@@ -343,12 +341,11 @@ INSTANTIATE_TEST_SUITE_P(Containers, SourceEquivalence,
 TEST(FileTraceSource, NextPastEndThrows) {
   Trace t;
   t.name = "empty";
-  const std::string path = temp_path("empty.rsim");
+  const TempPath path("empty.rsim");
   save_trace(t, path);
   FileTraceSource src(path);
   EXPECT_EQ(src.peek(), nullptr);
   EXPECT_THROW((void)src.next(), std::out_of_range);
-  std::remove(path.c_str());
 }
 
 // Engine identity across the whole suite: the acceptance criterion.
@@ -362,7 +359,7 @@ TEST_P(StreamedSimEquivalence, SimResultIdenticalToInMemory) {
   g.wrong_path_block = cfg.wrong_path_block();
   const Trace t = TraceGenerator(workload::make_workload(GetParam()), g).generate();
 
-  const std::string path = temp_path("suite_" + GetParam() + ".rsim");
+  const TempPath path("suite_" + GetParam() + ".rsim");
   save_trace(t, path);
 
   VectorTraceSource vsrc(t);
@@ -381,7 +378,6 @@ TEST_P(StreamedSimEquivalence, SimResultIdenticalToInMemory) {
   EXPECT_EQ(rf.minor_cycles, rv.minor_cycles);
   EXPECT_EQ(rf.trace_records, rv.trace_records);
   EXPECT_EQ(rf.trace_bits, rv.trace_bits);
-  std::remove(path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Suite, StreamedSimEquivalence,
@@ -391,12 +387,11 @@ INSTANTIATE_TEST_SUITE_P(Suite, StreamedSimEquivalence,
 TEST(MmapTraceSource, NextPastEndThrowsAndEmptyTraceLoads) {
   Trace t;
   t.name = "empty";
-  const std::string path = temp_path("mmap_empty.rsim");
+  const TempPath path("mmap_empty.rsim");
   save_trace(t, path, kDefaultChunkRecords, /*compress=*/true);
   MmapTraceSource src(path);
   EXPECT_EQ(src.peek(), nullptr);
   EXPECT_THROW((void)src.next(), std::out_of_range);
-  std::remove(path.c_str());
 }
 
 TEST(MmapTraceSource, MissingFileRejected) {
@@ -411,16 +406,14 @@ TEST(TraceFileV3, SuiteWorkloadCompressesAtLeastTwofold) {
   // is a stable property of codec + workload, not of the host.
   for (const auto& name : workload::suite_names()) {
     const Trace t = generate(name, 20000);
-    const std::string raw_path = temp_path("ratio_raw_" + name + ".rsim");
-    const std::string lz_path = temp_path("ratio_lz_" + name + ".rsim");
+    const TempPath raw_path("ratio_raw_" + name + ".rsim");
+    const TempPath lz_path("ratio_lz_" + name + ".rsim");
     save_trace(t, raw_path);
     save_trace(t, lz_path, kDefaultChunkRecords, /*compress=*/true);
-    const auto raw_size = std::filesystem::file_size(raw_path);
-    const auto lz_size = std::filesystem::file_size(lz_path);
+    const auto raw_size = std::filesystem::file_size(raw_path.str());
+    const auto lz_size = std::filesystem::file_size(lz_path.str());
     EXPECT_GE(raw_size, 2 * lz_size)
         << name << ": v2 " << raw_size << " bytes, v3 " << lz_size << " bytes";
-    std::remove(raw_path.c_str());
-    std::remove(lz_path.c_str());
   }
 }
 
@@ -440,7 +433,7 @@ TEST(BatchRunnerStream, TracePathJobsMatchSharedPreparedTrace) {
   g.max_insts = 4000;
   auto shared = std::make_shared<trace::Trace>(
       trace::TraceGenerator(workload::make_workload("gzip"), g).generate());
-  const std::string path = ::testing::TempDir() + "/trace_path.rsim";
+  const TempPath path("trace_path.rsim");
   trace::save_trace(*shared, path);
 
   std::vector<SimJob> prepared, streamed;
@@ -466,7 +459,6 @@ TEST(BatchRunnerStream, TracePathJobsMatchSharedPreparedTrace) {
       EXPECT_EQ(csv_row(got[i]), csv_row(want[i]));
     }
   }
-  std::remove(path.c_str());
 }
 
 // ---- trace.backend dispatch ------------------------------------------------
@@ -488,9 +480,9 @@ TEST(BatchRunnerBackend, EveryBackendYieldsIdenticalCsvRows) {
   }
   const auto baseline = BatchRunner(1).run(jobs);
 
-  const std::string raw_path = ::testing::TempDir() + "/backend_raw.rsim";
-  const std::string lz_path = ::testing::TempDir() + "/backend_lz.rsim";
-  const std::string v1_path = ::testing::TempDir() + "/backend_v1.rsim";
+  const TempPath raw_path("backend_raw.rsim");
+  const TempPath lz_path("backend_lz.rsim");
+  const TempPath v1_path("backend_v1.rsim");
   const auto prepared = std::make_shared<const trace::Trace>(
       trace::TraceGenerator(workload::make_workload("gzip"), jobs[0].gen).generate());
   trace::save_trace(*prepared, raw_path);
@@ -501,7 +493,7 @@ TEST(BatchRunnerBackend, EveryBackendYieldsIdenticalCsvRows) {
                              core::TraceBackend::kMmap}) {
     // "" generates, "prepared" shares the decoded trace, the rest are files.
     for (const std::string& path :
-         {std::string(), std::string("prepared"), raw_path, lz_path, v1_path}) {
+         {std::string(), std::string("prepared"), raw_path.str(), lz_path.str(), v1_path.str()}) {
       for (const bool shared : {true, false}) {
         std::vector<SimJob> variant = jobs;
         for (auto& job : variant) {
@@ -531,9 +523,6 @@ TEST(BatchRunnerBackend, EveryBackendYieldsIdenticalCsvRows) {
       }
     }
   }
-  std::remove(raw_path.c_str());
-  std::remove(lz_path.c_str());
-  std::remove(v1_path.c_str());
 }
 
 TEST(BatchRunnerBackend, NoTempContainerOutlivesARun) {

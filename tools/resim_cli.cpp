@@ -284,14 +284,10 @@ int cmd_sim(const Args& a) {
         std::cout << "warning: trace ended during warm-up (" << r.trace_records << " of "
                   << spec.warmup << " records); no measured region\n";
       } else {
-        const auto m_committed = r.committed - run.warm_committed;
-        const auto m_cycles = r.major_cycles - run.warm_cycles;
-        std::cout << "measured region (post warm-up): committed " << m_committed
-                  << " in " << m_cycles << " cycles, IPC "
-                  << (m_cycles == 0 ? 0.0
-                                    : static_cast<double>(m_committed) /
-                                          static_cast<double>(m_cycles))
-                  << '\n';
+        const core::Region m{r.committed - run.warm.committed,
+                             r.major_cycles - run.warm.cycles};
+        std::cout << "measured region (post warm-up): committed " << m.committed << " in "
+                  << m.cycles << " cycles, IPC " << m.ipc() << '\n';
       }
     }
   }
