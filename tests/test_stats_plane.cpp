@@ -117,8 +117,6 @@ TEST(StatsMerge, MergeIntoEmptyEqualsCopy) {
   EXPECT_EQ(dst.report(), src.report());
 }
 
-// ---- snapshot / delta -----------------------------------------------------
-
 // ---- engine-level: result() is repeatable and handle-driven ---------------
 
 core::SimResult run_paper_machine(const std::string& cfg_file, std::uint64_t insts,
