@@ -1,28 +1,25 @@
-// Trace-feed throughput across every .rsim reading backend (the Table 3
-// angle: ReSim's appetite for trace bandwidth is what makes the trace
-// path a hot path worth measuring, and what the CI perf gate watches).
+// Trace-feed throughput of every .rsim reader (the Table 3 angle:
+// ReSim's appetite for trace bandwidth is what makes the trace path a
+// hot path worth measuring, and what the CI perf gate watches).
 //
 // Generates one trace, saves it as a raw chunked v2 .rsim, a compressed
 // v3 .rsim, and a delta-prefiltered v4 .rsim, then drains it
-//   (a) from a decoded in-memory vector   (VectorTraceSource),
-//   (b) chunk-streamed off each file      (FileTraceSource, O(chunk)),
-//   (c) memory-mapped, decoded in place   (MmapTraceSource),
-//   (d) through a SharedBatchCache feed   (BatchTraceSource, the sweep
-//       fan-out path — measured cold, decoding every chunk, and warm,
-//       replaying cached decoded batches),
+//   (a) chunk-streamed off each file      (FileTraceSource, O(chunk)),
+//   (b) through a SharedBatchCache feed   (BatchTraceSource, the sweep
+//       fan-out path, decoding every chunk once),
 // each through fetch_view/consume_view (the protocol the engine reads
 // by), reporting records/s and decoded-wire MB/s for each, plus a full engine
-// run on every source as a bit-identity self-check (exit 1 on mismatch).
+// run on every source, against the decoded in-memory trace, as a
+// bit-identity self-check (exit 1 on mismatch).
 //
 // Every source lends its records in place and counts records only, so
-// MB/s is the trace's total_bits() over the drain time. The memory and
-// shared/warm rows decode nothing and so time only the view hand-over;
-// per-record work happens in the reader, which micro_engine_throughput
-// and perfbench time.
+// MB/s is the trace's total_bits() over the drain time. Every row
+// decodes each chunk it hands out; a source replaying decoded records
+// would time only the view hand-over.
 //
 // Besides the table, the run is saved as machine-readable
 // BENCH_trace_io.json (path override: RESIM_BENCH_JSON env var) with one
-// entry per backend, the v3/v2 and v4/v2 compression ratios, so the CI
+// entry per reader, the v3/v2 and v4/v2 compression ratios, so the CI
 // perf-regression gate has MB/s numbers to compare against
 // bench/baselines/BENCH_trace_io.json (docs/CI.md).
 //
@@ -35,14 +32,12 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "trace/batch_cache.hpp"
 #include "trace/file_source.hpp"
-#include "trace/mmap_source.hpp"
 #include "trace/writer.hpp"
 
 namespace resim::bench {
@@ -126,7 +121,7 @@ int run(int reps) {
   const double delta_ratio =
       static_cast<double>(raw_file_bytes) / static_cast<double>(delta_file_bytes);
 
-  print_header("Trace feed throughput: memory vs stream vs mmap vs shared batches");
+  print_header("Trace feed throughput: stream vs shared batches");
   std::cout << "trace: gzip, " << t.records.size() << " records, v2 "
             << raw_file_bytes << " bytes, v3 " << lz_file_bytes << " bytes ("
             << std::fixed << std::setprecision(2) << ratio << "x), v4 "
@@ -137,66 +132,21 @@ int run(int reps) {
   print_rule(50);
 
   std::vector<DrainResult> results;
-  results.push_back(best_drain("memory", reps, [&] {
-    // The vector source reads a prepared decoded trace; its "drain" is
-    // the in-memory upper bound the file backends chase.
-    return std::make_unique<trace::VectorTraceSource>(t);
-  }));
   results.push_back(best_drain("stream/raw", reps, [&] {
     return std::make_unique<trace::FileTraceSource>(raw_path);
   }));
   results.push_back(best_drain("stream/lz", reps, [&] {
     return std::make_unique<trace::FileTraceSource>(lz_path);
   }));
-  results.push_back(best_drain("mmap/raw", reps, [&] {
-    return std::make_unique<trace::MmapTraceSource>(raw_path);
-  }));
-  results.push_back(best_drain("mmap/lz", reps, [&] {
-    return std::make_unique<trace::MmapTraceSource>(lz_path);
-  }));
   results.push_back(best_drain("stream/delta", reps, [&] {
     return std::make_unique<trace::FileTraceSource>(delta_path);
   }));
-  results.push_back(best_drain("mmap/delta", reps, [&] {
-    return std::make_unique<trace::MmapTraceSource>(delta_path);
+  // Shared-batch feed: the one-time chunk decode the single producer
+  // does once per sweep.
+  results.push_back(best_drain("shared/cold", reps, [&] {
+    return std::make_unique<trace::BatchTraceSource>(std::make_shared<trace::SharedBatchCache>(
+        lz_path, /*expected_consumers=*/1, /*capacity=*/1));
   }));
-
-  // Shared-batch feed, both halves of the fan-out story: "cold" pays the
-  // one-time chunk decode (what the single producer does once per
-  // sweep), "warm" replays already-decoded batches (what every
-  // other consumer in the group sees). Capacity is sized to the whole
-  // trace so warm reps never re-decode.
-  {
-    DrainResult cold;
-    for (int i = 0; i < reps; ++i) {
-      const auto cache = std::make_shared<trace::SharedBatchCache>(
-          lz_path, /*expected_consumers=*/1, /*capacity=*/1);
-      trace::BatchTraceSource src(cache);
-      const auto d = drain(src);
-      if (cold.secs == 0 || d.secs < cold.secs) cold = d;
-    }
-    cold.name = "shared/cold";
-    results.push_back(cold);
-
-    // Capacity covers the whole trace so warm reps replay cached
-    // batches only (skip() hops chunks without decoding, so the warmup
-    // must drain, not skip).
-    const auto cache = std::make_shared<trace::SharedBatchCache>(
-        lz_path, /*expected_consumers=*/1,
-        /*capacity=*/std::numeric_limits<std::size_t>::max());
-    {
-      trace::BatchTraceSource warmup(cache);
-      (void)drain(warmup);
-    }
-    DrainResult warm;
-    for (int i = 0; i < reps; ++i) {
-      trace::BatchTraceSource src(cache);
-      const auto d = drain(src);
-      if (warm.secs == 0 || d.secs < warm.secs) warm = d;
-    }
-    warm.name = "shared/warm";
-    results.push_back(warm);
-  }
   // Every source drained the whole trace (checked below), so each moved
   // its wire bits.
   for (auto& r : results) r.bits = t.total_bits();
@@ -211,11 +161,9 @@ int run(int reps) {
   for (const std::string& path : {raw_path, lz_path, delta_path}) {
     trace::FileTraceSource fsrc(path);
     const auto rf = core::ReSimEngine(cfg, fsrc).run();
-    trace::MmapTraceSource msrc(path);
-    const auto rm = core::ReSimEngine(cfg, msrc).run();
     trace::BatchTraceSource bsrc(std::make_shared<trace::SharedBatchCache>(path));
     const auto rb = core::ReSimEngine(cfg, bsrc).run();
-    for (const auto& r : {rf, rm, rb}) {
+    for (const auto& r : {rf, rb}) {
       ok = ok && rv.committed == r.committed && rv.major_cycles == r.major_cycles &&
            rv.trace_records == r.trace_records && rv.trace_bits == r.trace_bits;
     }

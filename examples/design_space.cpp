@@ -11,13 +11,12 @@
 //
 // A 4th argument selects the trace backend (the `trace.backend`
 // registry parameter): "stream" makes every worker simulate from a
-// private constant-memory trace::FileTraceSource, "mmap" from an
-// in-place trace::MmapTraceSource (each worker's generated trace
-// round-tripped through a temp .rsim file); the default decodes in
-// memory. Every result row is identical on every backend, because the
-// codec is lossless.
+// private constant-memory trace::FileTraceSource (each worker's
+// generated trace round-tripped through a temp .rsim file); the default
+// decodes in memory. Every result row is identical on both backends,
+// because the codec is lossless.
 //
-//   ./design_space [benchmark] [instructions] [threads] [memory|stream|mmap]
+//   ./design_space [benchmark] [instructions] [threads] [memory|stream]
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>

@@ -40,7 +40,7 @@ const std::vector<std::string>& repl_names() {
 }
 
 const std::vector<std::string>& trace_backend_names() {
-  static const std::vector<std::string> names = {"memory", "stream", "mmap"};
+  static const std::vector<std::string> names = {"memory", "stream"};
   return names;
 }
 

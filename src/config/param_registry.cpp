@@ -212,7 +212,7 @@ ParamRegistry::ParamRegistry() {
   // --- trace.* (host-side; never changes simulation results) --------------
   enum_p("trace.backend", trace_backend_names(),
          RESIM_ACC(trace_backend, core::TraceBackend),
-         "worker trace source: decoded in memory, chunk-streamed, or mmap'd");
+         "worker trace source: decoded in memory or chunk-streamed");
   bool_p("trace.shared_decode", RESIM_ACC(trace_shared_decode, bool),
          "share one decoded-batch producer across same-trace sweep jobs");
   bool_p("trace.prefilter", RESIM_ACC(trace_prefilter, bool),

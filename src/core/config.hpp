@@ -37,12 +37,11 @@ struct FuPoolConfig {
 
 /// How a simulation worker feeds itself trace records (a host-side
 /// knob, not a property of the simulated machine): decode the whole
-/// trace up front (memory), stream a .rsim file chunk-at-a-time in
-/// O(chunk) RSS (stream), or map it read-only and decode in place
-/// (mmap). Reflected as the `trace.backend` registry parameter so
-/// sweeps can be driven onto any backend declaratively; every backend
-/// produces bit-identical simulation results.
-enum class TraceBackend : std::uint8_t { kMemory, kStream, kMmap };
+/// trace up front (memory), or stream a .rsim file chunk-at-a-time in
+/// O(chunk) RSS (stream). Reflected as the `trace.backend` registry
+/// parameter so sweeps can be driven onto either backend declaratively;
+/// both produce bit-identical simulation results.
+enum class TraceBackend : std::uint8_t { kMemory, kStream };
 
 /// Interval stats + sampled (SimPoint-style) execution knobs
 /// (docs/SAMPLING.md). All default to "off": with the defaults every

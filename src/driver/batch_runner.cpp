@@ -52,8 +52,8 @@ struct TempContainer {
 
 /// The one turn of a SimJob into records: its file, its prepared trace
 /// or a trace generated from its workload, in the form its backend
-/// reads. Stream and mmap jobs without a file get a private `temp`
-/// container, v4 when trace.prefilter is set.
+/// reads. Stream jobs without a file get a private `temp` container, v4
+/// when trace.prefilter is set.
 TraceRecords job_records(const SimJob& job, TempContainer& temp) {
   const bool memory = job.config.trace_backend == core::TraceBackend::kMemory;
   if (!job.trace_path.empty()) {
@@ -84,7 +84,7 @@ TraceRecords job_records(const SimJob& job, TempContainer& temp) {
 /// open.
 OpenTrace open_job(const SimJob& job) {
   TempContainer temp;
-  return {job_records(job, temp), job.config.trace_backend};
+  return OpenTrace(job_records(job, temp));
 }
 
 JobResult simulate(const SimJob& job, trace::TraceSource& src) {
@@ -177,7 +177,7 @@ JobResult run_one_with_share(const SimJob& job, GroupShare& g) {
     trace::BatchTraceSource src(g.cache);
     out = simulate(job, src);
   } else {
-    const OpenTrace in(g.records, job.config.trace_backend);
+    const OpenTrace in(g.records);
     out = simulate(job, in.source());
   }
   if (g.finished.fetch_add(1) + 1 == g.members) release_group(g);

@@ -38,12 +38,11 @@ namespace resim::driver {
 ///
 /// config.trace_backend (the `trace.backend` registry parameter)
 /// selects how each job reads records: kMemory decodes the whole trace
-/// up front; kStream uses a constant-memory FileTraceSource; kMmap maps
-/// the file and decodes in place. A stream or mmap job without a file
-/// (generated or prepared trace) reads a private temp .rsim, v4 when
-/// config.trace_prefilter is set, unlinked as soon as it is open. Every
-/// backend is bit-identical in results; only host memory behavior
-/// differs.
+/// up front; kStream uses a constant-memory FileTraceSource. A stream
+/// job without a file (generated or prepared trace) reads a private temp
+/// .rsim, v4 when config.trace_prefilter is set, unlinked as soon as it
+/// is open. Both backends are bit-identical in results; only host memory
+/// behavior differs.
 struct SimJob {
   std::string label;     ///< row label in reports/CSV
   std::string workload;  ///< benchmark name (workload::make_workload registry)
@@ -100,13 +99,13 @@ class BatchRunner {
   /// prepared trace, or byte-identical generation parameters) form a
   /// group. A group's trace is decoded by one shared producer — a
   /// load_trace for the memory backend, a trace::SharedBatchCache for
-  /// the file backends — instead of once per job, and the runner claims
+  /// the stream backend — instead of once per job, and the runner claims
   /// group members contiguously so the producer engages at any -j.
-  /// Grouped stream/mmap jobs read through BatchTraceSource (the cache
-  /// is the file reader; the per-job backend only picks the fallback
-  /// for v1 containers). Results are byte-identical to private decoding
-  /// in every mode. `decode_stats`, when non-null, receives one entry
-  /// per group in deterministic (first-member) order.
+  /// Grouped stream jobs read through BatchTraceSource (a v1 container,
+  /// which the cache declines, falls back to private readers). Results
+  /// are byte-identical to private decoding in every mode.
+  /// `decode_stats`, when non-null, receives one entry per group in
+  /// deterministic (first-member) order.
   [[nodiscard]] std::vector<JobResult> run(
       const std::vector<SimJob>& jobs,
       std::vector<GroupDecodeStats>* decode_stats = nullptr) const;

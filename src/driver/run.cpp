@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "trace/mmap_source.hpp"
 #include "trace/segment.hpp"
 
 namespace resim::driver {
@@ -11,16 +10,12 @@ std::shared_ptr<const trace::Trace> load_file(const std::string& path) {
   return std::make_shared<const trace::Trace>(trace::load_trace(path));
 }
 
-OpenTrace::OpenTrace(const TraceRecords& records, core::TraceBackend backend)
-    : decoded_(records.decoded) {
+OpenTrace::OpenTrace(const TraceRecords& records) : decoded_(records.decoded) {
   if (decoded_) {
     src_ = std::make_unique<trace::VectorTraceSource>(*decoded_);
     return;
   }
-  std::unique_ptr<trace::FileTraceSource> file =
-      backend == core::TraceBackend::kMmap
-          ? std::make_unique<trace::MmapTraceSource>(records.path)
-          : std::make_unique<trace::FileTraceSource>(records.path);
+  auto file = std::make_unique<trace::FileTraceSource>(records.path);
   file_ = file.get();
   src_ = std::move(file);
 }
@@ -31,7 +26,7 @@ const std::string& OpenTrace::name() const {
 
 OpenTrace open_trace(const std::string& path, core::TraceBackend backend,
                      const TraceLoader& load) {
-  return {{backend == core::TraceBackend::kMemory ? load(path) : nullptr, path}, backend};
+  return OpenTrace({backend == core::TraceBackend::kMemory ? load(path) : nullptr, path});
 }
 
 void RunSpec::validate(const core::CoreConfig& cfg) const {

@@ -3,8 +3,8 @@
 //
 //   opening  trace.backend picks the reader: the memory backend reads a
 //            decoded trace (a TraceLoader's, for a path: the CLI decodes
-//            the file, the daemon lends its resident copy), stream and
-//            mmap read the container chunk by chunk;
+//            the file, the daemon lends its resident copy), stream
+//            reads the container chunk by chunk;
 //   running  sampled when sample.windows > 0 or a plan file is given,
 //            else one skip -> warm-up -> max-records window; a
 //            whole-trace run drives the engine on the source directly.
@@ -32,7 +32,7 @@ using TraceLoader =
 [[nodiscard]] std::shared_ptr<const trace::Trace> load_file(const std::string& path);
 
 /// A trace as its backend reads it: decoded records (memory), else the
-/// container at `path` (stream, mmap).
+/// container at `path` (stream).
 struct TraceRecords {
   std::shared_ptr<const trace::Trace> decoded;
   std::string path;
@@ -41,8 +41,8 @@ struct TraceRecords {
 /// One trace opened for one run; owns the source the run reads.
 class OpenTrace {
  public:
-  /// A container is mapped under kMmap and streamed otherwise.
-  OpenTrace(const TraceRecords& records, core::TraceBackend backend);
+  /// Decoded records are read in place; a container is streamed.
+  explicit OpenTrace(const TraceRecords& records);
 
   [[nodiscard]] trace::TraceSource& source() const { return *src_; }
   [[nodiscard]] const std::string& name() const;

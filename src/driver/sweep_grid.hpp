@@ -52,8 +52,8 @@ struct SweepGrid {
 
 /// expand_spec() for a run. With a prepared trace (`trace_path` set) the
 /// bench axis collapses to the container's benchmark name, memory-backend
-/// jobs share `load(trace_path)` (called at most once) and stream/mmap
-/// jobs open the file themselves; otherwise every job generates its own.
+/// jobs share `load(trace_path)` (called at most once) and stream jobs
+/// open the file themselves; otherwise every job generates its own.
 [[nodiscard]] SweepGrid expand_sweep(config::SweepSpec spec, const std::string& trace_path,
                                      const TraceLoader& load);
 

@@ -43,7 +43,6 @@
 #include "common/lz.hpp"
 #include "trace/container.hpp"
 #include "trace/file_source.hpp"
-#include "trace/mmap_source.hpp"
 #include "trace/reader.hpp"
 #include "trace/segment.hpp"
 #include "trace/trace_stats.hpp"

@@ -52,10 +52,6 @@ Client Client::connect_to_unix(const std::string& path) {
   return Client(connect_unix(path));
 }
 
-Client Client::connect_to_tcp(std::uint16_t port) {
-  return Client(connect_tcp(port));
-}
-
 std::optional<std::string> Client::read_frame() {
   std::string payload;
   if (decoder_.next(payload)) return payload;

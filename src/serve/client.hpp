@@ -38,10 +38,9 @@ class ServerError : public std::runtime_error {
 
 class Client {
  public:
-  /// Connect over a Unix socket path or loopback TCP (exactly one),
-  /// then read + verify the hello frame.
+  /// Connect to the daemon's Unix socket, then read + verify the hello
+  /// frame.
   [[nodiscard]] static Client connect_to_unix(const std::string& path);
-  [[nodiscard]] static Client connect_to_tcp(std::uint16_t port);
 
   /// Totals reported by the server's `done` frame.
   struct Done {

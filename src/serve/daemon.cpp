@@ -65,19 +65,11 @@ void Daemon::log_line(const std::string& line) const {
 }
 
 void Daemon::start() {
-  if (opts_.unix_path.empty() && !opts_.tcp) {
-    throw std::runtime_error("serve: no listener configured (need a unix "
-                             "socket path and/or a TCP port)");
+  if (opts_.unix_path.empty()) {
+    throw std::runtime_error("serve: no listener configured (need a unix socket path)");
   }
-  if (!opts_.unix_path.empty()) {
-    unix_listener_ = listen_unix(opts_.unix_path);
-    log_line("serve: listening on unix socket " + opts_.unix_path);
-  }
-  if (opts_.tcp) {
-    tcp_port_ = opts_.tcp_port;
-    tcp_listener_ = listen_tcp(tcp_port_);
-    log_line("serve: listening on 127.0.0.1:" + std::to_string(tcp_port_));
-  }
+  listener_ = listen_unix(opts_.unix_path);
+  log_line("serve: listening on unix socket " + opts_.unix_path);
   auto pipe = make_wake_pipe();
   wake_rd_ = std::move(pipe.first);
   wake_wr_ = std::move(pipe.second);
@@ -110,24 +102,20 @@ void Daemon::wait() {
     sessions.swap(sessions_);
   }
   for (auto& st : sessions) st.thread.join();
-  unix_listener_.reset();
-  tcp_listener_.reset();
+  unlink_own_socket(opts_.unix_path, listener_);
+  listener_.fd.reset();
   started_.store(false);
   log_line("serve: shut down (" + std::to_string(completed_.load()) +
            " completed, " + std::to_string(failed_.load()) + " failed)");
 }
 
 void Daemon::accept_loop() {
-  int fds[3];
-  std::size_t nfds = 0;
-  fds[nfds++] = wake_rd_.get();
-  if (unix_listener_.valid()) fds[nfds++] = unix_listener_.get();
-  if (tcp_listener_.valid()) fds[nfds++] = tcp_listener_.get();
+  const int fds[2] = {wake_rd_.get(), listener_.fd.get()};
 
   // Finite poll timeout only when the idle timeout needs a clock edge.
   const int timeout_ms = opts_.idle_timeout_s != 0 ? 500 : -1;
   while (!stopping_.load()) {
-    const bool readable = poll_readable(fds, nfds, timeout_ms);
+    const bool readable = poll_readable(fds, 2, timeout_ms);
     if (stopping_.load()) break;
     if (!readable) {
       // Poll timed out: idle-shutdown check. Idle means no open
@@ -146,20 +134,17 @@ void Daemon::accept_loop() {
       continue;
     }
     drain_fd(wake_rd_.get());
-    for (ScopedFd* listener : {&unix_listener_, &tcp_listener_}) {
-      if (!listener->valid()) continue;
-      for (;;) {
-        ScopedFd conn = accept_on(listener->get());
-        if (!conn.valid()) break;  // EAGAIN: this listener is drained
-        connections_.fetch_add(1);
-        last_activity_ns_.store(monotonic_ns());
-        auto session = std::make_shared<Session>(std::move(conn));
-        open_sessions_.fetch_add(1);
-        std::lock_guard<std::mutex> lock(sessions_mu_);
-        reap_sessions();
-        sessions_.push_back(
-            {session, std::thread([this, session]() mutable { session_loop(std::move(session)); })});
-      }
+    for (;;) {
+      ScopedFd conn = accept_on(listener_.fd.get());
+      if (!conn.valid()) break;  // EAGAIN: the listener is drained
+      connections_.fetch_add(1);
+      last_activity_ns_.store(monotonic_ns());
+      auto session = std::make_shared<Session>(std::move(conn));
+      open_sessions_.fetch_add(1);
+      std::lock_guard<std::mutex> lock(sessions_mu_);
+      reap_sessions();
+      sessions_.push_back(
+          {session, std::thread([this, session]() mutable { session_loop(std::move(session)); })});
     }
   }
   // No new requests can arrive (sessions check stopping_); let the

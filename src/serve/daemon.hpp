@@ -2,7 +2,7 @@
 //
 // Thread structure (docs/SERVE.md):
 //
-//   accept thread    poll({listeners..., wake pipe}); spawns one session
+//   accept thread    poll({listener, wake pipe}); spawns one session
 //                    thread per connection; owns idle-timeout detection
 //   session threads  read + decode frames, parse and validate requests
 //                    (bad ones are refused HERE, before queueing), push
@@ -16,10 +16,10 @@
 // answers `busy` immediately instead of accepting unbounded work.
 // Graceful shutdown (a `shutdown` request, request_stop(), or the idle
 // timeout) stops accepting connections and new requests, drains what
-// was already queued, then joins every thread; in-flight responses
-// complete. A client that disconnects mid-stream only loses its own
-// request: sends fail on that session, the executor abandons the
-// remaining chunks, and the daemon moves on.
+// was already queued, then joins every thread and removes the socket
+// file; in-flight responses complete. A client that disconnects
+// mid-stream only loses its own request: sends fail on that session,
+// the executor abandons the remaining chunks, and the daemon moves on.
 #ifndef RESIM_SERVE_DAEMON_H
 #define RESIM_SERVE_DAEMON_H
 
@@ -41,9 +41,7 @@
 namespace resim::serve {
 
 struct ServeOptions {
-  std::string unix_path;       ///< Unix socket path; "" disables
-  bool tcp = false;            ///< also listen on loopback TCP
-  std::uint16_t tcp_port = 0;  ///< 0 picks an ephemeral port (see port())
+  std::string unix_path;       ///< Unix socket path (required)
   unsigned threads = 1;        ///< BatchRunner threads per request (0 = all cores)
   unsigned max_pending = 64;   ///< serve.max_pending queue bound
   unsigned idle_timeout_s = 0; ///< serve.idle_timeout_s; 0 = never
@@ -59,23 +57,21 @@ class Daemon {
   Daemon(const Daemon&) = delete;
   Daemon& operator=(const Daemon&) = delete;
 
-  /// Bind the configured listeners and launch the accept + executor
-  /// threads. Throws std::runtime_error if no listener is configured or
-  /// a bind fails. Returns once the daemon is accepting.
+  /// Bind the socket and launch the accept + executor threads. Throws
+  /// std::runtime_error if no socket path is configured or the bind
+  /// fails. Returns once the daemon is accepting.
   void start();
 
-  /// Block until the daemon has fully shut down (all threads joined,
-  /// listeners closed). A `shutdown` request, request_stop(), or the
-  /// idle timeout ends the wait.
+  /// Block until the daemon has fully shut down (all threads joined, the
+  /// listener closed and its socket file unlinked, unless a successor
+  /// daemon has taken the path over). A `shutdown` request,
+  /// request_stop(), or the idle timeout ends the wait.
   void wait();
 
   /// Begin graceful shutdown: refuse new connections/requests, drain
   /// the queue, finish in-flight streams. Safe from any thread and from
   /// a signal handler (one non-blocking pipe write).
   void request_stop();
-
-  /// The bound TCP port (after start()); 0 when TCP is disabled.
-  [[nodiscard]] std::uint16_t port() const { return tcp_port_; }
 
  private:
   struct Session;
@@ -101,10 +97,8 @@ class Daemon {
   void log_line(const std::string& line) const;
 
   ServeOptions opts_;
-  std::uint16_t tcp_port_ = 0;
 
-  ScopedFd unix_listener_;
-  ScopedFd tcp_listener_;
+  UnixListener listener_;
   ScopedFd wake_rd_;
   ScopedFd wake_wr_;
 

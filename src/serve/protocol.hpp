@@ -1,7 +1,7 @@
 // The serve wire protocol: length-prefixed JSON frames.
 //
-// `resim_cli serve` speaks a deliberately small protocol over a Unix or
-// loopback-TCP stream (full spec: docs/SERVE.md):
+// `resim_cli serve` speaks a deliberately small protocol over a Unix
+// stream socket (full spec: docs/SERVE.md):
 //
 //   frame   := length payload
 //   length  := u32, little-endian (matching the .rsim container's byte

@@ -6,9 +6,7 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #define RESIM_SERVE_HAVE_SOCKETS 1
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -28,8 +26,9 @@ namespace {
   throw std::runtime_error(what + ": " + std::strerror(errno));
 }
 
-/// Listeners are polled, never blocked on: a readiness race between two
-/// listening sockets must turn into an EAGAIN accept, not a hang.
+/// The listener is polled, never blocked on: the accept loop takes
+/// connections until EAGAIN, and a peer that left between poll and
+/// accept must not hang it.
 void set_nonblocking(int fd, const std::string& what) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0) {
@@ -44,7 +43,7 @@ void ScopedFd::reset() {
   fd_ = -1;
 }
 
-ScopedFd listen_unix(const std::string& path) {
+UnixListener listen_unix(const std::string& path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   if (path.empty() || path.size() >= sizeof(addr.sun_path)) {
@@ -72,32 +71,17 @@ ScopedFd listen_unix(const std::string& path) {
   }
   if (::listen(fd.get(), 16) != 0) fail_errno("serve: listen " + path);
   set_nonblocking(fd.get(), "serve: listener " + path);
-  return fd;
+  if (::lstat(path.c_str(), &st) != 0) fail_errno("serve: stat " + path);
+  return {std::move(fd), static_cast<std::uint64_t>(st.st_dev),
+          static_cast<std::uint64_t>(st.st_ino)};
 }
 
-ScopedFd listen_tcp(std::uint16_t& port) {
-  ScopedFd fd(::socket(AF_INET, SOCK_STREAM, 0));
-  if (!fd.valid()) fail_errno("serve: socket(AF_INET)");
-  const int one = 1;
-  (void)::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    fail_errno("serve: bind 127.0.0.1:" + std::to_string(port));
+void unlink_own_socket(const std::string& path, const UnixListener& listener) {
+  struct stat st{};
+  if (::lstat(path.c_str(), &st) == 0 && static_cast<std::uint64_t>(st.st_dev) == listener.dev &&
+      static_cast<std::uint64_t>(st.st_ino) == listener.ino) {
+    (void)::unlink(path.c_str());
   }
-  if (::listen(fd.get(), 16) != 0) {
-    fail_errno("serve: listen 127.0.0.1:" + std::to_string(port));
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd.get(), reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
-    fail_errno("serve: getsockname");
-  }
-  port = ntohs(bound.sin_port);
-  set_nonblocking(fd.get(), "serve: listener 127.0.0.1:" + std::to_string(port));
-  return fd;
 }
 
 ScopedFd connect_unix(const std::string& path) {
@@ -113,19 +97,6 @@ ScopedFd connect_unix(const std::string& path) {
   if (!fd.valid()) fail_errno("client: socket(AF_UNIX)");
   if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
     fail_errno("client: connect " + path);
-  }
-  return fd;
-}
-
-ScopedFd connect_tcp(std::uint16_t port) {
-  ScopedFd fd(::socket(AF_INET, SOCK_STREAM, 0));
-  if (!fd.valid()) fail_errno("client: socket(AF_INET)");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    fail_errno("client: connect 127.0.0.1:" + std::to_string(port));
   }
   return fd;
 }
@@ -222,10 +193,9 @@ namespace {
 }  // namespace
 
 void ScopedFd::reset() { fd_ = -1; }
-ScopedFd listen_unix(const std::string&) { unsupported(); }
-ScopedFd listen_tcp(std::uint16_t&) { unsupported(); }
+UnixListener listen_unix(const std::string&) { unsupported(); }
+void unlink_own_socket(const std::string&, const UnixListener&) {}
 ScopedFd connect_unix(const std::string&) { unsupported(); }
-ScopedFd connect_tcp(std::uint16_t) { unsupported(); }
 ScopedFd accept_on(int) { unsupported(); }
 bool send_all(int, std::string_view) { unsupported(); }
 std::ptrdiff_t recv_some(int, char*, std::size_t) { unsupported(); }

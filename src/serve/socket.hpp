@@ -1,8 +1,8 @@
 // Thin POSIX socket wrappers for the serve daemon and client.
 //
 // Everything the protocol needs and nothing more: RAII ownership of a
-// descriptor, bind+listen on a Unix path or loopback TCP, connect to
-// either, full-buffer send (SIGPIPE suppressed — a client vanishing
+// descriptor, bind+listen on a Unix path (and unlink it again at
+// shutdown), connect to it, full-buffer send (SIGPIPE suppressed — a client vanishing
 // mid-stream must surface as a send error on that session, never kill
 // the daemon), and a self-pipe for waking the accept loop out of
 // poll(2) from a signal handler or another thread. On platforms
@@ -46,19 +46,27 @@ class ScopedFd {
   int fd_ = -1;
 };
 
+/// A listening Unix-domain socket and the identity (device, inode) of
+/// the socket file it bound.
+struct UnixListener {
+  ScopedFd fd;
+  std::uint64_t dev = 0;
+  std::uint64_t ino = 0;
+};
+
 /// Bind + listen on a Unix-domain stream socket at `path`, replacing a
 /// stale socket file from a previous daemon (any non-socket file at the
 /// path is refused, not unlinked). Throws std::runtime_error naming the
 /// path on failure.
-[[nodiscard]] ScopedFd listen_unix(const std::string& path);
+[[nodiscard]] UnixListener listen_unix(const std::string& path);
 
-/// Bind + listen on loopback TCP (127.0.0.1 only — the daemon has no
-/// authentication, so it must never accept off-host peers). `port` 0
-/// picks an ephemeral port; on return `port` holds the bound port.
-[[nodiscard]] ScopedFd listen_tcp(std::uint16_t& port);
+/// Unlinks `path` if it still names the socket file `listener` bound; a
+/// successor daemon that replaced that file keeps its own socket. Call
+/// it before closing the listener, whose open socket holds the inode, so
+/// no newer file can have been given the same number.
+void unlink_own_socket(const std::string& path, const UnixListener& listener);
 
 [[nodiscard]] ScopedFd connect_unix(const std::string& path);
-[[nodiscard]] ScopedFd connect_tcp(std::uint16_t port);
 
 /// Accept one connection; invalid ScopedFd on transient failure.
 [[nodiscard]] ScopedFd accept_on(int listen_fd);

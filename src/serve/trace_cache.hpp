@@ -12,10 +12,10 @@
 // daemon's single executor at most one decoded trace is alive beyond
 // in-flight borrowers.
 //
-// File-backend requests (stream/mmap) do not decode up front, so they
-// bypass this cache by design: each request opens and decodes its file
-// itself, its cross-request sharing is the OS page cache over the
-// mapped/streamed file, and its within-request sharing is the
+// Stream-backend requests do not decode up front, so they bypass this
+// cache by design: each request opens and decodes its file itself, its
+// cross-request sharing is the OS page cache over the streamed file,
+// and its within-request sharing is the
 // decode-once trace::SharedBatchCache that BatchRunner builds per
 // shared-trace job group.
 #ifndef RESIM_SERVE_TRACE_CACHE_H

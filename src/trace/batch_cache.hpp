@@ -147,7 +147,7 @@ class SharedBatchCache {
 
   // Producer-only state (guarded by producing_, not mu_: the flag's
   // mutex-protected handoff orders access between successive producers).
-  StreamByteSource bytes_;
+  ByteSource bytes_;
   ChunkDecoder decoder_;
 
   // Handle-based stats plane: resolved once here, bumped under mu_.

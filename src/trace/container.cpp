@@ -5,6 +5,7 @@
 #include <cstring>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 #include "common/bitstream.hpp"
 #include "common/lz.hpp"
@@ -20,32 +21,32 @@ namespace {
 
 }  // namespace
 
-StreamByteSource::StreamByteSource(const std::string& path)
-    : ByteSource(path), is_(path, std::ios::binary) {
-  if (!is_) throw std::runtime_error("load_trace: cannot open " + path);
+ByteSource::ByteSource(std::string path)
+    : path_(std::move(path)), is_(path_, std::ios::binary) {
+  if (!is_) throw std::runtime_error("load_trace: cannot open " + path_);
   is_.seekg(0, std::ios::end);
-  set_size(static_cast<std::uint64_t>(is_.tellg()));
+  size_ = static_cast<std::uint64_t>(is_.tellg());
   is_.seekg(0, std::ios::beg);
 }
 
-void StreamByteSource::read(void* dst, std::size_t n, const char* field) {
+void ByteSource::read(void* dst, std::size_t n, const char* field) {
   is_.read(static_cast<char*>(dst), static_cast<std::streamsize>(n));
   if (!is_) throw std::runtime_error(std::string("load_trace: truncated field ") + field);
   pos_ += n;
 }
 
-std::span<const std::uint8_t> StreamByteSource::take(std::size_t n) {
+std::span<const std::uint8_t> ByteSource::take(std::size_t n) {
   buf_.resize(n);
   is_.read(reinterpret_cast<char*>(buf_.data()), static_cast<std::streamsize>(n));
-  if (!is_) fail(path(), "truncated chunk");
+  if (!is_) fail(path_, "truncated chunk");
   pos_ += n;
   return buf_;
 }
 
-void StreamByteSource::seek(std::uint64_t pos) {
+void ByteSource::seek(std::uint64_t pos) {
   is_.clear();
   is_.seekg(static_cast<std::streamoff>(pos));
-  if (!is_) fail(path(), "seek to offset " + std::to_string(pos) + " failed");
+  if (!is_) fail(path_, "seek to offset " + std::to_string(pos) + " failed");
   pos_ = pos;
 }
 

@@ -161,53 +161,37 @@ struct DeltaCodec {
   return version >= kContainerV3 ? 16 : 8;
 }
 
-// --- byte sources ----------------------------------------------------------
-// Every container read goes through this abstraction: the header parsers,
-// the chunk cursor (file_source.hpp) and the shared cache's producer
-// (batch_cache.hpp). The stream and mmap backends differ only in the
-// ByteSource that hands over payload bytes.
+// --- the byte reader -------------------------------------------------------
+// Every container read goes through this one buffered, sequential file
+// reader: the header parsers, the chunk cursor (file_source.hpp) and the
+// shared cache's producer (batch_cache.hpp).
 
 class ByteSource {
  public:
-  virtual ~ByteSource() = default;
+  /// Throws std::runtime_error "load_trace: cannot open <path>".
+  explicit ByteSource(std::string path);
+
   /// Reads exactly `n` bytes into `dst` or throws std::runtime_error
   /// "load_trace: truncated field <field>".
-  virtual void read(void* dst, std::size_t n, const char* field) = 0;
-  /// The next `n` payload bytes, in place for a mapping or through a
-  /// reused buffer for a stream; valid until the next call. Throws
-  /// std::runtime_error "load_trace: truncated chunk" on a short read.
-  [[nodiscard]] virtual std::span<const std::uint8_t> take(std::size_t n) = 0;
+  void read(void* dst, std::size_t n, const char* field);
+  /// The next `n` payload bytes, in a reused buffer sized exactly `n`;
+  /// valid until the next call. Throws std::runtime_error
+  /// "load_trace: truncated chunk" on a short read.
+  [[nodiscard]] std::span<const std::uint8_t> take(std::size_t n);
   /// Moves to absolute offset `pos` without reading (chunk-skipping
   /// seek, rewind). May land exactly at the end; read() and take()
   /// treat any overshoot as truncation.
-  virtual void seek(std::uint64_t pos) = 0;
+  void seek(std::uint64_t pos);
   /// Bytes consumed since the start of the container.
-  [[nodiscard]] virtual std::uint64_t pos() const = 0;
+  [[nodiscard]] std::uint64_t pos() const { return pos_; }
 
   [[nodiscard]] std::uint64_t size() const { return size_; }
   [[nodiscard]] const std::string& path() const { return path_; }
 
- protected:
-  explicit ByteSource(std::string path) : path_(std::move(path)) {}
-  void set_size(std::uint64_t size) { size_ = size; }
-
  private:
   std::string path_;
-  std::uint64_t size_ = 0;
-};
-
-/// ByteSource over a buffered file stream.
-class StreamByteSource final : public ByteSource {
- public:
-  /// Throws std::runtime_error "load_trace: cannot open <path>".
-  explicit StreamByteSource(const std::string& path);
-  void read(void* dst, std::size_t n, const char* field) override;
-  [[nodiscard]] std::span<const std::uint8_t> take(std::size_t n) override;
-  void seek(std::uint64_t pos) override;
-  [[nodiscard]] std::uint64_t pos() const override { return pos_; }
-
- private:
   std::ifstream is_;
+  std::uint64_t size_ = 0;
   std::uint64_t pos_ = 0;
   std::vector<std::uint8_t> buf_;  ///< take()'s reused buffer
 };
@@ -245,8 +229,8 @@ void write_u64le(std::ostream& os, std::uint64_t v);
 [[nodiscard]] std::uint64_t max_payload_bytes(std::uint64_t records);
 
 /// The one chunk decoder. open() starts on a chunk's stored payload,
-/// inflating an LZ-compressed one into a reused scratch buffer (raw
-/// payloads, mmap'd in place, are read directly); decode_next() then
+/// inflating an LZ-compressed one into a reused scratch buffer (a raw
+/// payload is bit-decoded where it lies); decode_next() then
 /// bit-decodes its records, all at once or a piece at a time, inverting
 /// the v4 delta pre-filter, and after the chunk's last record rejects
 /// more than alignment padding. Every corruption throws

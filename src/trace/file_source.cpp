@@ -5,13 +5,12 @@
 
 namespace resim::trace {
 
-FileTraceSource::FileTraceSource(const std::string& path)
-    : FileTraceSource(std::make_unique<StreamByteSource>(path)) {}
+FileTraceSource::FileTraceSource(const std::string& path) : FileTraceSource(ByteSource(path)) {}
 
-FileTraceSource::FileTraceSource(std::unique_ptr<ByteSource> bytes)
-    : ChunkCursor(read_container_header(*bytes)),
+FileTraceSource::FileTraceSource(ByteSource&& bytes)
+    : ChunkCursor(read_container_header(bytes)),
       bytes_(std::move(bytes)),
-      decoder_(bytes_->path()) {
+      decoder_(bytes_.path()) {
   check_end(0);  // an empty trace must end right after its header
 }
 
@@ -19,8 +18,8 @@ const RecordBatch& FileTraceSource::load_chunk(std::uint64_t idx, std::uint64_t 
   // A v2+ chunk is one piece; a v1 payload is opened once and read in
   // chunk_records pieces.
   if (decoder_.left() == 0) {
-    const ChunkHeader ch = read_chunk_header(*bytes_, header(), header().record_count - first);
-    decoder_.open(bytes_->take(ch.payload_bytes), ch, idx, first);
+    const ChunkHeader ch = read_chunk_header(bytes_, header(), header().record_count - first);
+    decoder_.open(bytes_.take(ch.payload_bytes), ch, idx, first);
   }
   decoder_.decode_next(header().chunk_records, batch_);
   check_end(idx + 1);
@@ -28,20 +27,20 @@ const RecordBatch& FileTraceSource::load_chunk(std::uint64_t idx, std::uint64_t 
 }
 
 void FileTraceSource::hop_chunk(std::uint64_t idx, std::uint64_t first) {
-  const ChunkHeader ch = read_chunk_header(*bytes_, header(), header().record_count - first);
-  bytes_->seek(bytes_->pos() + ch.payload_bytes);
+  const ChunkHeader ch = read_chunk_header(bytes_, header(), header().record_count - first);
+  bytes_.seek(bytes_.pos() + ch.payload_bytes);
   check_end(idx + 1);
 }
 
 void FileTraceSource::restart() {
   decoder_.close();
-  bytes_->seek(header().payload_start);
+  bytes_.seek(header().payload_start);
 }
 
 void FileTraceSource::check_end(std::uint64_t idx) const {
-  if (idx == header().chunk_count && bytes_->pos() != bytes_->size()) {
+  if (idx == header().chunk_count && bytes_.pos() != bytes_.size()) {
     throw std::runtime_error("load_trace: trailing garbage after last chunk in " +
-                             bytes_->path());
+                             bytes_.path());
   }
 }
 

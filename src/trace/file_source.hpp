@@ -1,22 +1,20 @@
 // FileTraceSource: constant-memory TraceSource over a .rsim file.
 //
-// The chunk cursor (reader.hpp) over chunks decoded from a ByteSource:
-// each chunk's header is validated, its payload handed over by the
-// ByteSource and decoded by the one chunk decoder (container.hpp) into a
-// reused batch, so peak decoded memory is one chunk, not the trace — the
-// property that lets billion-record traces and parallel sweep workers
-// (each owning a cheap private source) run in flat host memory. This
-// class reads through a buffered file stream; MmapTraceSource
-// (mmap_source.hpp) is the same reader over a mapping.
+// The chunk cursor (reader.hpp) over chunks decoded from the container's
+// ByteSource: each chunk's header is validated, its payload read through
+// the one buffered file reader and decoded by the one chunk decoder
+// (container.hpp) into a reused batch, so peak decoded memory is one
+// chunk, not the trace — the property that lets billion-record traces
+// and parallel sweep workers (each owning a cheap private source) run in
+// flat host memory.
 //
 // A legacy v1 container's monolithic payload is its single chunk: it is
-// held encoded (read whole, or mapped) and decoded kDefaultChunkRecords
-// records at a time, so a v1 trace too keeps one piece decoded.
+// read whole, held encoded and decoded kDefaultChunkRecords records at a
+// time, so a v1 trace too keeps one piece decoded.
 #ifndef RESIM_TRACE_FILE_SOURCE_H
 #define RESIM_TRACE_FILE_SOURCE_H
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "trace/batch.hpp"
@@ -25,24 +23,23 @@
 
 namespace resim::trace {
 
-class FileTraceSource : public ChunkCursor {
+class FileTraceSource final : public ChunkCursor {
  public:
   /// Opens and validates the container header; throws std::runtime_error
   /// on a missing or corrupt file.
   explicit FileTraceSource(const std::string& path);
 
- protected:
-  /// Reads the container through `bytes` (the mmap backend).
-  explicit FileTraceSource(std::unique_ptr<ByteSource> bytes);
-
  private:
+  /// The cursor's header is read before the reader becomes a member.
+  explicit FileTraceSource(ByteSource&& bytes);
+
   const RecordBatch& load_chunk(std::uint64_t idx, std::uint64_t first) override;
   void hop_chunk(std::uint64_t idx, std::uint64_t first) override;
   void restart() override;
   /// Rejects bytes after the last chunk once chunk `idx` is passed.
   void check_end(std::uint64_t idx) const;
 
-  std::unique_ptr<ByteSource> bytes_;
+  ByteSource bytes_;
   ChunkDecoder decoder_;
   RecordBatch batch_;  ///< the open chunk (v1: piece), decoded
 };

@@ -10,19 +10,19 @@
 //   ChunkCursor           the one cursor over a .rsim container's chunk
 //                         sequence: view accounting, chunk-skipping
 //                         skip() and rewind(). Its subclasses only supply
-//                         chunks: FileTraceSource and MmapTraceSource
-//                         decode them from a ByteSource (file_source.hpp,
-//                         mmap_source.hpp), BatchTraceSource acquires
-//                         them from a SharedBatchCache (batch_cache.hpp)
+//                         chunks: FileTraceSource decodes them from the
+//                         file (file_source.hpp), BatchTraceSource
+//                         acquires them from a SharedBatchCache
+//                         (batch_cache.hpp)
 //   SegmentedTraceSource  windows over another source (segment.hpp)
 //   StreamingTraceSource  a live trace generator, the on-the-fly
 //                         FAST-style coupling of §I/§VI, lending its
 //                         staging vector (src/baseline/coupled.hpp)
 //
 // Which source a run reads is decided once, in driver/run.hpp:
-// trace.backend maps to VectorTraceSource (memory), FileTraceSource
-// (stream) or MmapTraceSource (mmap), and a window or sampled run wraps
-// that in a SegmentedTraceSource; the CLI and the daemon construct none.
+// trace.backend maps to VectorTraceSource (memory) or FileTraceSource
+// (stream), and a window or sampled run wraps that in a
+// SegmentedTraceSource; the CLI and the daemon construct none.
 //
 // Sources count records, not wire bits. The trace bandwidth a run used
 // (Table 3) is counted once, by the ViewCursor the engine reads every
@@ -182,8 +182,8 @@ class VectorTraceSource final : public TraceSource {
 
 /// The one cursor over a .rsim container's chunk sequence. It owns the
 /// consumption accounting, the chunk-skipping skip() and rewind();
-/// subclasses only hand over chunks, so every container read — stream,
-/// mmap or shared decode — skips and counts identically.
+/// subclasses only hand over chunks, so every container read — private
+/// file reader or shared decode — skips and counts identically.
 class ChunkCursor : public TraceSource {
  public:
   [[nodiscard]] BatchView fetch_view() final;

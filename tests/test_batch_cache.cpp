@@ -228,8 +228,7 @@ TEST(BatchRunnerSharedDecode, CsvByteIdenticalAcrossThreadsBackendsAndSharing) {
   // The tentpole's outer contract: sweep CSV bytes never depend on -j,
   // on the trace backend, or on whether the shared producer engaged.
   std::string reference;
-  for (const auto backend : {core::TraceBackend::kMemory, core::TraceBackend::kStream,
-                             core::TraceBackend::kMmap}) {
+  for (const auto backend : {core::TraceBackend::kMemory, core::TraceBackend::kStream}) {
     for (const bool shared : {true, false}) {
       for (const unsigned threads : {1u, 4u}) {
         const driver::BatchRunner runner(threads);

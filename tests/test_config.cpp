@@ -521,44 +521,46 @@ TEST(TraceBackendParam, RegisteredWithEnumSpellings) {
   EXPECT_EQ(reg().default_value(*p), "memory");
 
   core::CoreConfig cfg;
-  reg().set(cfg, "trace.backend", "mmap");
-  EXPECT_EQ(cfg.trace_backend, core::TraceBackend::kMmap);
-  EXPECT_EQ(reg().get(cfg, "trace.backend"), "mmap");
-  try {
-    reg().set(cfg, "trace.backend", "floppy");
-    FAIL();
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("trace.backend"), std::string::npos);
+  reg().set(cfg, "trace.backend", "stream");
+  EXPECT_EQ(cfg.trace_backend, core::TraceBackend::kStream);
+  EXPECT_EQ(reg().get(cfg, "trace.backend"), "stream");
+  // Unknown spellings, "mmap" among them, are refused by name.
+  for (const char* bad : {"floppy", "mmap"}) {
+    try {
+      reg().set(cfg, "trace.backend", bad);
+      FAIL() << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("trace.backend"), std::string::npos) << bad;
+    }
   }
   // Backend selection survives a config-file round trip like any param.
   std::ostringstream saved;
   save_config(saved, cfg);
-  EXPECT_NE(saved.str().find("trace.backend = mmap"), std::string::npos);
+  EXPECT_NE(saved.str().find("trace.backend = stream"), std::string::npos);
 }
 
 TEST(TraceBackendParam, SweepAxisOverBackendsChangesNoResultColumn) {
-  // trace.backend as a declarative sweep axis: three jobs, three
-  // backends, one extra CSV column — and bit-identical result columns,
-  // because the backend is a host knob.
+  // trace.backend as a declarative sweep axis: two jobs, two backends,
+  // one extra CSV column — and bit-identical result columns, because the
+  // backend is a host knob.
   std::istringstream in(
-      "trace.backend = memory,stream,mmap\n"
+      "trace.backend = memory,stream\n"
       "insts = 2000\n");
   const auto spec = parse_sweep_spec(in, "spec", core::CoreConfig::paper_4wide_perfect());
   const auto grid = driver::expand_spec(spec);
-  ASSERT_EQ(grid.jobs.size(), 3u);
+  ASSERT_EQ(grid.jobs.size(), 2u);
   ASSERT_EQ(grid.extra_csv_paths, (std::vector<std::string>{"trace.backend"}));
   EXPECT_EQ(grid.jobs[0].label, "gzip/memory");
-  EXPECT_EQ(grid.jobs[2].config.trace_backend, core::TraceBackend::kMmap);
+  EXPECT_EQ(grid.jobs[1].config.trace_backend, core::TraceBackend::kStream);
 
   const auto results = driver::BatchRunner(2).run(grid.jobs);
-  ASSERT_EQ(results.size(), 3u);
+  ASSERT_EQ(results.size(), 2u);
   // Rows differ only in the backend column; strip it and compare.
   const auto strip = [](const driver::JobResult& r) {
     auto row = driver::csv_row(r, {});  // no extra columns: result payload only
     return row.substr(row.find(','));   // drop the per-backend label
   };
   EXPECT_EQ(strip(results[1]), strip(results[0]));
-  EXPECT_EQ(strip(results[2]), strip(results[0]));
 }
 
 // --- names -----------------------------------------------------------------

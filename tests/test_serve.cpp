@@ -551,7 +551,7 @@ class ServeDaemonTest : public ::testing::Test {
       daemon_->request_stop();
       daemon_->wait();
     }
-    sock_.reset();  // the daemon leaves its socket file behind
+    sock_.reset();  // and the socket file, should no daemon have removed it
   }
 
   std::optional<TempPath> sock_;
@@ -575,6 +575,7 @@ TEST_F(ServeDaemonTest, PingStatusShutdown) {
   (void)client.request(build_shutdown_request("bye"), none);
   daemon_->wait();  // the shutdown request alone must end the daemon
   daemon_.reset();
+  EXPECT_FALSE(std::filesystem::exists(sock_->str())) << "socket file left behind";
 }
 
 TEST_F(ServeDaemonTest, FinishedSessionsReleaseTheirThreads) {
@@ -804,6 +805,24 @@ TEST_F(ServeDaemonTest, MidRequestDisconnectLosesOnlyThatRequest) {
   (void)client.request(build_sim_request(spec), b);
   EXPECT_EQ(a.str(), b.str());
   EXPECT_NE(a.str().find("\"workload\""), std::string::npos);
+}
+
+TEST_F(ServeDaemonTest, ShutdownLeavesASuccessorsSocket) {
+  // A second daemon on the same path replaces the first one's socket
+  // file; the first one's shutdown must leave the successor's in place.
+  start_daemon();
+  ServeOptions o;
+  o.unix_path = *sock_;
+  Daemon second(o);
+  second.start();
+  daemon_->request_stop();
+  daemon_->wait();
+  daemon_.reset();
+  ASSERT_TRUE(std::filesystem::is_socket(sock_->str()));
+  Client::connect_to_unix(*sock_).ping("successor");
+  second.request_stop();
+  second.wait();
+  EXPECT_FALSE(std::filesystem::exists(sock_->str()));
 }
 
 TEST_F(ServeDaemonTest, IdleTimeoutShutsTheDaemonDown) {

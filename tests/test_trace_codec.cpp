@@ -2,12 +2,14 @@
 // (v1 compat, v2 chunked, v3 per-chunk compressed, v4 delta-prefiltered),
 // corruption rejection, every record tail offset, seeded container
 // mutations, and no window read past a payload's last byte.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -21,9 +23,9 @@
 
 #include "common/lz.hpp"
 #include "common/rng.hpp"
+#include "trace/batch_cache.hpp"
 #include "trace/file_source.hpp"
 #include "trace/format.hpp"
-#include "trace/mmap_source.hpp"
 #include "trace/reader.hpp"
 #include "trace/tracegen.hpp"
 #include "trace/writer.hpp"
@@ -401,7 +403,7 @@ TEST(TraceFileV3, CompressedBytesNotSmallerThanRawRejected) {
   // to the same value.
   std::uint32_t raw_bytes = 0;
   {
-    StreamByteSource f(path);
+    ByteSource f(path);
     f.seek(v3::first_chunk_off(t) + 8);
     raw_bytes = read_u32le(f, "raw_bytes");
   }
@@ -541,7 +543,7 @@ TEST(TraceFile, FailedChunkLeavesNoStaleView) {
   const std::uint64_t chunk0 = 4 + 4 + 4 + t.name.size() + 8 + 8 + 4 + 4;
   std::uint32_t payload0 = 0;
   {
-    StreamByteSource f(path);
+    ByteSource f(path);
     f.seek(chunk0 + 4);
     payload0 = read_u32le(f, "payload_bytes");
   }
@@ -561,8 +563,8 @@ TEST(TraceFile, FailedChunkLeavesNoStaleView) {
 }
 
 TEST(TraceFile, RegisterOutOfRangeRejected) {
-  // A hand-built container whose only record reads register 40: every
-  // file backend must fail at decode instead of handing the record to
+  // A hand-built container whose only record reads register 40: the
+  // file reader must fail at decode instead of handing the record to
   // the engine's 32-entry rename table.
   Trace t;
   t.name = "badreg";
@@ -575,12 +577,6 @@ TEST(TraceFile, RegisterOutOfRangeRejected) {
   EXPECT_THROW(
       {
         FileTraceSource src(path);
-        drain(src);
-      },
-      std::runtime_error);
-  EXPECT_THROW(
-      {
-        MmapTraceSource src(path);
         drain(src);
       },
       std::runtime_error);
@@ -944,6 +940,11 @@ namespace mutate {
 struct Outcome {
   bool loaded = false;
   std::vector<TraceRecord> records;
+
+  bool operator==(const Outcome& o) const {
+    return loaded == o.loaded && std::equal(records.begin(), records.end(), o.records.begin(),
+                                            o.records.end(), records_equal);
+  }
 };
 
 /// Reads `path` with `read`, which fills the records; a
@@ -960,21 +961,28 @@ Outcome outcome_of(Read&& read) {
   return o;
 }
 
-template <class Source>
-Outcome drained(const std::string& path) {
-  return outcome_of([&path](std::vector<TraceRecord>& out) {
-    Source src(path);
-    drain(src, [&out](const TraceRecord& r) { out.push_back(r); });
-  });
-}
-
 Outcome loaded(const std::string& path) {
   return outcome_of(
       [&path](std::vector<TraceRecord>& out) { out = load_trace(path).records; });
 }
 
-/// File offsets of a valid v2+ container's framing (container and chunk
-/// headers) and of its chunk payloads, plus the flags its chunks carry.
+/// The shared cache's reader, which scans the whole chunk directory
+/// before it decodes; std::nullopt where the cache declines a container
+/// that parses as v1 (std::invalid_argument, by design).
+std::optional<Outcome> shared(const std::string& path) {
+  try {
+    return outcome_of([&path](std::vector<TraceRecord>& out) {
+      BatchTraceSource src(std::make_shared<SharedBatchCache>(path));
+      drain(src, [&out](const TraceRecord& r) { out.push_back(r); });
+    });
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
+  }
+}
+
+/// File offsets of a valid container's framing (container and chunk
+/// headers; v1: its header) and of its payloads (v1: the rest of the
+/// file), plus the flags its chunks carry.
 struct Layout {
   std::vector<std::uint64_t> framing;
   std::vector<std::uint64_t> payload;
@@ -983,9 +991,13 @@ struct Layout {
 
 Layout layout_of(const std::string& path) {
   Layout l;
-  StreamByteSource f(path);
+  ByteSource f(path);
   const ContainerHeader hdr = read_container_header(f);
   for (std::uint64_t off = 0; off < f.pos(); ++off) l.framing.push_back(off);
+  if (hdr.version == kContainerV1) {
+    for (std::uint64_t off = f.pos(); off < f.size(); ++off) l.payload.push_back(off);
+    return l;
+  }
   std::uint64_t left = hdr.record_count;
   for (std::uint32_t c = 0; c < hdr.chunk_count; ++c) {
     const std::uint64_t start = f.pos();
@@ -1013,12 +1025,14 @@ void write_file(const std::string& path, const std::vector<char>& bytes) {
 
 TEST(TraceFileMutation, EveryReaderAgreesOnEveryMutant) {
   // Bit flips, byte overwrites and truncations, in the framing and in
-  // the payloads of valid v2, v3 and v4 containers. Each mutant must
-  // load or throw std::runtime_error, and load_trace, the stream reader
-  // and the mmap reader must agree on which, and on the records.
+  // the payloads of valid v1, v2, v3 and v4 containers. Each mutant must
+  // load or throw std::runtime_error, and load_trace (the file reader)
+  // and the shared cache's reader must agree on which, and on the
+  // records. The shared reader declines every mutant that parses as v1.
   const std::string path = ::testing::TempDir() + "/mutant.rsim";
   int loads = 0;
   int rejections = 0;
+  int shared_checked = 0;
   for (const std::uint64_t seed : {11u, 12u, 13u}) {
     TraceGenConfig g;
     g.max_insts = 700;
@@ -1026,9 +1040,13 @@ TEST(TraceFileMutation, EveryReaderAgreesOnEveryMutant) {
     p.seed = seed;
     const auto& name = workload::suite_names()[seed % workload::suite_names().size()];
     const Trace t = TraceGenerator(workload::make_workload(name, p), g).generate();
-    for (const std::uint32_t version : {kContainerV2, kContainerV3, kContainerV4}) {
-      save_trace(t, path, /*chunk_records=*/160, /*compress=*/version >= kContainerV3,
-                 /*prefilter=*/version == kContainerV4);
+    for (const std::uint32_t version : {kContainerV1, kContainerV2, kContainerV3, kContainerV4}) {
+      if (version == kContainerV1) {
+        testutil::write_v1(path, t, t.records.size());
+      } else {
+        save_trace(t, path, /*chunk_records=*/160, /*compress=*/version >= kContainerV3,
+                   /*prefilter=*/version == kContainerV4);
+      }
       const mutate::Layout layout = mutate::layout_of(path);
       // The v3 and v4 files really hold LZ and delta chunks.
       EXPECT_EQ((layout.flags_seen & kChunkFlagCompressed) != 0, version >= kContainerV3);
@@ -1046,35 +1064,35 @@ TEST(TraceFileMutation, EveryReaderAgreesOnEveryMutant) {
         }
         mutate::write_file(path, bytes);
         const mutate::Outcome by_load = mutate::loaded(path);
-        const mutate::Outcome by_stream = mutate::drained<FileTraceSource>(path);
-        const mutate::Outcome by_mmap = mutate::drained<MmapTraceSource>(path);
+        const std::optional<mutate::Outcome> by_shared = mutate::shared(path);
         const std::string what = "seed " + std::to_string(seed) + " v" +
                                  std::to_string(version) + " mutant " + std::to_string(m) +
                                  " at byte " + std::to_string(off);
-        ASSERT_EQ(by_stream.loaded, by_load.loaded) << what;
-        ASSERT_EQ(by_mmap.loaded, by_load.loaded) << what;
         (by_load.loaded ? loads : rejections) += 1;
-        ASSERT_EQ(by_stream.records.size(), by_load.records.size()) << what;
-        ASSERT_EQ(by_mmap.records.size(), by_load.records.size()) << what;
-        for (std::size_t i = 0; i < by_load.records.size(); ++i) {
-          ASSERT_TRUE(records_equal(by_stream.records[i], by_load.records[i])) << what;
-          ASSERT_TRUE(records_equal(by_mmap.records[i], by_load.records[i])) << what;
+        if (by_shared) {
+          ++shared_checked;
+          ASSERT_TRUE(*by_shared == by_load) << what;
+        } else {
+          ByteSource f(path);
+          ASSERT_EQ(read_container_header(f).version, kContainerV1) << what;
         }
       }
     }
   }
   std::remove(path.c_str());
-  // Both outcomes occur, so neither comparison above was vacuous.
+  // Both outcomes occur, and the shared reader read mutants, so no
+  // comparison above was vacuous.
   EXPECT_GT(loads, 0);
   EXPECT_GT(rejections, 0);
+  EXPECT_GT(shared_checked, 0);
 }
 
 #if defined(__unix__)
 TEST(ChunkDecoder, RawPayloadEndingAtAGuardPageIsNotReadPast) {
-  // A raw chunk decoded in place from a mapping ends on the last byte of
-  // a readable page, followed by a PROT_NONE page: a window read past the
-  // payload faults instead of going unnoticed (sanitizers do not track
-  // mapped memory).
+  // A raw payload is bit-decoded where it lies, in take()'s buffer, sized
+  // exactly. Here it ends on the last byte of a readable page, followed by
+  // a PROT_NONE page: a window read past the payload faults instead of
+  // going unnoticed (sanitizers do not track mapped memory).
   const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
   void* m = ::mmap(nullptr, 2 * page, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   ASSERT_NE(m, MAP_FAILED);

@@ -20,7 +20,6 @@
 #include "temp_path.hpp"
 #include "trace/batch_cache.hpp"
 #include "trace/file_source.hpp"
-#include "trace/mmap_source.hpp"
 #include "trace/segment.hpp"
 #include "trace/tracegen.hpp"
 #include "trace/writer.hpp"
@@ -40,8 +39,8 @@ Trace generate(const std::string& bench, std::uint64_t insts) {
 
 // ---- source equivalence ----------------------------------------------------
 //
-// One test for every reader: the vector, stream, mmap and shared-batch
-// sources over container v1 (file readers only), v2, v3 and v4, driven
+// One test for every reader: the vector, stream and shared-batch
+// sources over container v1 (file reader only), v2, v3 and v4, driven
 // through SegmentedTraceSource by seeded (skip, warmup, window) draws and
 // drained by all three reading styles (peek/next, partial views, a
 // ViewCursor). Every source must hand over exactly the records a plain
@@ -91,7 +90,6 @@ class SourceEquivalence : public ::testing::TestWithParam<std::uint32_t> {
       out.push_back({name, std::move(c), raw});
     };
     add("stream", std::make_unique<FileTraceSource>(*path_));
-    add("mmap", std::make_unique<MmapTraceSource>(*path_));
     if (GetParam() != kContainerV1) {
       add("shared", std::make_unique<BatchTraceSource>(std::make_shared<SharedBatchCache>(*path_)));
     }
@@ -384,18 +382,18 @@ INSTANTIATE_TEST_SUITE_P(Suite, StreamedSimEquivalence,
                          ::testing::ValuesIn(workload::suite_names()),
                          [](const auto& info) { return info.param; });
 
-TEST(MmapTraceSource, NextPastEndThrowsAndEmptyTraceLoads) {
+TEST(FileTraceSource, NextPastEndThrowsAndEmptyTraceLoads) {
   Trace t;
   t.name = "empty";
-  const TempPath path("mmap_empty.rsim");
+  const TempPath path("stream_empty.rsim");
   save_trace(t, path, kDefaultChunkRecords, /*compress=*/true);
-  MmapTraceSource src(path);
+  FileTraceSource src(path);
   EXPECT_EQ(src.peek(), nullptr);
   EXPECT_THROW((void)src.next(), std::out_of_range);
 }
 
-TEST(MmapTraceSource, MissingFileRejected) {
-  EXPECT_THROW(MmapTraceSource("/nonexistent/path/to.trace"), std::runtime_error);
+TEST(FileTraceSource, MissingFileRejected) {
+  EXPECT_THROW(FileTraceSource("/nonexistent/path/to.trace"), std::runtime_error);
 }
 
 // ---- compression ratio on suite workloads ---------------------------------
@@ -468,7 +466,7 @@ TEST(BatchRunnerBackend, EveryBackendYieldsIdenticalCsvRows) {
   // knob. Generated jobs, prepared-trace jobs and trace_path jobs (raw
   // v2, compressed v3, and legacy v1, which the shared cache declines so
   // the group falls back to private readers) must produce byte-identical
-  // CSV rows on memory, stream and mmap, at any thread count, with decode
+  // CSV rows on memory and stream, at any thread count, with decode
   // sharing on or off, and through run_one() as through run().
   const std::uint64_t insts = 4000;
   std::vector<SimJob> jobs;
@@ -489,8 +487,7 @@ TEST(BatchRunnerBackend, EveryBackendYieldsIdenticalCsvRows) {
   trace::save_trace(*prepared, lz_path, trace::kDefaultChunkRecords, /*compress=*/true);
   trace::testutil::write_v1(v1_path, *prepared, prepared->records.size());
 
-  for (const auto backend : {core::TraceBackend::kMemory, core::TraceBackend::kStream,
-                             core::TraceBackend::kMmap}) {
+  for (const auto backend : {core::TraceBackend::kMemory, core::TraceBackend::kStream}) {
     // "" generates, "prepared" shares the decoded trace, the rest are files.
     for (const std::string& path :
          {std::string(), std::string("prepared"), raw_path.str(), lz_path.str(), v1_path.str()}) {
@@ -526,7 +523,7 @@ TEST(BatchRunnerBackend, EveryBackendYieldsIdenticalCsvRows) {
 }
 
 TEST(BatchRunnerBackend, NoTempContainerOutlivesARun) {
-  // Stream and mmap jobs without a file read a private resim_job_* temp
+  // Stream jobs without a file read a private resim_job_* temp
   // container. None may survive the run: not after a clean run, grouped
   // or private, and not after a job whose container cannot be written
   // (a branch record with no control type has no encoding).
@@ -545,7 +542,7 @@ TEST(BatchRunnerBackend, NoTempContainerOutlivesARun) {
   for (unsigned rob : {8u, 16u}) {
     auto cfg = core::CoreConfig::paper_4wide_perfect();
     cfg.rob_size = rob;
-    cfg.trace_backend = core::TraceBackend::kMmap;
+    cfg.trace_backend = core::TraceBackend::kStream;
     cfg.trace_prefilter = true;
     jobs.push_back(SimJob::sweep_point("rob" + std::to_string(rob), "gzip", cfg, 2000));
   }
@@ -571,7 +568,7 @@ TEST(BatchRunnerBackend, NoTempContainerOutlivesARun) {
 }
 
 TEST(BatchRunnerBackend, PreparedTraceJobRoundTripsUnderFileBackends) {
-  // A shared decoded trace with a non-memory backend round-trips through
+  // A shared decoded trace under the stream backend round-trips through
   // a private temp file; results must be unchanged (lossless codec).
   trace::TraceGenConfig g;
   g.max_insts = 3000;
@@ -583,15 +580,13 @@ TEST(BatchRunnerBackend, PreparedTraceJobRoundTripsUnderFileBackends) {
   job.config = core::CoreConfig::paper_4wide_perfect();
   job.trace = shared;
   const auto want = BatchRunner::run_one(job);
-  for (const auto backend : {core::TraceBackend::kStream, core::TraceBackend::kMmap}) {
-    SimJob j = job;
-    j.config.trace_backend = backend;
-    const auto got = BatchRunner::run_one(j);
-    EXPECT_EQ(got.result.committed, want.result.committed);
-    EXPECT_EQ(got.result.major_cycles, want.result.major_cycles);
-    EXPECT_EQ(got.result.trace_records, want.result.trace_records);
-    EXPECT_EQ(got.result.trace_bits, want.result.trace_bits);
-  }
+  SimJob j = job;
+  j.config.trace_backend = core::TraceBackend::kStream;
+  const auto got = BatchRunner::run_one(j);
+  EXPECT_EQ(got.result.committed, want.result.committed);
+  EXPECT_EQ(got.result.major_cycles, want.result.major_cycles);
+  EXPECT_EQ(got.result.trace_records, want.result.trace_records);
+  EXPECT_EQ(got.result.trace_bits, want.result.trace_bits);
 }
 
 }  // namespace

@@ -58,8 +58,13 @@ echo "== input validation"
 ! "$cli" gen --bench gzip --insts 1000 --chunk 0 --out bad.rsim 2> err.txt
 grep -q -- "--chunk" err.txt
 test ! -f bad.rsim
-! "$cli" sim --trace ci.rsim --backend floppy 2> err.txt
-grep -qF "trace.backend" err.txt
+# Unknown backend spellings, mmap among them, name the
+# parameter and what it accepts.
+for backend in floppy mmap; do
+  ! "$cli" sim --trace ci.rsim --backend "$backend" 2> err.txt
+  grep -qF "trace.backend" err.txt
+  grep -qF "memory|stream" err.txt
+done
 # Cross-field violations name the parameter to change.
 ! "$cli" sim --trace ci.rsim --width 2 2> err.txt
 grep -qF "core.mem_read_ports = 2 exceeds core.width - 1 = 1" err.txt
@@ -72,6 +77,18 @@ grep -q "unknown flag --mem" err.txt
 grep -q "unknown flag --bench" err.txt
 ! "$cli" sweep --insts 1000 2> err.txt
 grep -q -- "needs --spec" err.txt
+# The daemon listens on its Unix socket only: no TCP flag, and no
+# socket is no listener.
+! "$cli" serve --tcp 0 2> err.txt
+grep -q "unknown flag --tcp" err.txt
+! "$cli" client --tcp 1 2> err.txt
+grep -q "unknown flag --tcp" err.txt
+set +e
+timeout 20 "$cli" serve 2> err.txt
+status=$?
+set -e
+test "$status" -eq 1
+grep -q "no listener configured (need a unix socket path)" err.txt
 
 echo "== config plane"
 "$cli" sim --trace ci.rsim --config "$configs/paper_4wide_perfect.cfg"
@@ -83,8 +100,8 @@ cmp "$configs/paper_4wide_perfect.cfg" rt.cfg
 # goes to a file first: under pipefail, `| grep -q` can SIGPIPE the CLI.
 "$cli" params --config "$configs/paper_4wide_perfect.cfg" --set core.rob_size=64 > p1.txt
 grep -q "core.rob_size = 64" p1.txt
-"$cli" params --set trace.backend=mmap > p2.txt
-grep -q "trace.backend = mmap" p2.txt
+"$cli" params --set trace.backend=stream > p2.txt
+grep -q "trace.backend = stream" p2.txt
 # The shorthand aliases are pure sugar for --set, and bare sim runs the
 # saved defaults exactly: nothing is derived.
 "$cli" sim --trace ci.rsim --rob 32 --json alias.json > /dev/null

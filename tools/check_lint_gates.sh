@@ -9,7 +9,7 @@
 #  * a std::cout in src/analysis/          -> iostream-in-lib
 #  * a common -> core upward include       -> layering
 #  * a dropped ParamRegistry registration  -> registry-drift (both sides)
-#  * a dropped "mmap" spelling in names.cpp -> enum-string-drift
+#  * a dropped "stream" spelling in names.cpp -> enum-string-drift
 #  * a raw mutex lock()/unlock() TU        -> lock-discipline
 #
 # Each seed lands in a fresh copy of the linted tree under mktemp; the
@@ -79,8 +79,8 @@ expect_finding "dropped ParamRegistry registration" \
 
 echo "== enum-string-drift"
 fresh_tree
-sed -i 's/{"memory", "stream", "mmap"}/{"memory", "stream"}/' "$work/tree/src/config/names.cpp"
-expect_finding "enum spelling drop" "enum-string-drift.*'kMmap'"
+sed -i 's/{"memory", "stream"}/{"memory"}/' "$work/tree/src/config/names.cpp"
+expect_finding "enum spelling drop" "enum-string-drift.*'kStream'"
 
 echo "== lock-discipline"
 fresh_tree

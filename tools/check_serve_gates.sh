@@ -15,7 +15,8 @@
 #    pinned --set.
 #
 # Then `status` must count exactly two trace loads, and a `shutdown`
-# request must drain the daemon and exit it cleanly. A second daemon then
+# request must drain the daemon and exit it cleanly, removing its socket
+# file. A second daemon then
 # takes raw bytes no well-behaved client sends (the hostile-input probe):
 # each must be answered with its named error or a clean drop, and the
 # daemon must still serve `sim --json` bytes afterwards. Last,
@@ -109,6 +110,7 @@ client --shutdown
 wait "$serve_pid"
 serve_pid=
 grep -q "shut down" serve_log.txt
+test ! -e serve.sock
 
 echo "== hostile input"
 # Invalid JSON, unknown request types, zero and oversized length
@@ -185,6 +187,7 @@ cmp cli_new.json after.json
 "$cli" client --socket hostile.sock --shutdown
 wait "$serve_pid"
 serve_pid=
+test ! -e hostile.sock
 
 echo "== doc drift"
 # docs/SERVE.md's message-type and error-code tables are generated from

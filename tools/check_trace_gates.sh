@@ -3,14 +3,14 @@
 # `trace_gates` and run by CI through ctest:
 #
 #  * backend round trip: sim, stats and sweep output is identical across
-#    the memory, stream and mmap backends, containers v2/v3/v4, -j1/-jN
-#    and shared decode on/off; LZ halves the container at least, and the
+#    the memory and stream backends, containers v2/v3/v4, -j1/-jN and
+#    shared decode on/off; LZ halves the container at least, and the
 #    delta pre-filter never loses to plain LZ;
 #  * windowed round trip: over 1000-record chunks, full and windowed
-#    (`--skip 15000 --warmup 1000`) sims agree on every backend and
+#    (`--skip 15000 --warmup 1000`) sims agree on both backends and every
 #    container while the skip hops whole (compressed) chunks unread,
 #    plus a spec sweep with --json/--csv-full exports;
-#  * decode-once: a same-trace file-backend sweep decodes every chunk
+#  * decode-once: a same-trace stream-backend sweep decodes every chunk
 #    exactly once at any -j (tools/check_decode_once.py).
 #
 # Usage: tools/check_trace_gates.sh path/to/resim_cli
@@ -35,35 +35,31 @@ test "$raw" -ge "$((2 * lz))"
 test "$lz" -ge "$v4"
 # sim output identical across backends and containers.
 "$cli" sim --trace ci.rsim --width 4 > sim_mem.txt
-for backend in stream mmap; do
-  for src in ci.rsim ci_lz.rsim ci_v4.rsim; do
-    "$cli" sim --trace "$src" --width 4 --backend "$backend" > sim_b.txt
-    diff sim_mem.txt sim_b.txt
-  done
+for src in ci.rsim ci_lz.rsim ci_v4.rsim; do
+  "$cli" sim --trace "$src" --width 4 --backend stream > sim_b.txt
+  diff sim_mem.txt sim_b.txt
 done
 "$cli" stats --trace ci.rsim > stats_mem.txt
-"$cli" stats --trace ci_lz.rsim --backend mmap > stats_mmap.txt
-diff stats_mem.txt stats_mmap.txt
+"$cli" stats --trace ci_lz.rsim --backend stream > stats_stream.txt
+diff stats_mem.txt stats_stream.txt
 # Sweep CSVs byte-identical across backends and thread counts.
 "$cli" sweep -j 1 --spec "$spec" --out serial.csv
 "$cli" sweep -j 1 --spec "$spec" --backend stream --out stream_serial.csv
 "$cli" sweep -j "$jobs" --spec "$spec" --backend stream --out stream_parallel.csv
-"$cli" sweep -j "$jobs" --spec "$spec" --backend mmap --out mmap_parallel.csv
 cmp serial.csv stream_serial.csv
 cmp stream_serial.csv stream_parallel.csv
-cmp serial.csv mmap_parallel.csv
-# Prepared-trace sweeps: shared decoded vs streamed vs mmap'd, over the
-# raw, compressed and delta-prefiltered containers, with the
-# shared-decode group plane both on (default) and off.
+# Prepared-trace sweeps: shared decoded vs streamed, over the raw,
+# compressed and delta-prefiltered containers, with the shared-decode
+# group plane both on (default) and off.
 printf 'pipeline.variant = optimized\ncore.width = 2,4\ncore.rob_size = 16\nbp.kind = 2lev\n' > w.spec
 "$cli" sweep -j 1 --trace ci.rsim --spec w.spec --out tracefile_shared.csv
 "$cli" sweep -j "$jobs" --trace ci.rsim --backend stream --spec w.spec --out tracefile_streamed.csv
-"$cli" sweep -j "$jobs" --trace ci_lz.rsim --backend mmap --spec w.spec --out tracefile_mmap_lz.csv
+"$cli" sweep -j "$jobs" --trace ci_lz.rsim --backend stream --spec w.spec --out tracefile_stream_lz.csv
 "$cli" sweep -j "$jobs" --trace ci_v4.rsim --backend stream --spec w.spec --out tracefile_stream_v4.csv
 "$cli" sweep -j "$jobs" --trace ci_v4.rsim --backend stream --spec w.spec \
     --set trace.shared_decode=false --out tracefile_private_v4.csv
 cmp tracefile_shared.csv tracefile_streamed.csv
-cmp tracefile_shared.csv tracefile_mmap_lz.csv
+cmp tracefile_shared.csv tracefile_stream_lz.csv
 cmp tracefile_shared.csv tracefile_stream_v4.csv
 cmp tracefile_shared.csv tracefile_private_v4.csv
 
@@ -74,22 +70,17 @@ echo "== windowed round trip"
 "$cli" gen --bench parser --insts 20000 --chunk 1000 --compress --prefilter --out san_v4.rsim
 "$cli" sim --trace san.rsim > san_mem.txt
 for src in san.rsim san_lz.rsim san_v4.rsim; do
-  for backend in stream mmap; do
-    "$cli" sim --trace "$src" --backend "$backend" > san_b.txt
-    diff san_mem.txt san_b.txt
-  done
+  "$cli" sim --trace "$src" --backend stream > san_b.txt
+  diff san_mem.txt san_b.txt
 done
 # Chunk-skipping seek over compressed chunks: the windowed run must
 # match while seeking whole chunks unread (never inflated).
 "$cli" sim --trace san.rsim --skip 15000 --warmup 1000 > san_win_mem.txt
 "$cli" sim --trace san_lz.rsim --skip 15000 --warmup 1000 --backend stream > san_win_stream.txt
-"$cli" sim --trace san_lz.rsim --skip 15000 --warmup 1000 --backend mmap > san_win_mmap.txt
 "$cli" sim --trace san_v4.rsim --skip 15000 --warmup 1000 --backend stream > san_win_v4.txt
 grep -q "chunk-skip seek jumped" san_win_stream.txt
-grep -q "chunk-skip seek jumped" san_win_mmap.txt
 grep -q "chunk-skip seek jumped" san_win_v4.txt
 diff <(grep -v "chunk-skip" san_win_mem.txt) <(grep -v "chunk-skip" san_win_stream.txt)
-diff <(grep -v "chunk-skip" san_win_mem.txt) <(grep -v "chunk-skip" san_win_mmap.txt)
 diff <(grep -v "chunk-skip" san_win_mem.txt) <(grep -v "chunk-skip" san_win_v4.txt)
 # Spec sweep exports (cli_gates compares them across -j; under the
 # sanitizers this run must simply come out clean).
@@ -100,7 +91,7 @@ echo "== decode-once gate"
 # The checker's own teeth first: its --self-test doctors a stats export
 # (chunks_decoded > chunks_in_trace) and requires a non-zero exit.
 python3 "$tools/check_decode_once.py" --self-test
-# A same-trace grid forms one shared group; with a file backend the
+# A same-trace grid forms one shared group; with the stream backend the
 # SharedBatchCache must decode each chunk exactly once, independent of
 # -j, and the CSV must not notice the sharing.
 printf 'pipeline.variant = optimized\ncore.width = 2,4\ncore.rob_size = 16,32\nbp.kind = 2lev\n' > g.spec

@@ -597,10 +597,6 @@ int cmd_serve(const Args& a) {
   const auto cfg = validated_machine_of(a);
   serve::ServeOptions opts;
   opts.unix_path = get(a, "socket", "");
-  if (has(a, "tcp")) {
-    opts.tcp = true;
-    opts.tcp_port = static_cast<std::uint16_t>(get_u64(a, "tcp", 0));
-  }
   opts.threads = static_cast<unsigned>(get_u64(a, "j", 1));
   opts.max_pending = cfg.serve_max_pending;
   opts.idle_timeout_s = cfg.serve_idle_timeout_s;
@@ -611,19 +607,14 @@ int cmd_serve(const Args& a) {
   std::signal(SIGINT, serve_signal_handler);
   std::signal(SIGTERM, serve_signal_handler);
   daemon.start();
-  if (opts.tcp) std::cout << "serve: port " << daemon.port() << '\n';
   daemon.wait();
   g_serve_daemon.store(nullptr);
   return 0;
 }
 
 int cmd_client(const Args& a) {
-  serve::Client client = has(a, "socket")
-      ? serve::Client::connect_to_unix(get(a, "socket", ""))
-      : has(a, "tcp")
-          ? serve::Client::connect_to_tcp(
-                static_cast<std::uint16_t>(get_u64(a, "tcp", 0)))
-          : throw std::invalid_argument("client: need --socket PATH or --tcp PORT");
+  if (!has(a, "socket")) throw std::invalid_argument("client: need --socket PATH");
+  serve::Client client = serve::Client::connect_to_unix(get(a, "socket", ""));
   const std::string id = get(a, "id", "req-1");
 
   if (has(a, "ping")) {
@@ -693,9 +684,9 @@ int usage() {
       "           [--out FILE | --resume FILE] [--json FILE] [--csv-full FILE]\n"
       "           [--decode-stats FILE]\n"
       "  params   [--config FILE] [--set key=value]... [--save FILE] [--markdown]\n"
-      "  serve    --socket PATH [--tcp PORT] [-j N] [--config FILE]\n"
+      "  serve    --socket PATH [-j N] [--config FILE]\n"
       "           [--set key=value]... [--protocol-markdown]\n"
-      "  client   (--socket PATH | --tcp PORT) [--id ID] [--out FILE]\n"
+      "  client   --socket PATH [--id ID] [--out FILE]\n"
       "           (--ping | --status | --shutdown\n"
       "            | --sim --trace FILE [--config FILE] [--set key=value]...\n"
       "              [--priority N] [--skip N] [--warmup N] [--max-records N]\n"
@@ -722,10 +713,10 @@ const std::map<std::string, Command>& commands() {
       {"stats", {cmd_stats, "trace", true}},
       {"sweep", {cmd_sweep, "spec j trace insts out resume json csv-full decode-stats", true}},
       {"params", {cmd_params, "save markdown", true}},
-      {"serve", {cmd_serve, "protocol-markdown socket tcp j", true}},
+      {"serve", {cmd_serve, "protocol-markdown socket j", true}},
       {"client",
        {cmd_client,
-        "socket tcp id out ping status shutdown sim sweep priority trace config set "
+        "socket id out ping status shutdown sim sweep priority trace config set "
         "skip warmup max-records spec insts format",
         false}},
       {"schedule", {cmd_schedule, "variant width", false}},
