@@ -613,7 +613,7 @@ int cmd_serve(const Args& a) {
 }
 
 int cmd_client(const Args& a) {
-  if (!has(a, "socket")) throw std::invalid_argument("client: need --socket PATH");
+  if (!has(a, "socket")) throw std::invalid_argument("needs --socket PATH");
   serve::Client client = serve::Client::connect_to_unix(get(a, "socket", ""));
   const std::string id = get(a, "id", "req-1");
 
