@@ -24,49 +24,31 @@ void TagCache::export_stats(StatsRegistry& reg) const {
   reg.counter(key).add(misses());
 }
 
-AccessResult TagCache::access(Addr addr, AccessKind kind) {
-  ++accesses_;
-  ++tick_;
-  const std::size_t base = set_of(addr) * cfg_.assoc;
-  const Addr tag = tag_of(addr);
-
+void TagCache::fill(std::size_t base, Addr tag, Addr block) {
+  std::size_t victim = base;
+  bool found_invalid = false;
   for (std::size_t w = 0; w < cfg_.assoc; ++w) {
-    Line& l = lines_[base + w];
-    if (l.valid && l.tag == tag) {
-      ++hits_;
-      if (cfg_.repl == ReplPolicy::kLru) l.stamp = tick_;
-      return {true, cfg_.hit_latency};
+    if (!lines_[base + w].valid) {
+      victim = base + w;
+      found_invalid = true;
+      break;
     }
   }
-
-  // Miss. Writes without write-allocate go around the cache.
-  const bool allocate = kind != AccessKind::kWrite || cfg_.write_allocate;
-  if (allocate) {
-    std::size_t victim = base;
-    bool found_invalid = false;
-    for (std::size_t w = 0; w < cfg_.assoc; ++w) {
-      if (!lines_[base + w].valid) {
-        victim = base + w;
-        found_invalid = true;
+  if (!found_invalid) {
+    switch (cfg_.repl) {
+      case ReplPolicy::kLru:
+      case ReplPolicy::kFifo:
+        for (std::size_t w = 1; w < cfg_.assoc; ++w) {
+          if (lines_[base + w].stamp < lines_[victim].stamp) victim = base + w;
+        }
         break;
-      }
+      case ReplPolicy::kRandom:
+        victim = base + static_cast<std::size_t>(rng_.below(cfg_.assoc));
+        break;
     }
-    if (!found_invalid) {
-      switch (cfg_.repl) {
-        case ReplPolicy::kLru:
-        case ReplPolicy::kFifo:
-          for (std::size_t w = 1; w < cfg_.assoc; ++w) {
-            if (lines_[base + w].stamp < lines_[victim].stamp) victim = base + w;
-          }
-          break;
-        case ReplPolicy::kRandom:
-          victim = base + static_cast<std::size_t>(rng_.below(cfg_.assoc));
-          break;
-      }
-    }
-    lines_[victim] = Line{true, tag, tick_};
   }
-  return {false, cfg_.miss_latency};
+  lines_[victim] = Line{true, tag, tick_};
+  last_block_ = block;
 }
 
 bool TagCache::contains(Addr addr) const {
@@ -81,6 +63,7 @@ bool TagCache::contains(Addr addr) const {
 
 void TagCache::invalidate_all() {
   for (Line& l : lines_) l = Line{};
+  last_block_ = kNoBlock;
 }
 
 std::uint64_t TagCache::tag_storage_bits() const {

@@ -28,12 +28,6 @@ AccessResult MemorySystem::refill_through_l2(const AccessResult& l1_miss, Addr a
   return {false, l1.hit_latency + l2.latency};
 }
 
-AccessResult MemorySystem::ifetch(Addr pc) {
-  if (cfg_.perfect) return {true, 1};
-  const auto r = icache_->access(pc, AccessKind::kFetch);
-  return r.hit ? r : refill_through_l2(r, pc, AccessKind::kFetch);
-}
-
 AccessResult MemorySystem::dread(Addr addr) {
   if (cfg_.perfect) return {true, 1};
   const auto r = dcache_->access(addr, AccessKind::kRead);

@@ -61,8 +61,13 @@ class MemorySystem {
  public:
   explicit MemorySystem(const MemSysConfig& cfg);
 
-  /// Instruction fetch of the block containing `pc`.
-  AccessResult ifetch(Addr pc);
+  /// Instruction fetch of the block containing `pc`. Inline: Fetch and
+  /// functional warm-up call it once per instruction.
+  AccessResult ifetch(Addr pc) {
+    if (cfg_.perfect) return {true, 1};
+    const auto r = icache_->access(pc, AccessKind::kFetch);
+    return r.hit ? r : refill_through_l2(r, pc, AccessKind::kFetch);
+  }
 
   /// Data read (load issue) / write (store commit).
   AccessResult dread(Addr addr);

@@ -2,7 +2,9 @@
 // and Reorder Buffer (RB) entries, and accesses the Rename Table."
 //
 // Instructions become dispatchable one cycle after fetch (the Decouple
-// Buffer boundary); dispatch stalls on a full ROB or LSQ.
+// Buffer boundary); dispatch stalls on a full ROB or LSQ. The IFQ front
+// already sits in the window slot behind the ROB's tail, so dispatching
+// it moves the ROB/IFQ boundary and copies nothing (core/rob.hpp).
 #include "core/engine.hpp"
 
 namespace resim::core {
@@ -16,8 +18,8 @@ DispatchStats::DispatchStats(StatsRegistry& reg)
 
 void ReSimEngine::stage_dispatch() {
   for (unsigned slot = 0; slot < cfg_.width; ++slot) {
-    if (ifq_.empty()) break;
-    const FetchedInst& fi = ifq_.front();
+    if (rob_.ifq_empty()) break;
+    const FetchedInst& fi = rob_.ifq_front();
     if (fi.fetched_at >= cycle_) break;  // decouple: fetched this very cycle
 
     if (rob_.full()) {
@@ -31,8 +33,7 @@ void ReSimEngine::stage_dispatch() {
 
     const int rob_slot = rob_.allocate();
     RobEntry& e = rob_.entry(rob_slot);
-    FetchedInst& inst = rob_.inst(rob_slot);
-    inst = ifq_.pop();
+    FetchedInst& inst = rob_.inst(rob_slot);  // the record Fetch wrote, in place
     trace::TraceRecord& rec = inst.rec;
     // Decode normalization: stores write no register. A malformed record
     // carrying a destination would otherwise rename a register to an

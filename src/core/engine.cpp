@@ -31,14 +31,13 @@ ReSimEngine::ReSimEngine(const CoreConfig& cfg, trace::TraceSource& source)
       src_(source),
       bp_(cfg.bp),
       mem_(cfg.mem),
-      rob_(cfg.rob_size),
+      rob_(cfg.rob_size, cfg.ifq_size),
       lsq_(cfg.lsq_size),
       fu_(cfg.fu.alu_count, cfg.fu.alu_latency, cfg.fu.alu_pipelined, cfg.fu.mul_count,
           cfg.fu.mul_latency, cfg.fu.mul_pipelined, cfg.fu.div_count, cfg.fu.div_latency,
           cfg.fu.div_pipelined),
-      ifq_(cfg.ifq_size),
-      ready_(cfg.rob_size),
-      inflight_(cfg.rob_size),
+      ready_(rob_.slots()),
+      inflight_(rob_.slots()),
       fstat_(stats_),
       dstat_(stats_),
       istat_(stats_),
@@ -49,7 +48,6 @@ ReSimEngine::ReSimEngine(const CoreConfig& cfg, trace::TraceSource& source)
       fetch_(source) {
   cfg_.validate();
   watchdog_cycles_ = kWatchdogMargin + longest_stall(cfg_);
-  issue_cands_.reserve(cfg_.rob_size);
   // The first record carries no PC context: PCs are implicit from the
   // program base until the first branch record resyncs us (DESIGN.md §5).
   fetch_pc_ = isa::Program::kDefaultBase;
@@ -61,7 +59,7 @@ OccupancyStats::OccupancyStats(StatsRegistry& reg)
       lsq(reg.occupancy("occ.lsq")) {}
 
 bool ReSimEngine::pipeline_empty() const {
-  return rob_.empty() && ifq_.empty();
+  return rob_.empty() && rob_.ifq_empty();
 }
 
 bool ReSimEngine::finished() {
@@ -123,7 +121,7 @@ void ReSimEngine::throw_no_commit() const {
 }
 
 void ReSimEngine::sample_occupancy_and_advance() {
-  ostat_.ifq.sample(ifq_.size());
+  ostat_.ifq.sample(rob_.ifq_size());
   ostat_.rob.sample(rob_.size());
   ostat_.lsq.sample(lsq_.size());
   ++cycle_;
@@ -147,14 +145,13 @@ void ReSimEngine::wake_dependents(int producer_slot) {
 void ReSimEngine::squash_and_redirect(Addr resume_pc) {
   // Everything younger than the resolving branch is wrong-path by
   // construction (fetch only followed the tagged block).
-  squashed_ += rob_.size() + ifq_.size();
-  cstat_.squashed_insts.add(rob_.size() + ifq_.size());
+  squashed_ += rob_.size() + rob_.ifq_size();
+  cstat_.squashed_insts.add(rob_.size() + rob_.ifq_size());
   cstat_.squashes.add();
-  rob_.clear();
+  rob_.clear();  // the ROB and the IFQ behind it
   ready_.clear();
   inflight_.clear();
   lsq_.clear();
-  ifq_.clear();
   rename_.clear();
 
   // Discard tagged records not fetched by the resolution point (§V.A).

@@ -15,6 +15,12 @@
 //     Decouple Buffer between Fetch and Dispatch);
 //   * the Optimized pipeline may not issue a load in slot 0 (§IV.B).
 //
+// One instruction window (core/rob.hpp). The IFQ is the run of ring
+// slots just behind the ROB's tail: Fetch writes each instruction once,
+// in place, into the slot it will commit from; Dispatch moves the
+// ROB/IFQ boundary by one slot and copies nothing; a squash empties both
+// halves in one call.
+//
 // Event-driven select and wakeup. No stage walks the whole ROB. Three
 // structures, each updated where its state changes, stand in for the
 // per-cycle scans:
@@ -26,11 +32,19 @@
 //   * the ready set (ready_): FU ops with no pending source, memory ops
 //     whose base register is ready for address generation, and loads
 //     Lsq_refresh marked mem_ready. Dispatch, wakeup, Lsq_refresh and
-//     Issue keep it current; Issue builds its candidates from it alone.
-// Both sets are SlotSet bitsets visited oldest-first from the ROB head,
-// so they yield exactly the entries, in exactly the order, that the
-// scans over the ROB did. check_invariants() recomputes all three from
-// scratch and throws on any difference; tests call it every cycle.
+//     Issue keep it current. Issue walks it directly and handles each
+//     candidate as it is visited, stopping once N slots are used.
+//     Issuing one entry changes only that entry's kind and membership,
+//     so every kind read during the walk is begin-of-stage state. The
+//     Optimized slot-0 rule adds one short pre-walk, taken only when the
+//     oldest candidate is a load memory access: it finds the first
+//     non-load candidate, which then issues first.
+// Both sets are SlotSet bitsets over the window's slots, visited
+// oldest-first from the ROB head, so they yield exactly the entries, in
+// exactly the order, that the scans over the ROB did; no IFQ slot is
+// ever a member. check_invariants() recomputes all three from scratch,
+// audits the IFQ half, and throws on any difference; tests call it
+// every cycle.
 //
 // Minor-cycle accounting: every major cycle costs schedule().latency()
 // minor cycles (the paper's fixed-latency major cycle), which is what the
@@ -40,11 +54,9 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "bpred/unit.hpp"
 #include "cache/memsys.hpp"
-#include "common/fixed_queue.hpp"
 #include "common/stats.hpp"
 #include "core/config.hpp"
 #include "core/fu.hpp"
@@ -228,8 +240,9 @@ class ReSimEngine {
 
   /// Recompute the event-driven scheduling state from scratch and throw
   /// std::logic_error naming the first disagreement: ready and in-flight
-  /// sets, consumer lists against src_rob/src_pending, ROB age order,
-  /// LSQ/ROB back-pointers and the rename table (core/invariants.cpp).
+  /// sets, consumer lists against src_rob/src_pending, window age order
+  /// (IFQ included), LSQ/ROB back-pointers, the rename table, and that
+  /// nothing names an IFQ slot (core/invariants.cpp).
   /// Cold: the cycle loop never calls it; tests call it between cycles.
   void check_invariants() const;
 
@@ -278,7 +291,6 @@ class ReSimEngine {
   Lsq lsq_;
   RenameTable rename_;
   FuPool fu_;
-  FixedQueue<FetchedInst> ifq_;
   SlotSet ready_;     ///< Issue candidates (see the header comment)
   SlotSet inflight_;  ///< issued, not yet completed
   StatsRegistry stats_;
@@ -291,15 +303,6 @@ class ReSimEngine {
   WritebackStats wstat_;
   CommitStats cstat_;
   OccupancyStats ostat_;
-
-  // Issue-stage candidate scratch, hoisted out of the cycle loop so the
-  // hot path never allocates.
-  enum class IssueCandKind : std::uint8_t { kFuOp, kAgen, kLoadMem };
-  struct IssueCand {
-    int rob_slot;
-    IssueCandKind kind;
-  };
-  std::vector<IssueCand> issue_cands_;
 
   Cycle cycle_ = 0;
   InstSeq next_seq_ = 0;

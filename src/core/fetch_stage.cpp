@@ -38,6 +38,21 @@ void ReSimEngine::stage_fetch() {
 }
 
 void ReSimEngine::fetch_cycle() {
+  // Take the next record into the IFQ, written once, in place, in the
+  // window slot it will later commit from (Rob::ifq_push).
+  const auto take = [this](Addr pc) -> FetchedInst& {
+    FetchedInst& fi = rob_.ifq_push();
+    fi.rec = fetch_.next();
+    fi.pc = pc;
+    fi.seq = next_seq_++;
+    fi.fetched_at = cycle_;
+    fi.pred = {};
+    fi.outcome = bpred::Outcome::kCorrect;
+    ++fetched_;
+    fstat_.insts.add();
+    return fi;
+  };
+
   if (cycle_ < fetch_stall_until_) {
     fstat_.penalty_stall_cycles.add();
     return;
@@ -48,7 +63,7 @@ void ReSimEngine::fetch_cycle() {
   }
 
   for (unsigned slot = 0; slot < cfg_.width; ++slot) {
-    if (ifq_.full()) {
+    if (rob_.ifq_full()) {
       fstat_.ifq_full.add();
       break;
     }
@@ -86,16 +101,9 @@ void ReSimEngine::fetch_cycle() {
         fetch_stall_until_ = cycle_ + ic.latency;
         break;
       }
-      FetchedInst fi;
-      fi.rec = fetch_.next();
-      fi.pc = wrong_path_pc_;
-      fi.seq = next_seq_++;
-      fi.fetched_at = cycle_;
+      (void)take(wrong_path_pc_);
       wrong_path_pc_ += kInstBytes;
-      ifq_.push(fi);
-      ++fetched_;
       ++wrong_path_fetched_;
-      fstat_.insts.add();
       fstat_.wrong_path_insts.add();
       continue;
     }
@@ -118,16 +126,8 @@ void ReSimEngine::fetch_cycle() {
       break;
     }
 
-    FetchedInst fi;
-    fi.rec = fetch_.next();
-    fi.pc = pc;
-    fi.seq = next_seq_++;
-    fi.fetched_at = cycle_;
-
+    FetchedInst& fi = take(pc);
     if (!fi.rec.is_branch()) {
-      ifq_.push(fi);
-      ++fetched_;
-      fstat_.insts.add();
       fetch_pc_ = pc + kInstBytes;
       continue;
     }
@@ -137,10 +137,6 @@ void ReSimEngine::fetch_cycle() {
     const Addr actual_next = fi.rec.taken ? fi.rec.target : fallthrough;
     fi.pred = bp_.predict(pc, fi.rec.ctrl, fallthrough, fi.rec.taken, actual_next);
     fi.outcome = bpred::BranchPredictorUnit::classify(fi.pred, fi.rec.taken, actual_next);
-
-    ifq_.push(fi);
-    ++fetched_;
-    fstat_.insts.add();
     fstat_.branches.add();
 
     switch (fi.outcome) {

@@ -35,10 +35,4 @@ std::optional<std::uint32_t> FuPool::try_issue(trace::OtherFu fu, Cycle now) {
   return std::nullopt;
 }
 
-void FuPool::reset() {
-  for (UnitClass& c : classes_) {
-    for (Cycle& b : c.units) b = 0;
-  }
-}
-
 }  // namespace resim::core

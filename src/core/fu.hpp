@@ -34,10 +34,6 @@ class FuPool {
     return try_issue(trace::OtherFu::kAlu, now);
   }
 
-  void reset();
-
-  [[nodiscard]] unsigned alu_count() const { return static_cast<unsigned>(classes_[0].units.size()); }
-
  private:
   struct UnitClass {
     std::vector<Cycle> units;  ///< per-unit busy-until cycle

@@ -1,6 +1,7 @@
 // ReSimEngine::check_invariants(): an independent recomputation of the
-// event-driven scheduling state (engine.hpp header) from the ROB, LSQ
-// and rename table alone. Cold code: the cycle loop never calls it.
+// event-driven scheduling state (engine.hpp header) from the window, LSQ
+// and rename table alone, plus an audit of the window's IFQ half. Cold
+// code: the cycle loop never calls it.
 // Tests call it after every step_major_cycle(), so any drift between
 // the incremental structures and what a scan of the window would find
 // fails at the cycle it first appears.
@@ -23,16 +24,21 @@ namespace {
 }  // namespace
 
 void ReSimEngine::check_invariants() const {
-  const unsigned cap = rob_.capacity();
-  std::vector<bool> live(cap, false);
+  const unsigned cap = rob_.slots();
+  const unsigned window = rob_.size() + rob_.ifq_size();
+  std::vector<bool> live(cap, false);    // ROB entries
+  std::vector<bool> in_ifq(cap, false);  // IFQ instructions
   std::vector<unsigned> age(cap, 0);
-  for (unsigned i = 0; i < rob_.size(); ++i) {
+  for (unsigned i = 0; i < window; ++i) {
     const int slot = rob_.slot_at(i);
-    live[static_cast<std::size_t>(slot)] = true;
+    (i < rob_.size() ? live : in_ifq)[static_cast<std::size_t>(slot)] = true;
     age[static_cast<std::size_t>(slot)] = i;
-    // ROB age order: sequence numbers strictly increase head to tail.
-    if (i > 0 && rob_.inst(slot).seq <= rob_.inst(rob_.slot_at(i - 1)).seq) {
-      violation(cycle_, slot, "seq does not increase from the previous entry");
+    // Window age order: every fetched instruction takes the next sequence
+    // number and leaves only by commit or squash, so they run on by one
+    // from the ROB head through the IFQ.
+    if (i > 0 && rob_.inst(slot).seq != rob_.inst(rob_.slot_at(i - 1)).seq + 1) {
+      violation(cycle_, slot, std::string(i < rob_.size() ? "ROB" : "IFQ") +
+                                  " seq does not follow the previous entry's");
     }
   }
 
@@ -49,6 +55,7 @@ void ReSimEngine::check_invariants() const {
         violation(cycle_, p, "consumer list is cyclic or leaves the ROB");
       }
       const auto cu = static_cast<std::size_t>(c);
+      if (in_ifq[cu]) violation(cycle_, p, "consumer link names an IFQ slot");
       if (!live[cu] || age[cu] <= i) violation(cycle_, p, "consumer link to a dead or older slot");
       if (rob_.entry(c).src_rob[k] != p) violation(cycle_, c, "linked operand names another producer");
       if (linked[cu][static_cast<std::size_t>(k)]) violation(cycle_, c, "operand linked twice");
@@ -104,7 +111,9 @@ void ReSimEngine::check_invariants() const {
   }
   for (unsigned s = 0; s < cap; ++s) {
     if (!live[s] && (ready_.contains(static_cast<int>(s)) || inflight_.contains(static_cast<int>(s)))) {
-      violation(cycle_, static_cast<int>(s), "free slot is in the ready or in-flight set");
+      violation(cycle_, static_cast<int>(s),
+                in_ifq[s] ? "IFQ slot is in the ready or in-flight set"
+                          : "free slot is in the ready or in-flight set");
     }
   }
 
@@ -134,9 +143,13 @@ void ReSimEngine::check_invariants() const {
     if (out != kNoReg && out != kZeroReg && out < kNumArchRegs) newest[out] = slot;
   }
   for (Reg r = 1; r < kNumArchRegs; ++r) {
-    if (rename_.lookup(r) != newest[r]) {
-      violation(cycle_, rename_.lookup(r),
-                "rename of r" + std::to_string(r) + " is not its newest live writer");
+    const int named = rename_.lookup(r);
+    const bool names_ifq = named >= 0 && static_cast<unsigned>(named) < cap &&
+                           in_ifq[static_cast<std::size_t>(named)];
+    if (names_ifq || named != newest[r]) {
+      violation(cycle_, named,
+                "rename of r" + std::to_string(r) +
+                    (names_ifq ? " names an IFQ slot" : " is not its newest live writer"));
     }
   }
 }

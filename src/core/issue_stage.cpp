@@ -14,8 +14,6 @@
 // none exists, slot 0 stays empty.
 #include "core/engine.hpp"
 
-#include <vector>
-
 namespace resim::core {
 
 IssueStats::IssueStats(StatsRegistry& reg)
@@ -29,115 +27,105 @@ IssueStats::IssueStats(StatsRegistry& reg)
       load_misses(reg.counter("issue.load_misses")) {}
 
 void ReSimEngine::stage_issue() {
-  // Collect issue candidates oldest-first against begin-of-stage state:
-  // the ready set holds exactly the entries a scan of the ROB would
-  // pick (engine.hpp). issue_cands_ is a member scratch buffer (capacity
-  // reserved once in the constructor): clearing keeps the allocation.
-  std::vector<IssueCand>& cands = issue_cands_;
-  cands.clear();
-  ready_.for_each_from(rob_.head_slot(), [&](int slot) {
-    const RobEntry& e = rob_.entry(slot);
-    // Address generation needs only the base register (in1); a store's
-    // data register (in2) is tracked separately (STA/STD split), so an
-    // in-flight store with late data does not hide its address from
-    // Lsq_refresh's dependence checks. A memory op whose address is
-    // generated is ready again only once Lsq_refresh marks its load
-    // mem_ready.
-    const IssueCandKind kind = !e.is_mem()       ? IssueCandKind::kFuOp
-                               : !e.agen_issued ? IssueCandKind::kAgen
-                                                : IssueCandKind::kLoadMem;
-    cands.push_back({slot, kind});
-    return true;
-  });
+  // Candidates come straight off the ready set, oldest first, each
+  // handled as the walk reaches it (engine.hpp).
+  unsigned used_slots = 0;
 
-  // Optimized pipeline: if the oldest candidate is a load memory access,
-  // pull the first non-load candidate into slot 0 (ages otherwise kept).
-  if (!sched_.load_allowed_in_slot0() && !cands.empty() &&
-      cands.front().kind == IssueCandKind::kLoadMem) {
-    for (std::size_t i = 1; i < cands.size(); ++i) {
-      if (cands[i].kind != IssueCandKind::kLoadMem) {
-        const IssueCand c = cands[i];
-        cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(i));
-        cands.insert(cands.begin(), c);
-        break;
-      }
-    }
-  }
-
-  // An issued FU op or load memory access leaves the ready set and waits
-  // in the in-flight set for Writeback.
-  auto start = [this](int slot, Cycle complete_at) {
+  // An issued FU op or load memory access takes a slot, leaves the ready
+  // set and waits in the in-flight set for Writeback.
+  const auto start = [&](int slot, Cycle complete_at) {
     RobEntry& e = rob_.entry(slot);
     e.issued = true;
     e.complete_at = complete_at;
     ready_.erase(slot);
     inflight_.insert(slot);
+    ++used_slots;
   };
 
-  unsigned used_slots = 0;
-  for (const IssueCand& c : cands) {
-    if (used_slots >= cfg_.width) break;
-    RobEntry& e = rob_.entry(c.rob_slot);
-
-    switch (c.kind) {
-      case IssueCandKind::kFuOp: {
-        const auto lat = fu_.try_issue(e.fu, cycle_);
-        if (!lat) {
-          istat_.fu_stalls.add();
-          continue;
-        }
-        start(c.rob_slot, cycle_ + *lat);
-        ++used_slots;
-        istat_.ops.add();
-        break;
+  const auto issue = [&](int slot) {
+    RobEntry& e = rob_.entry(slot);
+    if (!e.is_mem()) {
+      // FU op.
+      const auto lat = fu_.try_issue(e.fu, cycle_);
+      if (!lat) {
+        istat_.fu_stalls.add();
+        return;
       }
-
-      case IssueCandKind::kAgen: {
-        // Effective-address computation occupies an ALU for one op.
-        const auto lat = fu_.try_issue_alu(cycle_);
-        if (!lat) {
-          istat_.fu_stalls.add();
-          continue;
-        }
-        e.agen_issued = true;
-        lsq_.entry(e.lsq_slot).addr_ready_at = cycle_ + *lat;
-        ready_.erase(c.rob_slot);
-        ++used_slots;
-        istat_.agen.add();
-        break;
-      }
-
-      case IssueCandKind::kLoadMem: {
-        // Optimized pipeline: no load in the major cycle's first slot.
-        // With only load candidates ready, slot 0 stays empty and loads
-        // occupy slots 1..N-1.
-        if (used_slots == 0 && !sched_.load_allowed_in_slot0()) {
-          istat_.slot0_load_skips.add();
-          used_slots = 1;
-        }
-        LsqEntry& m = lsq_.entry(e.lsq_slot);
-        if (m.forwarded) {
-          // Value satisfied inside the LSQ: one-cycle completion, no port.
-          m.mem_issued = true;
-          start(c.rob_slot, cycle_ + 1);
-          ++used_slots;
-          istat_.loads_forwarded.add();
-        } else {
-          if (read_ports_used_ >= cfg_.mem_read_ports) {
-            istat_.read_port_stalls.add();
-            continue;
-          }
-          ++read_ports_used_;
-          const auto res = mem_.dread(m.addr);
-          m.mem_issued = true;
-          start(c.rob_slot, cycle_ + res.latency);
-          ++used_slots;
-          (res.hit ? istat_.load_hits : istat_.load_misses).add();
-        }
-        break;
-      }
+      start(slot, cycle_ + *lat);
+      istat_.ops.add();
+      return;
     }
+
+    // Address generation needs only the base register (in1); a store's
+    // data register (in2) is tracked separately (STA/STD split), so an
+    // in-flight store with late data does not hide its address from
+    // Lsq_refresh's dependence checks.
+    if (!e.agen_issued) {
+      // Effective-address computation occupies an ALU for one op.
+      const auto lat = fu_.try_issue_alu(cycle_);
+      if (!lat) {
+        istat_.fu_stalls.add();
+        return;
+      }
+      e.agen_issued = true;
+      lsq_.entry(e.lsq_slot).addr_ready_at = cycle_ + *lat;
+      ready_.erase(slot);
+      ++used_slots;
+      istat_.agen.add();
+      return;
+    }
+
+    // Load memory access: a memory op whose address is generated is
+    // ready again only once Lsq_refresh marks its load mem_ready.
+    // Optimized pipeline: no load in the major cycle's first slot. With
+    // only load candidates ready, slot 0 stays empty and loads occupy
+    // slots 1..N-1.
+    if (used_slots == 0 && !sched_.load_allowed_in_slot0()) {
+      istat_.slot0_load_skips.add();
+      used_slots = 1;
+    }
+    LsqEntry& m = lsq_.entry(e.lsq_slot);
+    if (m.forwarded) {
+      // Value satisfied inside the LSQ: one-cycle completion, no port.
+      m.mem_issued = true;
+      start(slot, cycle_ + 1);
+      istat_.loads_forwarded.add();
+      return;
+    }
+    if (read_ports_used_ >= cfg_.mem_read_ports) {
+      istat_.read_port_stalls.add();
+      return;
+    }
+    ++read_ports_used_;
+    const auto res = mem_.dread(m.addr);
+    m.mem_issued = true;
+    start(slot, cycle_ + res.latency);
+    (res.hit ? istat_.load_hits : istat_.load_misses).add();
+  };
+
+  // Optimized pipeline: if the oldest candidate is a load memory access,
+  // the first non-load candidate issues first, in slot 0; the rest keep
+  // their age order.
+  int first = -1;
+  if (!sched_.load_allowed_in_slot0()) {
+    bool load_seen = false;
+    ready_.for_each_from(rob_.head_slot(), [&](int slot) {
+      const RobEntry& e = rob_.entry(slot);
+      if (e.is_mem() && e.agen_issued) {
+        load_seen = true;
+        return true;
+      }
+      if (load_seen) first = slot;
+      return false;
+    });
+    if (first >= 0) issue(first);
   }
+
+  if (used_slots >= cfg_.width) return;
+  ready_.for_each_from(rob_.head_slot(), [&](int slot) {
+    if (slot != first) issue(slot);
+    return used_slots < cfg_.width;
+  });
 }
 
 }  // namespace resim::core

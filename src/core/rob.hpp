@@ -1,12 +1,15 @@
-// Reorder Buffer: circular in-order window of in-flight instructions.
-// Dispatch allocates at the tail, Commit releases from the head
-// (paper §III: "Dispatch allocates Load/Store Queue (LSQ) and Reorder
-// Buffer (RB) entries").
+// Instruction window: the Reorder Buffer and the Instruction Fetch
+// Queue as one ring of rob_size + ifq_size slots, the IFQ being the run
+// just behind the ROB's tail. Fetch fills an instruction in place in the
+// next free slot (ifq_push), Dispatch makes the IFQ front the ROB's new
+// tail by moving one boundary (allocate), Commit releases from the head
+// and a squash empties both halves (clear). So an instruction is written
+// once, into the slot it commits from (paper §III: "Dispatch allocates
+// Load/Store Queue (LSQ) and Reorder Buffer (RB) entries").
 //
 // Each slot is split in two parallel arrays. RobEntry is the small hot
 // scheduling state every stage reads each cycle; FetchedInst is the
-// cold instruction record, written once at dispatch and read at commit.
-// allocate() resets only the hot part.
+// cold instruction record. allocate() resets only the hot part.
 #ifndef RESIM_CORE_ROB_H
 #define RESIM_CORE_ROB_H
 
@@ -23,7 +26,8 @@
 namespace resim::core {
 
 /// An instruction as it left Fetch: the pre-decoded record plus the
-/// fetch-time prediction state.
+/// fetch-time prediction state. Fetch writes every field: the slot
+/// Rob::ifq_push() hands out still holds its previous occupant's.
 struct FetchedInst {
   trace::TraceRecord rec{};
   Addr pc = 0;
@@ -71,27 +75,54 @@ struct RobEntry {
 
 class Rob {
  public:
-  explicit Rob(unsigned capacity);
+  Rob(unsigned capacity, unsigned ifq_capacity);
 
-  [[nodiscard]] unsigned capacity() const { return cap_; }
+  // --- the ROB half ---------------------------------------------------------
   [[nodiscard]] unsigned size() const { return count_; }
   [[nodiscard]] bool empty() const { return count_ == 0; }
-  [[nodiscard]] bool full() const { return count_ == cap_; }
+  [[nodiscard]] bool full() const { return count_ == rob_cap_; }
 
-  /// Allocate the next entry in program order; returns its physical slot.
-  /// Precondition: !full().
+  // --- the IFQ half -----------------------------------------------------------
+  [[nodiscard]] unsigned ifq_size() const { return ifq_count_; }
+  [[nodiscard]] bool ifq_empty() const { return ifq_count_ == 0; }
+  [[nodiscard]] bool ifq_full() const { return ifq_count_ == cap_ - rob_cap_; }
+
+  /// Ring slots, the ROB's capacity plus the IFQ's: every physical slot
+  /// number is below this.
+  [[nodiscard]] unsigned slots() const { return cap_; }
+
+  /// Append an instruction to the IFQ: the cold record of the next free
+  /// slot, for Fetch to fill in place. Precondition: !ifq_full().
+  FetchedInst& ifq_push() {
+    if (ifq_full()) throw std::logic_error("Rob::ifq_push on full IFQ");
+    const unsigned slot = wrap(head_ + count_ + ifq_count_);
+    ++ifq_count_;
+    return insts_[slot];
+  }
+
+  /// The oldest IFQ instruction, next to dispatch. Precondition: !ifq_empty().
+  [[nodiscard]] const FetchedInst& ifq_front() const {
+    if (ifq_empty()) throw std::logic_error("Rob::ifq_front on empty IFQ");
+    return insts_[wrap(head_ + count_)];
+  }
+
+  /// Dispatch the IFQ front: its slot becomes the ROB's newest entry,
+  /// the record stays where Fetch wrote it, and only the hot state is
+  /// reset. Returns the physical slot. Precondition: !full() && !ifq_empty().
   int allocate() {
-    if (full()) throw std::logic_error("Rob::allocate on full ROB");
+    if (full() || ifq_empty()) throw std::logic_error("Rob::allocate on full ROB or empty IFQ");
     const unsigned slot = wrap(head_ + count_);
     ++count_;
+    --ifq_count_;
     entries_[slot] = RobEntry{};
     return static_cast<int>(slot);
   }
 
-  /// Physical slot of the i-th oldest entry (0 == head). Off the cycle
-  /// loop's path (the engine keeps slot sets instead), so it stays checked.
+  /// Physical slot of the i-th oldest instruction in the window (0 ==
+  /// head): ROB entries first, then the IFQ. Off the cycle loop's path
+  /// (the engine keeps slot sets instead), so it stays checked.
   [[nodiscard]] int slot_at(unsigned age_index) const {
-    if (age_index >= count_) throw std::out_of_range("Rob::slot_at");
+    if (age_index >= count_ + ifq_count_) throw std::out_of_range("Rob::slot_at");
     return static_cast<int>(wrap(head_ + age_index));
   }
 
@@ -117,24 +148,28 @@ class Rob {
     --count_;
   }
 
-  /// Squash: drop every entry (mis-speculation recovery).
+  /// Squash: drop every ROB entry and every IFQ instruction
+  /// (mis-speculation recovery).
   void clear() {
     head_ = 0;
     count_ = 0;
+    ifq_count_ = 0;
   }
 
  private:
-  /// i mod capacity for i < 2 * capacity: a compare and a subtract.
+  /// i mod slots() for i < 2 * slots(): a compare and a subtract.
   [[nodiscard]] unsigned wrap(unsigned i) const { return i >= cap_ ? i - cap_ : i; }
 
   std::vector<RobEntry> entries_;
   std::vector<FetchedInst> insts_;
-  unsigned cap_;
+  unsigned rob_cap_;
+  unsigned cap_;             ///< ring slots: ROB plus IFQ capacity
   unsigned head_ = 0;
-  unsigned count_ = 0;
+  unsigned count_ = 0;       ///< ROB entries, from head_
+  unsigned ifq_count_ = 0;   ///< IFQ instructions, behind the ROB's tail
 };
 
-/// A set of ROB slots as a bitset, visited oldest-first from the ROB
+/// A set of window slots as a bitset, visited oldest-first from the ROB
 /// head with count-trailing-zeros. The engine keeps two: the ready set
 /// Issue selects from and the in-flight set Writeback selects from. A
 /// walk costs one step per 64 slots plus one per member, not one per

@@ -13,7 +13,7 @@ namespace {
 JsonValue parse_server_frame(const std::string& payload) {
   JsonValue v = parse_json(payload);
   if (v.kind() != JsonValue::Kind::kObject) {
-    throw std::runtime_error("client: server frame is not a JSON object");
+    throw std::runtime_error("server frame is not a JSON object");
   }
   return v;
 }
@@ -21,7 +21,7 @@ JsonValue parse_server_frame(const std::string& payload) {
 std::string frame_type(const JsonValue& v) {
   const JsonValue* t = v.find("type");
   if (t == nullptr || t->kind() != JsonValue::Kind::kString) {
-    throw std::runtime_error("client: server frame lacks a string 'type'");
+    throw std::runtime_error("server frame lacks a string 'type'");
   }
   return t->as_string();
 }
@@ -29,7 +29,7 @@ std::string frame_type(const JsonValue& v) {
 std::string member_string(const JsonValue& v, const char* key) {
   const JsonValue* m = v.find(key);
   if (m == nullptr || m->kind() != JsonValue::Kind::kString) {
-    throw std::runtime_error(std::string("client: server frame lacks a string '") +
+    throw std::runtime_error(std::string("server frame lacks a string '") +
                              key + "'");
   }
   return m->as_string();
@@ -38,7 +38,7 @@ std::string member_string(const JsonValue& v, const char* key) {
 std::uint64_t member_u64(const JsonValue& v, const char* key) {
   const JsonValue* m = v.find(key);
   if (m == nullptr) {
-    throw std::runtime_error(std::string("client: server frame lacks member '") +
+    throw std::runtime_error(std::string("server frame lacks member '") +
                              key + "'");
   }
   return m->as_u64(std::string("server frame member '") + key + "'");
@@ -58,10 +58,10 @@ std::optional<std::string> Client::read_frame() {
   char buf[16 << 10];
   for (;;) {
     const auto n = recv_some(fd_.get(), buf, sizeof(buf));
-    if (n < 0) throw std::runtime_error("client: connection error while reading");
+    if (n < 0) throw std::runtime_error("connection error while reading");
     if (n == 0) {
       if (decoder_.buffered() != 0) {
-        throw std::runtime_error("client: connection closed mid-frame (" +
+        throw std::runtime_error("connection closed mid-frame (" +
                                  std::to_string(decoder_.buffered()) +
                                  " bytes of an incomplete frame)");
       }
@@ -75,16 +75,16 @@ std::optional<std::string> Client::read_frame() {
 void Client::expect_hello() {
   const auto payload = read_frame();
   if (!payload) {
-    throw std::runtime_error("client: server closed the connection before hello");
+    throw std::runtime_error("server closed the connection before hello");
   }
   const JsonValue v = parse_server_frame(*payload);
   if (frame_type(v) != "hello") {
-    throw std::runtime_error("client: expected a hello frame, got '" +
+    throw std::runtime_error("expected a hello frame, got '" +
                              frame_type(v) + "'");
   }
   const auto protocol = member_u64(v, "protocol");
   if (protocol != kProtocolVersion) {
-    throw std::runtime_error("client: protocol version mismatch (server speaks " +
+    throw std::runtime_error("protocol version mismatch (server speaks " +
                              std::to_string(protocol) + ", this client speaks " +
                              std::to_string(kProtocolVersion) + ")");
   }
@@ -92,7 +92,7 @@ void Client::expect_hello() {
 
 void Client::send_request(const std::string& payload) {
   if (!send_all(fd_.get(), encode_frame(payload))) {
-    throw std::runtime_error("client: connection error while sending request");
+    throw std::runtime_error("connection error while sending request");
   }
 }
 
@@ -101,7 +101,7 @@ Client::Done Client::request(const std::string& payload, std::ostream& out) {
   for (;;) {
     const auto frame = read_frame();
     if (!frame) {
-      throw std::runtime_error("client: connection closed before the response "
+      throw std::runtime_error("connection closed before the response "
                                "completed");
     }
     const JsonValue v = parse_server_frame(*frame);
@@ -113,12 +113,12 @@ Client::Done Client::request(const std::string& payload, std::ostream& out) {
       done.frames = member_u64(v, "frames");
       done.bytes = member_u64(v, "bytes");
       out.flush();
-      if (!out) throw std::runtime_error("client: writing response body failed");
+      if (!out) throw std::runtime_error("writing response body failed");
       return done;
     } else if (type == "error") {
       throw ServerError(member_string(v, "code"), member_string(v, "message"));
     } else {
-      throw std::runtime_error("client: unexpected frame type '" + type +
+      throw std::runtime_error("unexpected frame type '" + type +
                                "' inside a response");
     }
   }
@@ -128,7 +128,7 @@ void Client::ping(const std::string& id) {
   send_request(build_ping_request(id));
   const auto frame = read_frame();
   if (!frame) {
-    throw std::runtime_error("client: connection closed waiting for pong");
+    throw std::runtime_error("connection closed waiting for pong");
   }
   const JsonValue v = parse_server_frame(*frame);
   const std::string type = frame_type(v);
@@ -136,7 +136,7 @@ void Client::ping(const std::string& id) {
     throw ServerError(member_string(v, "code"), member_string(v, "message"));
   }
   if (type != "pong" || member_string(v, "id") != id) {
-    throw std::runtime_error("client: expected pong for id '" + id + "'");
+    throw std::runtime_error("expected pong for id '" + id + "'");
   }
 }
 

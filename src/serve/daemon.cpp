@@ -66,7 +66,7 @@ void Daemon::log_line(const std::string& line) const {
 
 void Daemon::start() {
   if (opts_.unix_path.empty()) {
-    throw std::runtime_error("serve: no listener configured (need a unix socket path)");
+    throw std::runtime_error("no listener configured (need a unix socket path)");
   }
   listener_ = listen_unix(opts_.unix_path);
   log_line("serve: listening on unix socket " + opts_.unix_path);

@@ -47,7 +47,7 @@ UnixListener listen_unix(const std::string& path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   if (path.empty() || path.size() >= sizeof(addr.sun_path)) {
-    throw std::runtime_error("serve: unix socket path must be 1.." +
+    throw std::runtime_error("unix socket path must be 1.." +
                              std::to_string(sizeof(addr.sun_path) - 1) +
                              " bytes: " + path);
   }
@@ -59,19 +59,19 @@ UnixListener listen_unix(const std::string& path) {
   struct stat st{};
   if (::lstat(path.c_str(), &st) == 0) {
     if (!S_ISSOCK(st.st_mode)) {
-      throw std::runtime_error("serve: refusing to replace non-socket file: " + path);
+      throw std::runtime_error("refusing to replace non-socket file: " + path);
     }
     (void)::unlink(path.c_str());
   }
 
   ScopedFd fd(::socket(AF_UNIX, SOCK_STREAM, 0));
-  if (!fd.valid()) fail_errno("serve: socket(AF_UNIX)");
+  if (!fd.valid()) fail_errno("socket(AF_UNIX)");
   if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    fail_errno("serve: bind " + path);
+    fail_errno("bind " + path);
   }
-  if (::listen(fd.get(), 16) != 0) fail_errno("serve: listen " + path);
-  set_nonblocking(fd.get(), "serve: listener " + path);
-  if (::lstat(path.c_str(), &st) != 0) fail_errno("serve: stat " + path);
+  if (::listen(fd.get(), 16) != 0) fail_errno("listen " + path);
+  set_nonblocking(fd.get(), "listener " + path);
+  if (::lstat(path.c_str(), &st) != 0) fail_errno("stat " + path);
   return {std::move(fd), static_cast<std::uint64_t>(st.st_dev),
           static_cast<std::uint64_t>(st.st_ino)};
 }
@@ -88,15 +88,15 @@ ScopedFd connect_unix(const std::string& path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   if (path.empty() || path.size() >= sizeof(addr.sun_path)) {
-    throw std::runtime_error("client: unix socket path must be 1.." +
+    throw std::runtime_error("unix socket path must be 1.." +
                              std::to_string(sizeof(addr.sun_path) - 1) +
                              " bytes: " + path);
   }
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
   ScopedFd fd(::socket(AF_UNIX, SOCK_STREAM, 0));
-  if (!fd.valid()) fail_errno("client: socket(AF_UNIX)");
+  if (!fd.valid()) fail_errno("socket(AF_UNIX)");
   if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    fail_errno("client: connect " + path);
+    fail_errno("connect " + path);
   }
   return fd;
 }
@@ -134,12 +134,12 @@ void shutdown_fd(int fd) { (void)::shutdown(fd, SHUT_RDWR); }
 
 std::pair<ScopedFd, ScopedFd> make_wake_pipe() {
   int fds[2] = {-1, -1};
-  if (::pipe(fds) != 0) fail_errno("serve: pipe");
+  if (::pipe(fds) != 0) fail_errno("pipe");
   ScopedFd rd(fds[0]);
   ScopedFd wr(fds[1]);
   const int flags = ::fcntl(wr.get(), F_GETFL, 0);
   if (flags < 0 || ::fcntl(wr.get(), F_SETFL, flags | O_NONBLOCK) != 0) {
-    fail_errno("serve: pipe O_NONBLOCK");
+    fail_errno("pipe O_NONBLOCK");
   }
   return {std::move(rd), std::move(wr)};
 }
@@ -153,7 +153,7 @@ void wake(int write_fd) {
 bool poll_readable(const int* fds, std::size_t n, int timeout_ms) {
   pollfd pfds[8];
   if (n > sizeof(pfds) / sizeof(pfds[0])) {
-    throw std::runtime_error("serve: poll_readable supports at most 8 descriptors");
+    throw std::runtime_error("poll_readable supports at most 8 descriptors");
   }
   for (std::size_t i = 0; i < n; ++i) {
     pfds[i].fd = fds[i];
@@ -188,7 +188,7 @@ void drain_fd(int fd) {
 
 namespace {
 [[noreturn]] void unsupported() {
-  throw std::runtime_error("serve: stream sockets are not supported on this platform");
+  throw std::runtime_error("stream sockets are not supported on this platform");
 }
 }  // namespace
 

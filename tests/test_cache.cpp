@@ -1,8 +1,13 @@
 // Tag-only cache timing model and the memory-system façade.
+#include <optional>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cache/cache.hpp"
 #include "cache/memsys.hpp"
+#include "common/rng.hpp"
 
 namespace resim::cache {
 namespace {
@@ -145,6 +150,156 @@ TEST(TagCache, InvalidateAllColdRestart) {
   (void)c.access(0x1000, AccessKind::kRead);
   c.invalidate_all();
   EXPECT_FALSE(c.contains(0x1000));
+  // The repeat-block marker went with the lines.
+  EXPECT_FALSE(c.access(0x1008, AccessKind::kRead).hit);
+}
+
+// ---- repeat-block hit against a reference model ----------------------------
+
+/// The tag-cache model written plainly, without the repeat-block hit:
+/// every access ticks and searches its set, an LRU hit restamps its
+/// line, and a fill reports the block it evicted. The random policy
+/// draws from an Rng seeded as TagCache's is.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(const CacheConfig& c) : c_(c), ways_(c.sets() * c.assoc) {}
+
+  struct Result {
+    bool hit = false;
+    std::optional<Addr> evicted;  ///< block number a fill displaced
+  };
+
+  Result access(Addr addr, AccessKind kind) {
+    ++tick_;
+    const Addr block = addr / c_.block_bytes;
+    Way* row = &ways_[(block % c_.sets()) * c_.assoc];
+    for (std::uint32_t w = 0; w < c_.assoc; ++w) {
+      if (row[w].valid && row[w].block == block) {
+        if (c_.repl == ReplPolicy::kLru) row[w].stamp = tick_;
+        return {true, std::nullopt};
+      }
+    }
+    if (kind == AccessKind::kWrite && !c_.write_allocate) return {false, std::nullopt};
+    std::uint32_t victim = c_.assoc;
+    for (std::uint32_t w = 0; w < c_.assoc && victim == c_.assoc; ++w) {
+      if (!row[w].valid) victim = w;
+    }
+    if (victim == c_.assoc) {
+      if (c_.repl == ReplPolicy::kRandom) {
+        victim = static_cast<std::uint32_t>(rng_.below(c_.assoc));
+      } else {
+        victim = 0;
+        for (std::uint32_t w = 1; w < c_.assoc; ++w) {
+          if (row[w].stamp < row[victim].stamp) victim = w;
+        }
+      }
+    }
+    Result r;
+    if (row[victim].valid) r.evicted = row[victim].block;
+    row[victim] = Way{true, block, tick_};
+    return r;
+  }
+
+  [[nodiscard]] bool contains(Addr addr) const {
+    const Addr block = addr / c_.block_bytes;
+    const Way* row = &ways_[(block % c_.sets()) * c_.assoc];
+    for (std::uint32_t w = 0; w < c_.assoc; ++w) {
+      if (row[w].valid && row[w].block == block) return true;
+    }
+    return false;
+  }
+
+  void invalidate_all() { ways_.assign(ways_.size(), Way{}); }
+
+ private:
+  struct Way {
+    bool valid = false;
+    Addr block = 0;
+    std::uint64_t stamp = 0;
+  };
+  CacheConfig c_;
+  std::vector<Way> ways_;
+  std::uint64_t tick_ = 0;
+  Rng rng_{0xCACEu};
+};
+
+/// Seeded streams of long runs inside one block (the repeat-block hit's
+/// case), jumps across a working set three times the cache's size
+/// (misses and evictions), writes, and an occasional invalidate_all().
+/// After every access the two models must agree on hit or miss and on
+/// every working-set block of the accessed set (contains(); only that
+/// set can change), and the reference's evicted block must be gone.
+/// Every block is probed after each invalidate_all() and every 64 runs.
+void replay_against_reference(const CacheConfig& cfg, std::uint64_t seed) {
+  TagCache cache("t", cfg);
+  ReferenceCache ref(cfg);
+  Rng rng(seed);
+  const std::uint64_t sets = cfg.sets();
+  const std::uint64_t blocks = 3ull * cfg.size_bytes / cfg.block_bytes;
+  const Addr base = 0x40000;  // block-aligned: block b sits in set b % sets
+  const auto probe = [&](std::uint64_t from, std::uint64_t step, int op) {
+    for (std::uint64_t b = from; b < blocks; b += step) {
+      const Addr a = base + b * cfg.block_bytes;
+      if (cache.contains(a) != ref.contains(a)) {
+        ADD_FAILURE() << "op " << op << ": contains(block " << b << ") is " << cache.contains(a);
+        return false;
+      }
+    }
+    return true;
+  };
+  std::uint64_t hits = 0;
+  std::uint64_t accesses = 0;
+  Addr block = 0;
+  for (int op = 0; op < 4000; ++op) {
+    if (rng.below(500) == 0) {
+      cache.invalidate_all();
+      ref.invalidate_all();
+      if (!probe(0, 1, op)) return;
+    }
+    // Half the time stay in the current block, for a run of accesses.
+    if (rng.below(2) == 0) block = rng.below(blocks);
+    const auto run = 1 + rng.below(12);
+    for (std::uint64_t i = 0; i < run; ++i) {
+      const Addr addr = base + block * cfg.block_bytes + rng.below(cfg.block_bytes);
+      const auto pick = rng.below(8);
+      const AccessKind kind = pick == 0   ? AccessKind::kWrite
+                              : pick == 1 ? AccessKind::kFetch
+                                          : AccessKind::kRead;
+      const bool hit = cache.access(addr, kind).hit;
+      const ReferenceCache::Result want = ref.access(addr, kind);
+      ++accesses;
+      hits += want.hit ? 1 : 0;
+      ASSERT_EQ(hit, want.hit) << "op " << op << " addr 0x" << std::hex << addr;
+      if (want.evicted) {
+        ASSERT_FALSE(cache.contains(*want.evicted * cfg.block_bytes))
+            << "op " << op << ": evicted block still held";
+      }
+      if (!probe(block % sets, sets, op)) return;
+    }
+    if (op % 64 == 0 && !probe(0, 1, op)) return;
+  }
+  EXPECT_EQ(cache.accesses(), accesses);
+  EXPECT_EQ(cache.hits(), hits);
+  EXPECT_EQ(cache.misses(), accesses - hits);
+}
+
+TEST(TagCache, RepeatBlockHitMatchesReferenceModel) {
+  for (const ReplPolicy repl : {ReplPolicy::kLru, ReplPolicy::kFifo, ReplPolicy::kRandom}) {
+    for (const bool write_allocate : {true, false}) {
+      for (const std::uint32_t assoc : {1u, 2u, 4u}) {
+        CacheConfig cfg = small_cfg(1024, assoc, 64);
+        cfg.repl = repl;
+        cfg.write_allocate = write_allocate;
+        for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+          SCOPED_TRACE("repl " + std::to_string(static_cast<int>(repl)) + " write_allocate " +
+                       std::to_string(write_allocate) + " assoc " + std::to_string(assoc) +
+                       " seed " + std::to_string(seed));
+          replay_against_reference(cfg, seed);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
 }
 
 TEST(TagCache, TagStorageBitsSane) {

@@ -1,7 +1,6 @@
-// FixedQueue, StatsRegistry, Rng and numeric helpers.
+// StatsRegistry, Rng and numeric helpers.
 #include <gtest/gtest.h>
 
-#include "common/fixed_queue.hpp"
 #include "common/numeric.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -44,53 +43,6 @@ TEST(Numeric, CeilDiv) {
 TEST(Numeric, RequireThrows) {
   EXPECT_NO_THROW(require(true, "ok"));
   EXPECT_THROW(require(false, "bad"), std::invalid_argument);
-}
-
-// ---- FixedQueue ---------------------------------------------------------------
-
-TEST(FixedQueue, BasicFifoOrder) {
-  FixedQueue<int> q(4);
-  q.push(1);
-  q.push(2);
-  q.push(3);
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), 2);
-  EXPECT_EQ(q.pop(), 3);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(FixedQueue, FullAndEmptyGuards) {
-  FixedQueue<int> q(2);
-  q.push(1);
-  q.push(2);
-  EXPECT_TRUE(q.full());
-  EXPECT_THROW(q.push(3), std::logic_error);
-  q.pop();
-  q.pop();
-  EXPECT_THROW(q.pop(), std::logic_error);
-  EXPECT_THROW((void)q.front(), std::logic_error);
-}
-
-TEST(FixedQueue, WrapAround) {
-  FixedQueue<int> q(3);
-  for (int round = 0; round < 10; ++round) {
-    q.push(round);
-    EXPECT_EQ(q.pop(), round);
-  }
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(FixedQueue, ZeroCapacityRejected) {
-  EXPECT_THROW(FixedQueue<int>(0), std::invalid_argument);
-}
-
-TEST(FixedQueue, ClearEmpties) {
-  FixedQueue<int> q(4);
-  q.push(1);
-  q.clear();
-  EXPECT_TRUE(q.empty());
-  q.push(2);
-  EXPECT_EQ(q.front(), 2);
 }
 
 // ---- StatsRegistry -------------------------------------------------------------

@@ -14,29 +14,37 @@ namespace {
 
 // ---- Rob -----------------------------------------------------------------
 
+/// Fetch (ifq_push) then dispatch (allocate) one instruction.
+int dispatch(Rob& rob, InstSeq seq) {
+  rob.ifq_push().seq = seq;
+  return rob.allocate();
+}
+
 TEST(Rob, AllocateInProgramOrder) {
-  Rob rob(4);
-  const int a = rob.allocate();
-  const int b = rob.allocate();
+  Rob rob(4, 2);
+  const int a = dispatch(rob, 0);
+  const int b = dispatch(rob, 1);
   EXPECT_EQ(rob.slot_at(0), a);
   EXPECT_EQ(rob.slot_at(1), b);
   EXPECT_EQ(rob.size(), 2u);
+  EXPECT_TRUE(rob.ifq_empty());
 }
 
 TEST(Rob, FullRejectsAllocation) {
-  Rob rob(2);
-  rob.allocate();
-  rob.allocate();
+  Rob rob(2, 2);
+  EXPECT_THROW(rob.allocate(), std::logic_error);  // nothing fetched
+  dispatch(rob, 0);
+  dispatch(rob, 1);
   EXPECT_TRUE(rob.full());
+  rob.ifq_push().seq = 2;
   EXPECT_THROW(rob.allocate(), std::logic_error);
+  EXPECT_EQ(rob.ifq_size(), 1u);  // the refused instruction stays queued
 }
 
 TEST(Rob, PopHeadAdvances) {
-  Rob rob(3);
-  const int a = rob.allocate();
-  rob.inst(a).seq = 10;
-  const int b = rob.allocate();
-  rob.inst(b).seq = 11;
+  Rob rob(3, 1);
+  dispatch(rob, 10);
+  dispatch(rob, 11);
   EXPECT_EQ(rob.inst(rob.head_slot()).seq, 10u);
   rob.pop_head();
   EXPECT_EQ(rob.inst(rob.head_slot()).seq, 11u);
@@ -46,65 +54,101 @@ TEST(Rob, PopHeadAdvances) {
 }
 
 TEST(Rob, WrapAroundReusesSlots) {
-  Rob rob(2);
+  Rob rob(2, 1);
   for (int i = 0; i < 10; ++i) {
-    const int s = rob.allocate();
-    rob.inst(s).seq = static_cast<InstSeq>(i);
+    dispatch(rob, static_cast<InstSeq>(i));
     EXPECT_EQ(rob.inst(rob.head_slot()).seq, static_cast<InstSeq>(i));
     rob.pop_head();
   }
 }
 
 TEST(Rob, AllocateResetsEntryState) {
-  Rob rob(2);
-  int s = rob.allocate();
+  Rob rob(2, 1);
+  int s = dispatch(rob, 0);
   rob.entry(s).issued = true;
   rob.entry(s).completed = true;
   rob.pop_head();
-  s = rob.allocate();
+  s = dispatch(rob, 1);
   EXPECT_FALSE(rob.entry(s).issued);
   EXPECT_FALSE(rob.entry(s).completed);
   EXPECT_EQ(rob.entry(s).src_pending, 0u);
 }
 
-TEST(Rob, ClearEmptiesWindow) {
-  Rob rob(4);
-  rob.allocate();
-  rob.allocate();
-  rob.clear();
-  EXPECT_TRUE(rob.empty());
-  EXPECT_THROW((void)rob.slot_at(0), std::out_of_range);
-  const int s = rob.allocate();
-  EXPECT_EQ(s, rob.head_slot());  // the next entry is the oldest
-}
-
-TEST(Rob, SlotAtWrapsAroundTheEnd) {
-  Rob rob(3);
-  for (int i = 0; i < 2; ++i) {
-    rob.allocate();
+TEST(Rob, IfqAndAllocateAcrossTheWrap) {
+  Rob rob(3, 2);  // a ring of five slots
+  ASSERT_EQ(rob.slots(), 5u);
+  for (InstSeq i = 0; i < 4; ++i) {
+    dispatch(rob, i);
     rob.pop_head();
   }
-  const int a = rob.allocate();
-  const int b = rob.allocate();
-  const int c = rob.allocate();
-  EXPECT_EQ(a, 2);
-  EXPECT_EQ(rob.slot_at(1), b);
-  EXPECT_EQ(b, 0);
-  EXPECT_EQ(rob.slot_at(2), c);
-  EXPECT_EQ(c, 1);
-  // One past the window would wrap onto the head slot; it throws instead.
-  EXPECT_THROW((void)rob.slot_at(3), std::out_of_range);
+  ASSERT_EQ(rob.head_slot(), 4);
+
+  // The IFQ runs on from the ROB's tail across the end of the ring.
+  rob.ifq_push().seq = 4;
+  rob.ifq_push().seq = 5;
+  EXPECT_TRUE(rob.ifq_full());
+  EXPECT_THROW(rob.ifq_push(), std::logic_error);
+  EXPECT_EQ(rob.slot_at(0), 4);
+  EXPECT_EQ(rob.slot_at(1), 0);
+  EXPECT_EQ(rob.ifq_front().seq, 4u);
+
+  // Dispatch moves the boundary: the front's slot becomes the ROB tail.
+  EXPECT_EQ(rob.allocate(), 4);
+  EXPECT_EQ(rob.ifq_front().seq, 5u);
+  rob.ifq_push().seq = 6;
+  EXPECT_EQ(rob.allocate(), 0);
+  EXPECT_EQ(rob.allocate(), 1);
+  EXPECT_TRUE(rob.full());
+  EXPECT_TRUE(rob.ifq_empty());
+  EXPECT_THROW((void)rob.ifq_front(), std::logic_error);
+
+  // With the ROB full the IFQ still takes its own two.
+  rob.ifq_push().seq = 7;
+  rob.ifq_push().seq = 8;
+  EXPECT_TRUE(rob.ifq_full());
+  for (unsigned i = 0; i < 5; ++i) EXPECT_EQ(rob.inst(rob.slot_at(i)).seq, 4u + i) << i;
+  EXPECT_THROW((void)rob.slot_at(5), std::out_of_range);
 }
 
-TEST(Rob, AllocateResetsOnlyHotState) {
-  Rob rob(1);
-  int s = rob.allocate();
-  rob.inst(s).seq = 42;
+TEST(Rob, AllocateKeepsTheColdRecord) {
+  Rob rob(1, 1);
+  int s = dispatch(rob, 41);
   rob.entry(s).consumers = 3;
   rob.pop_head();
+
+  FetchedInst& fi = rob.ifq_push();
+  fi.seq = 42;
+  fi.pc = 0x4000;
+  fi.rec.addr = 0x1234;
+  fi.outcome = bpred::Outcome::kMispredict;
   s = rob.allocate();
-  EXPECT_EQ(rob.entry(s).consumers, -1);
-  EXPECT_EQ(rob.inst(s).seq, 42u);  // cold record: dispatch overwrites it
+  EXPECT_EQ(&rob.inst(s), &fi);  // dispatched where it was fetched
+  EXPECT_EQ(rob.inst(s).seq, 42u);
+  EXPECT_EQ(rob.inst(s).pc, 0x4000u);
+  EXPECT_EQ(rob.inst(s).rec.addr, 0x1234u);
+  EXPECT_EQ(rob.inst(s).outcome, bpred::Outcome::kMispredict);
+  EXPECT_EQ(rob.entry(s).consumers, -1);  // hot state: reset
+}
+
+TEST(Rob, ClearEmptiesWindow) {
+  Rob rob(4, 2);
+  dispatch(rob, 0);
+  dispatch(rob, 1);
+  rob.ifq_push().seq = 2;
+  rob.ifq_push().seq = 3;
+  rob.clear();  // both halves
+  EXPECT_TRUE(rob.empty());
+  EXPECT_TRUE(rob.ifq_empty());
+  EXPECT_THROW((void)rob.slot_at(0), std::out_of_range);
+  EXPECT_THROW((void)rob.ifq_front(), std::logic_error);
+  EXPECT_THROW(rob.allocate(), std::logic_error);
+  const int s = dispatch(rob, 4);
+  EXPECT_EQ(s, rob.head_slot());  // the next entry is the oldest
+  for (InstSeq i = 5; i < 8; ++i) dispatch(rob, i);
+  rob.ifq_push();
+  rob.ifq_push();
+  EXPECT_TRUE(rob.full());
+  EXPECT_TRUE(rob.ifq_full());
 }
 
 // ---- SlotSet ---------------------------------------------------------------
@@ -249,17 +293,6 @@ TEST(FuPool, NoneNeedsNoUnit) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(p.try_issue(trace::OtherFu::kNone, 0).value(), 1u);
   }
-}
-
-TEST(FuPool, ResetFreesEverything) {
-  FuPool p = paper_pool();
-  (void)p.try_issue(trace::OtherFu::kDiv, 0);
-  p.reset();
-  EXPECT_TRUE(p.try_issue(trace::OtherFu::kDiv, 0).has_value());
-}
-
-TEST(FuPool, AluCountAccessor) {
-  EXPECT_EQ(paper_pool().alu_count(), 4u);
 }
 
 // ---- CoreConfig ----------------------------------------------------------------

@@ -78,7 +78,9 @@ grep -q "unknown flag --bench" err.txt
 ! "$cli" sweep --insts 1000 2> err.txt
 grep -q -- "needs --spec" err.txt
 # The daemon listens on its Unix socket only: no TCP flag, and no
-# socket is no listener.
+# socket is no listener. Serve and client errors carry the one
+# `resim_cli <command>: ` prefix, like every other command's: the whole
+# line is matched.
 ! "$cli" serve --tcp 0 2> err.txt
 grep -q "unknown flag --tcp" err.txt
 ! "$cli" client --tcp 1 2> err.txt
@@ -88,7 +90,9 @@ timeout 20 "$cli" serve 2> err.txt
 status=$?
 set -e
 test "$status" -eq 1
-grep -q "no listener configured (need a unix socket path)" err.txt
+grep -qx "resim_cli serve: no listener configured (need a unix socket path)" err.txt
+! LC_ALL=C "$cli" client --socket none.sock --ping 2> err.txt
+grep -qx "resim_cli client: connect none.sock: No such file or directory" err.txt
 
 echo "== config plane"
 "$cli" sim --trace ci.rsim --config "$configs/paper_4wide_perfect.cfg"

@@ -661,7 +661,7 @@ int cmd_client(const Args& a) {
     payload = serve::build_sweep_request(spec);
   } else {
     throw std::invalid_argument(
-        "client: need one of --ping, --status, --shutdown, --sim, --sweep");
+        "need one of --ping, --status, --shutdown, --sim, --sweep");
   }
 
   const auto done = client.request(payload, out);
