@@ -62,7 +62,6 @@ void ReSimEngine::stage_commit() {
     }
     rename_.clear_if(fi.rec.out, head_slot);
 
-    ++committed_;
     last_commit_cycle_ = cycle_;
     cstat_.insts.add();
     if (e.is_mem()) (e.is_store() ? cstat_.stores : cstat_.loads).add();

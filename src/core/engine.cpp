@@ -145,7 +145,6 @@ void ReSimEngine::wake_dependents(int producer_slot) {
 void ReSimEngine::squash_and_redirect(Addr resume_pc) {
   // Everything younger than the resolving branch is wrong-path by
   // construction (fetch only followed the tagged block).
-  squashed_ += rob_.size() + rob_.ifq_size();
   cstat_.squashed_insts.add(rob_.size() + rob_.ifq_size());
   cstat_.squashes.add();
   rob_.clear();  // the ROB and the IFQ behind it
@@ -171,10 +170,10 @@ void ReSimEngine::squash_and_redirect(Addr resume_pc) {
 
 SimResult ReSimEngine::result() const {
   SimResult r;
-  r.committed = committed_;
-  r.fetched = fetched_;
-  r.wrong_path_fetched = wrong_path_fetched_;
-  r.squashed = squashed_;
+  r.committed = cstat_.insts.value();
+  r.fetched = fstat_.insts.value();
+  r.wrong_path_fetched = fstat_.wrong_path_insts.value();
+  r.squashed = cstat_.squashed_insts.value();
   r.major_cycles = cycle_;
   r.minor_cycles = static_cast<std::uint64_t>(cycle_) * sched_.latency();
   r.trace_records = src_.records_consumed();

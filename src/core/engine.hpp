@@ -227,7 +227,7 @@ class ReSimEngine {
 
   // --- observers (tests, benches) ----------------------------------------
   [[nodiscard]] Cycle cycle() const { return cycle_; }
-  [[nodiscard]] std::uint64_t committed() const { return committed_; }
+  [[nodiscard]] std::uint64_t committed() const { return cstat_.insts.value(); }
   [[nodiscard]] const CoreConfig& config() const { return cfg_; }
   [[nodiscard]] const PipelineSchedule& schedule() const { return sched_; }
   [[nodiscard]] const Rob& rob() const { return rob_; }
@@ -306,10 +306,6 @@ class ReSimEngine {
 
   Cycle cycle_ = 0;
   InstSeq next_seq_ = 0;
-  std::uint64_t committed_ = 0;
-  std::uint64_t fetched_ = 0;
-  std::uint64_t wrong_path_fetched_ = 0;
-  std::uint64_t squashed_ = 0;
   Cycle last_commit_cycle_ = 0;
   /// Cycles without a commit the watchdog allows: kWatchdogMargin past
   /// the longest stall the configuration can produce, fixed at

@@ -48,7 +48,6 @@ void ReSimEngine::fetch_cycle() {
     fi.fetched_at = cycle_;
     fi.pred = {};
     fi.outcome = bpred::Outcome::kCorrect;
-    ++fetched_;
     fstat_.insts.add();
     return fi;
   };
@@ -103,7 +102,6 @@ void ReSimEngine::fetch_cycle() {
       }
       (void)take(wrong_path_pc_);
       wrong_path_pc_ += kInstBytes;
-      ++wrong_path_fetched_;
       fstat_.wrong_path_insts.add();
       continue;
     }

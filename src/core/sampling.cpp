@@ -22,7 +22,7 @@ Region ReSimEngine::region() const {
   const auto misses = [](const cache::TagCache* c) -> std::uint64_t {
     return c == nullptr ? 0 : c->misses();
   };
-  return {committed_,
+  return {cstat_.insts.value(),
           cycle_,
           cstat_.branches.value(),
           fstat_.mispredicts.value(),

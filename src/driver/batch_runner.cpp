@@ -126,8 +126,8 @@ struct GroupShare {
   std::size_t expected = 0;  ///< min(members, pool threads)
 
   // Resolved by the first member, released by the last to finish:
-  TraceRecords records;  ///< memory groups read the trace, v1 members the path
-  std::shared_ptr<trace::SharedBatchCache> cache;  ///< other file groups
+  TraceRecords records;  ///< the decoded trace (memory groups) or its path
+  std::shared_ptr<trace::SharedBatchCache> cache;  ///< file groups
 
   std::atomic<std::size_t> finished{0};  ///< members done
   GroupDecodeStats decoded;  ///< decode counters, copied out on release
@@ -152,12 +152,8 @@ void release_group(GroupShare& g) {
 void init_group(GroupShare& g) {
   TempContainer temp;
   g.records = job_records(*g.first, temp);
-  if (g.records.decoded) return;
-  try {
+  if (!g.records.decoded) {
     g.cache = std::make_shared<trace::SharedBatchCache>(g.records.path, g.expected);
-  } catch (const std::invalid_argument&) {
-    // v1 container (only a job's own file can be one): no chunk index to
-    // share, so members read it privately.
   }
 }
 

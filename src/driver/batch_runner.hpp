@@ -101,9 +101,8 @@ class BatchRunner {
   /// load_trace for the memory backend, a trace::SharedBatchCache for
   /// the stream backend — instead of once per job, and the runner claims
   /// group members contiguously so the producer engages at any -j.
-  /// Grouped stream jobs read through BatchTraceSource (a v1 container,
-  /// which the cache declines, falls back to private readers). Results
-  /// are byte-identical to private decoding in every mode.
+  /// Grouped stream jobs read through BatchTraceSource. Results are
+  /// byte-identical to private decoding in every mode.
   /// `decode_stats`, when non-null, receives one entry per group in
   /// deterministic (first-member) order.
   [[nodiscard]] std::vector<JobResult> run(

@@ -26,10 +26,6 @@ SharedBatchCache::SharedBatchCache(std::string path, std::size_t expected_consum
       hits_ctr_(stats_.counter("cache.hits")),
       evictions_ctr_(stats_.counter("cache.evictions")) {
   hdr_ = read_container_header(bytes_);
-  if (hdr_.version == kContainerV1) {
-    throw std::invalid_argument("SharedBatchCache: container v1 has no chunk index in " +
-                                path_ + "; use a private source");
-  }
 
   // Scan the chunk directory once: every header is validated exactly as
   // a private source would, but payloads are seeked past unread.
@@ -172,8 +168,8 @@ std::shared_ptr<const RecordBatch> SharedBatchCache::produce(std::size_t idx) {
   const ChunkInfo& info = chunks_[idx];
   bytes_.seek(info.payload_offset);
   auto batch = std::make_shared<RecordBatch>();
-  decoder_.open(bytes_.take(info.header.payload_bytes), info.header, idx, info.first_record);
-  decoder_.decode_next(info.header.record_count, *batch);
+  decoder_.decode(bytes_.take(info.header.payload_bytes), info.header, idx, info.first_record,
+                  *batch);
   return batch;
 }
 

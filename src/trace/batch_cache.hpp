@@ -36,10 +36,6 @@
 // chunk_count() is the decode-once property the CI assertion checks for
 // a same-workload sweep whose point count fits the worker pool
 // (docs/CI.md).
-//
-// Container v2/v3/v4 only: v1 has no chunk directory to index, so v1
-// inputs keep their private sources (the constructor throws
-// std::invalid_argument; the batch runner falls back).
 #ifndef RESIM_TRACE_BATCH_CACHE_H
 #define RESIM_TRACE_BATCH_CACHE_H
 
@@ -68,8 +64,8 @@ class SharedBatchCache {
   /// directory (header-only seeks, no payload reads or decodes).
   /// `expected_consumers` is how many consumers the owner will attach
   /// concurrently — min(group size, worker threads) in the batch
-  /// runner. Throws std::runtime_error on a missing/corrupt file and
-  /// std::invalid_argument on a v1 container.
+  /// runner. Throws std::runtime_error on a missing, corrupt or
+  /// unsupported file.
   explicit SharedBatchCache(std::string path, std::size_t expected_consumers = 1,
                             std::size_t capacity = kDefaultCapacity);
 

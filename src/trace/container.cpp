@@ -1,6 +1,5 @@
 #include "trace/container.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cstring>
 #include <ostream>
@@ -86,8 +85,8 @@ std::uint64_t max_payload_bytes(std::uint64_t records) {
   return (records * kBranchBits + 7) / 8;
 }
 
-void ChunkDecoder::open(std::span<const std::uint8_t> payload, const ChunkHeader& ch,
-                        std::uint64_t idx, std::uint64_t first_record) {
+void ChunkDecoder::decode(std::span<const std::uint8_t> payload, const ChunkHeader& ch,
+                          std::uint64_t idx, std::uint64_t first_record, RecordBatch& out) {
   if (ch.compressed()) {
     scratch_.resize(ch.raw_bytes);
     try {
@@ -98,32 +97,22 @@ void ChunkDecoder::open(std::span<const std::uint8_t> payload, const ChunkHeader
     }
     payload = scratch_;
   }
-  br_ = BitReader(payload);
-  delta_.reset();  // v4 filter state is chunk-local
-  delta_filtered_ = ch.delta_filtered();
-  idx_ = idx;
-  next_record_ = first_record;
-  left_ = ch.record_count;
-}
-
-void ChunkDecoder::decode_next(std::uint64_t n, RecordBatch& out) {
-  const auto k = static_cast<std::size_t>(std::min(n, left_));
-  const std::uint64_t left = left_ - k;
-  left_ = 0;  // a record that fails to decode closes the chunk
-  out.resize(k);
-  for (std::size_t i = 0; i < k; ++i) {
+  BitReader br(payload);
+  DeltaCodec delta;  // v4 filter state is chunk-local
+  const bool delta_filtered = ch.delta_filtered();
+  const auto n = static_cast<std::size_t>(ch.record_count);
+  out.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
     try {
-      out[i] = decode(br_);
+      out[i] = trace::decode(br);
     } catch (const std::out_of_range&) {
-      fail(path_, "truncated payload at record " + std::to_string(next_record_ + i));
+      fail(path_, "truncated payload at record " + std::to_string(first_record + i));
     }
-    if (delta_filtered_) delta_.unfilter(out[i]);
+    if (delta_filtered) delta.unfilter(out[i]);
   }
-  next_record_ += k;
-  left_ = left;
   // Only byte-alignment padding may follow the last record.
-  if (left_ == 0 && br_.bits_remaining() >= 8) {
-    fail(path_, "trailing garbage in chunk " + std::to_string(idx_));
+  if (br.bits_remaining() >= 8) {
+    fail(path_, "trailing garbage in chunk " + std::to_string(idx));
   }
 }
 
@@ -138,8 +127,7 @@ ContainerHeader read_container_header(ByteSource& src) {
 
   ContainerHeader h;
   h.version = read_u32le(src, "version");
-  if (h.version != kContainerV1 && h.version != kContainerV2 &&
-      h.version != kContainerV3 && h.version != kContainerV4) {
+  if (h.version < kContainerV2 || h.version > kContainerV4) {
     fail(path, "unsupported version " + std::to_string(h.version));
   }
 
@@ -153,44 +141,16 @@ ContainerHeader read_container_header(ByteSource& src) {
   h.start_pc = read_u64le(src, "start_pc");
   h.record_count = read_u64le(src, "count");
 
-  if (h.version == kContainerV1) {
-    h.payload_len = read_u64le(src, "payload_len");
-    h.payload_start = src.pos();
-    if (h.payload_len > file_size - h.payload_start) {
-      fail(path, "payload_len " + std::to_string(h.payload_len) +
-                     " exceeds file size " + std::to_string(file_size));
-    }
-    if (h.payload_len != file_size - h.payload_start) {
-      fail(path, "trailing garbage after payload");
-    }
-    // Bound count by the (file-size-checked) payload before any
-    // arithmetic or allocation sized from it can overflow.
-    if (h.record_count > h.payload_len * 8 / kOtherBits) {
-      fail(path, "count " + std::to_string(h.record_count) +
-                     " inconsistent with payload_len " + std::to_string(h.payload_len));
-    }
-    if (h.payload_len < min_payload_bytes(h.record_count) ||
-        h.payload_len > max_payload_bytes(h.record_count)) {
-      fail(path, "payload_len " + std::to_string(h.payload_len) +
-                     " inconsistent with count " + std::to_string(h.record_count));
-    }
-    const std::uint64_t pieces = (h.record_count + kDefaultChunkRecords - 1) / kDefaultChunkRecords;
-    if (pieces > 0xFFFF'FFFFULL) {
-      fail(path, "count " + std::to_string(h.record_count) + " out of range");
-    }
-    h.chunk_records = kDefaultChunkRecords;
-    h.chunk_count = static_cast<std::uint32_t>(pieces);
-    return h;
-  }
-
   h.chunk_records = read_u32le(src, "chunk_records");
   h.chunk_count = read_u32le(src, "chunk_count");
   h.payload_start = src.pos();
   if (h.chunk_records == 0 || h.chunk_records > kMaxChunkRecords) {
     fail(path, "chunk_records " + std::to_string(h.chunk_records) + " out of range");
   }
+  // Rounded up without forming record_count + chunk_records - 1, which
+  // wraps for a count near 2^64 and would pass a chunk_count of 0.
   const std::uint64_t expect_chunks =
-      (h.record_count + h.chunk_records - 1) / h.chunk_records;
+      h.record_count / h.chunk_records + (h.record_count % h.chunk_records != 0 ? 1 : 0);
   if (h.chunk_count != expect_chunks) {
     fail(path, "chunk_count " + std::to_string(h.chunk_count) +
                    " inconsistent with count " + std::to_string(h.record_count));
@@ -213,14 +173,8 @@ ContainerHeader read_container_header(ByteSource& src) {
 
 ChunkHeader read_chunk_header(ByteSource& src, const ContainerHeader& hdr,
                               std::uint64_t records_remaining) {
-  ChunkHeader c;
-  if (hdr.version == kContainerV1) {
-    c.record_count = hdr.record_count;
-    c.raw_bytes = hdr.payload_len;
-    c.payload_bytes = c.raw_bytes;
-    return c;
-  }
   const std::string& path = src.path();
+  ChunkHeader c;
   c.record_count = read_u32le(src, "chunk record_count");
   const std::uint64_t expected =
       records_remaining < hdr.chunk_records ? records_remaining : hdr.chunk_records;

@@ -1,14 +1,6 @@
 // .rsim container layout: explicit little-endian framing around the
-// bit-packed record payload of trace/format.hpp.
-//
-// Version 1 (legacy, read-only):
-//   magic "RSIM" | u32 version=1 | u32 name_len | name bytes
-//   | u64 start_pc | u64 record_count | u64 payload_len | payload
-// The whole record stream is one byte-aligned payload; the fields were
-// historically written in host byte order, which on the little-endian
-// hosts every trace was produced on matches this spec exactly. Readers
-// treat that payload as the container's single chunk, decoded
-// kDefaultChunkRecords records at a time.
+// bit-packed record payload of trace/format.hpp. Every version is one
+// header plus framed chunks, each independently decodable.
 //
 // Version 2 (default output of save_trace):
 //   magic "RSIM" | u32 version=2 | u32 name_len | name bytes
@@ -57,7 +49,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/bitstream.hpp"
 #include "common/types.hpp"
 #include "trace/batch.hpp"
 #include "trace/record.hpp"
@@ -65,7 +56,6 @@
 namespace resim::trace {
 
 inline constexpr char kContainerMagic[4] = {'R', 'S', 'I', 'M'};
-inline constexpr std::uint32_t kContainerV1 = 1;
 inline constexpr std::uint32_t kContainerV2 = 2;
 inline constexpr std::uint32_t kContainerV3 = 3;
 inline constexpr std::uint32_t kContainerV4 = 4;
@@ -86,28 +76,23 @@ inline constexpr std::uint32_t kDefaultChunkRecords = 4096;
 inline constexpr std::uint32_t kMaxNameLen = 4096;
 inline constexpr std::uint32_t kMaxChunkRecords = 1u << 20;
 
-/// Everything before the first payload byte (v1) / first chunk header
-/// (v2+). A v1 payload is one chunk on the wire, but readers decode it
-/// in pieces of kDefaultChunkRecords records, and chunk_records and
-/// chunk_count describe those pieces.
+/// Everything before the first chunk header.
 struct ContainerHeader {
   std::uint32_t version = kContainerV2;
   std::string name;
   Addr start_pc = 0;
   std::uint64_t record_count = 0;
-  std::uint64_t payload_len = 0;       ///< v1 only: bytes of the single payload
-  std::uint32_t chunk_records = 0;     ///< records per full chunk (v1: per piece)
-  std::uint32_t chunk_count = 0;       ///< chunks (v1: pieces)
+  std::uint32_t chunk_records = 0;     ///< records per full chunk
+  std::uint32_t chunk_count = 0;
   std::uint64_t payload_start = 0;     ///< file offset just past this header
 };
 
-/// Per-chunk framing, normalized across versions: a v1 payload and a v2
-/// chunk read as flags == 0 with raw_bytes == payload_bytes, so
-/// consumers only ever branch on the flags. The counts are u32 on the
-/// wire for v2+; a v1 payload, the whole trace, may exceed that.
+/// Per-chunk framing, normalized across versions: a v2 chunk reads as
+/// flags == 0 with raw_bytes == payload_bytes, so consumers only ever
+/// branch on the flags.
 struct ChunkHeader {
   std::uint64_t record_count = 0;
-  std::uint32_t flags = 0;          ///< v3+ only on the wire; 0 for v1/v2
+  std::uint32_t flags = 0;          ///< v3+ only on the wire; 0 for v2
   std::uint64_t raw_bytes = 0;      ///< decoded (bit-packed) payload bytes
   std::uint64_t payload_bytes = 0;  ///< bytes stored in the file
   [[nodiscard]] bool compressed() const { return (flags & kChunkFlagCompressed) != 0; }
@@ -152,8 +137,6 @@ struct DeltaCodec {
       prev_addr = r.addr;
     }
   }
-
-  void reset() { *this = DeltaCodec{}; }
 };
 
 /// On-disk size of a chunk header for container version `version`.
@@ -217,9 +200,7 @@ void write_u64le(std::ostream& os, std::uint64_t v);
 /// define are rejected (the delta bit is v4-only, and only legal
 /// together with the compressed bit), a compressed chunk's
 /// compressed_bytes must be non-zero and smaller than raw_bytes, and a
-/// raw chunk's compressed_bytes must equal raw_bytes. A v1 container's
-/// one chunk has no header on the wire: it is derived from the
-/// (already validated) container header without reading.
+/// raw chunk's compressed_bytes must equal raw_bytes.
 [[nodiscard]] ChunkHeader read_chunk_header(ByteSource& src, const ContainerHeader& hdr,
                                             std::uint64_t records_remaining);
 
@@ -228,41 +209,25 @@ void write_u64le(std::ostream& os, std::uint64_t v);
 [[nodiscard]] std::uint64_t min_payload_bytes(std::uint64_t records);
 [[nodiscard]] std::uint64_t max_payload_bytes(std::uint64_t records);
 
-/// The one chunk decoder. open() starts on a chunk's stored payload,
-/// inflating an LZ-compressed one into a reused scratch buffer (a raw
-/// payload is bit-decoded where it lies); decode_next() then
-/// bit-decodes its records, all at once or a piece at a time, inverting
-/// the v4 delta pre-filter, and after the chunk's last record rejects
-/// more than alignment padding. Every corruption throws
-/// std::runtime_error "load_trace: ... in <path>".
+/// The one chunk decoder: one call turns a chunk's stored payload into
+/// its records. An LZ-compressed payload is inflated into a reused
+/// scratch buffer (a raw one is bit-decoded where it lies), the records
+/// are bit-decoded with the v4 delta pre-filter inverted, and more than
+/// alignment padding after the last record is rejected. Every
+/// corruption throws std::runtime_error "load_trace: ... in <path>".
 class ChunkDecoder {
  public:
   explicit ChunkDecoder(std::string path) : path_(std::move(path)) {}
 
-  /// Starts on chunk `idx`, whose first global record index is
-  /// `first_record` (both only name things in errors). A raw `payload`
-  /// must stay valid until the chunk is decoded.
-  void open(std::span<const std::uint8_t> payload, const ChunkHeader& ch, std::uint64_t idx,
-            std::uint64_t first_record);
-
-  /// Replaces `out` with the open chunk's next min(n, left()) records.
-  void decode_next(std::uint64_t n, RecordBatch& out);
-
-  /// Records of the open chunk not decoded yet (0: no chunk open).
-  [[nodiscard]] std::uint64_t left() const { return left_; }
-
-  /// Drops the open chunk.
-  void close() { left_ = 0; }
+  /// Replaces `out` with the records of chunk `idx`, whose header is
+  /// `ch` and whose first global record index is `first_record` (both
+  /// only name things in errors).
+  void decode(std::span<const std::uint8_t> payload, const ChunkHeader& ch, std::uint64_t idx,
+              std::uint64_t first_record, RecordBatch& out);
 
  private:
   std::string path_;
   std::vector<std::uint8_t> scratch_;  ///< LZ inflate buffer (reused)
-  BitReader br_{std::span<const std::uint8_t>{}};
-  DeltaCodec delta_;
-  bool delta_filtered_ = false;
-  std::uint64_t idx_ = 0;
-  std::uint64_t next_record_ = 0;  ///< global index of the next record
-  std::uint64_t left_ = 0;
 };
 
 }  // namespace resim::trace

@@ -15,13 +15,8 @@ FileTraceSource::FileTraceSource(ByteSource&& bytes)
 }
 
 const RecordBatch& FileTraceSource::load_chunk(std::uint64_t idx, std::uint64_t first) {
-  // A v2+ chunk is one piece; a v1 payload is opened once and read in
-  // chunk_records pieces.
-  if (decoder_.left() == 0) {
-    const ChunkHeader ch = read_chunk_header(bytes_, header(), header().record_count - first);
-    decoder_.open(bytes_.take(ch.payload_bytes), ch, idx, first);
-  }
-  decoder_.decode_next(header().chunk_records, batch_);
+  const ChunkHeader ch = read_chunk_header(bytes_, header(), header().record_count - first);
+  decoder_.decode(bytes_.take(ch.payload_bytes), ch, idx, first, batch_);
   check_end(idx + 1);
   return batch_;
 }
@@ -32,10 +27,7 @@ void FileTraceSource::hop_chunk(std::uint64_t idx, std::uint64_t first) {
   check_end(idx + 1);
 }
 
-void FileTraceSource::restart() {
-  decoder_.close();
-  bytes_.seek(header().payload_start);
-}
+void FileTraceSource::restart() { bytes_.seek(header().payload_start); }
 
 void FileTraceSource::check_end(std::uint64_t idx) const {
   if (idx == header().chunk_count && bytes_.pos() != bytes_.size()) {

@@ -7,10 +7,6 @@
 // chunk, not the trace — the property that lets billion-record traces
 // and parallel sweep workers (each owning a cheap private source) run in
 // flat host memory.
-//
-// A legacy v1 container's monolithic payload is its single chunk: it is
-// read whole, held encoded and decoded kDefaultChunkRecords records at a
-// time, so a v1 trace too keeps one piece decoded.
 #ifndef RESIM_TRACE_FILE_SOURCE_H
 #define RESIM_TRACE_FILE_SOURCE_H
 
@@ -41,7 +37,7 @@ class FileTraceSource final : public ChunkCursor {
 
   ByteSource bytes_;
   ChunkDecoder decoder_;
-  RecordBatch batch_;  ///< the open chunk (v1: piece), decoded
+  RecordBatch batch_;  ///< the open chunk, decoded
 };
 
 }  // namespace resim::trace

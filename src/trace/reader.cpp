@@ -53,7 +53,7 @@ std::uint64_t ChunkCursor::skip(std::uint64_t n) {
   const std::uint64_t open = batch_ == nullptr ? 0 : batch_->size() - pos_;
   std::uint64_t done = std::min(n, open);
   consume_view(static_cast<std::size_t>(done));
-  while (hdr_.version != kContainerV1 && done < n && loaded_ < hdr_.record_count) {
+  while (done < n && loaded_ < hdr_.record_count) {
     const std::uint64_t len =
         std::min<std::uint64_t>(hdr_.record_count - loaded_, hdr_.chunk_records);
     if (n - done < len) break;

@@ -192,8 +192,7 @@ class ChunkCursor : public TraceSource {
   /// Records left in the open chunk are consumed as read. Whole chunks
   /// inside the rest of the region are hopped unread — never decoded,
   /// not even inflated. A partial last chunk is decoded and its head
-  /// consumed. A v1 payload has no chunk framing to hop by, so its
-  /// pieces are decoded and consumed.
+  /// consumed.
   std::uint64_t skip(std::uint64_t n) final;
 
   /// Restart from the first record, resetting the consumption counters
@@ -223,8 +222,7 @@ class ChunkCursor : public TraceSource {
   /// Decode (or acquire) chunk `idx`, whose first record is `first`.
   /// The batch stays valid until the next load_chunk/hop_chunk/restart.
   virtual const RecordBatch& load_chunk(std::uint64_t idx, std::uint64_t first) = 0;
-  /// Move past chunk `idx` (first record `first`) unread. Never called
-  /// on a v1 container.
+  /// Move past chunk `idx` (first record `first`) unread.
   virtual void hop_chunk(std::uint64_t idx, std::uint64_t first) = 0;
   /// Reposition before chunk 0.
   virtual void restart() = 0;

@@ -50,7 +50,7 @@ void save_trace(const Trace& t, const std::string& path,
                 std::uint32_t chunk_records = kDefaultChunkRecords,
                 bool compress = false, bool prefilter = false);
 
-/// Reads container v1 through v4. Every header field is validated
+/// Reads container v2 through v4. Every header field is validated
 /// against the file size before use; corrupt files throw
 /// std::runtime_error naming the offending field.
 [[nodiscard]] Trace load_trace(const std::string& path);

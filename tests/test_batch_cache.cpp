@@ -45,13 +45,6 @@ TempPath save_flavor(const Trace& t, const std::string& leaf, const std::string&
   return path;
 }
 
-TEST(SharedBatchCache, V1ContainerRejected) {
-  Trace t = generate("gzip", 200);
-  const TempPath path("cache_v1.rsim");
-  testutil::write_v1(path, t, t.records.size());
-  EXPECT_THROW(SharedBatchCache{path}, std::invalid_argument);
-}
-
 // ---- engine identity ------------------------------------------------------
 
 TEST(BatchTraceSource, EngineResultsMatchVectorSourceAcrossVersions) {

@@ -188,10 +188,10 @@ TEST(SamplingPlan, PlanFromConfigNeedsAKnownTraceLength) {
   const auto plan = plan_from_config(cfg, src);
   EXPECT_EQ(plan.total_records, t.records.size());
   EXPECT_EQ(plan.starts.size(), 4u);
-  // A v1 container's header carries its record count too.
-  const TempPath v1("plan_v1.rsim");
-  trace::testutil::write_v1(v1, t, t.records.size());
-  trace::FileTraceSource file(v1);
+  // A container's header carries its record count too.
+  const TempPath path("plan_v2.rsim");
+  trace::save_trace(t, path);
+  trace::FileTraceSource file(path);
   EXPECT_EQ(plan_from_config(cfg, file).starts, plan.starts);
 
   // A source that cannot report its length is rejected up front.

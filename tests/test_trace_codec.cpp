@@ -1,6 +1,6 @@
 // Trace record wire format: exact sizes, round-trips, file container
-// (v1 compat, v2 chunked, v3 per-chunk compressed, v4 delta-prefiltered),
-// corruption rejection, every record tail offset, seeded container
+// (v2 chunked, v3 per-chunk compressed, v4 delta-prefiltered; v1
+// refused), corruption rejection, every record tail offset, seeded container
 // mutations, and no window read past a payload's last byte.
 #include <algorithm>
 #include <cstdio>
@@ -9,7 +9,6 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
-#include <optional>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -190,10 +189,8 @@ TEST(Trace, TotalBitsMatchesPayload) {
   ch.raw_bytes = payload.size();
   ch.payload_bytes = ch.raw_bytes;
   ChunkDecoder dec("payload");
-  dec.open(payload, ch, 0, 0);
   RecordBatch decoded;
-  dec.decode_next(ch.record_count, decoded);
-  EXPECT_EQ(dec.left(), 0u);
+  dec.decode(payload, ch, 0, 0, decoded);
   ASSERT_EQ(decoded.size(), t.records.size());
   for (std::size_t i = 0; i < decoded.size(); ++i) {
     EXPECT_TRUE(records_equal(t.records[i], decoded[i]));
@@ -240,12 +237,10 @@ TEST(TraceFile, MultiChunkRoundTrip) {
 
 namespace corrupt {
 
-using testutil::write_v1;
-
 Trace small_trace(std::uint64_t seed, int n) {
   Rng rng(seed);
   Trace t;
-  t.name = "v1";
+  t.name = "small";
   t.start_pc = 0x400000;
   for (int i = 0; i < n; ++i) t.records.push_back(random_record(rng));
   return t;
@@ -453,21 +448,7 @@ TEST(TraceFileV3, TrailingGarbageRejected) {
   corrupt::expect_rejected(path, "trailing garbage");
 }
 
-// ---- corrupt containers (v1/v2) -------------------------------------------
-
-TEST(TraceFile, V1ContainerStillLoads) {
-  const Trace t = corrupt::small_trace(3, 200);
-  const std::string path = ::testing::TempDir() + "/legacy.rsim";
-  corrupt::write_v1(path, t, t.records.size());
-  const Trace u = load_trace(path);
-  EXPECT_EQ(u.name, "v1");
-  EXPECT_EQ(u.start_pc, 0x400000u);
-  ASSERT_EQ(u.records.size(), t.records.size());
-  for (std::size_t i = 0; i < u.records.size(); ++i) {
-    EXPECT_TRUE(records_equal(t.records[i], u.records[i]));
-  }
-  std::remove(path.c_str());
-}
+// ---- corrupt containers (v2) ----------------------------------------------
 
 TEST(TraceFile, TruncatedHeaderRejected) {
   const std::string path = ::testing::TempDir() + "/trunc.rsim";
@@ -479,29 +460,65 @@ TEST(TraceFile, TruncatedHeaderRejected) {
   corrupt::expect_rejected(path, "version");
 }
 
-TEST(TraceFile, OversizedPayloadLenRejected) {
-  // The old loader allocated payload(payload_len) straight off the wire;
-  // a corrupt length demanded a multi-GB allocation before any check.
-  const Trace t = corrupt::small_trace(4, 10);
-  const std::string path = ::testing::TempDir() + "/oversized.rsim";
-  corrupt::write_v1(path, t, t.records.size(), /*payload_len=*/1ULL << 40);
-  corrupt::expect_rejected(path, "payload_len");
-}
-
 TEST(TraceFile, OversizedNameLenRejected) {
   const Trace t = corrupt::small_trace(5, 10);
   const std::string path = ::testing::TempDir() + "/badname.rsim";
-  corrupt::write_v1(path, t, t.records.size(), ~std::uint64_t{0},
-                    /*name_len=*/0xFFFF'0000u);
+  save_trace(t, path);
+  const unsigned char name_len[4] = {0x00, 0x00, 0xFF, 0xFF};  // 0xFFFF0000, little-endian
+  v3::poke(path, 8, name_len, sizeof name_len);
   corrupt::expect_rejected(path, "name_len");
 }
 
-TEST(TraceFile, CountInconsistentWithPayloadRejected) {
-  // count lies low: a whole undecoded record left in the payload.
-  const Trace t = corrupt::small_trace(6, 50);
-  const std::string path = ::testing::TempDir() + "/badcount.rsim";
-  corrupt::write_v1(path, t, t.records.size() - 2);
-  EXPECT_THROW((void)load_trace(path), std::runtime_error);
+TEST(TraceFile, CountThatWrapsTheChunkCountRejected) {
+  // count 2^64 - 1 in chunks of 2: rounding the chunk count up as
+  // (count + 1) / 2 wraps to 0, which an empty chunk directory matched.
+  const std::string path = ::testing::TempDir() + "/wrapcount.rsim";
+  {
+    std::ofstream os(path, std::ios::binary);
+    os.write(kContainerMagic, sizeof kContainerMagic);
+    write_u32le(os, kContainerV3);
+    write_u32le(os, 0);  // name_len
+    write_u64le(os, 0);  // start_pc
+    write_u64le(os, ~std::uint64_t{0});
+    write_u32le(os, 2);  // chunk_records
+    write_u32le(os, 0);  // chunk_count
+  }
+  corrupt::expect_rejected(path, "chunk_count 0 inconsistent with count");
+}
+
+TEST(TraceFile, V1ContainerRefusedByEveryReader) {
+  // The retired unframed layout, hand-written: magic, u32 version 1,
+  // u32 name length, name, u64 start_pc, u64 count, u64 payload length,
+  // then the whole record stream as one payload. Every reader refuses
+  // it by version and names the file.
+  const Trace t = corrupt::small_trace(3, 200);
+  const auto payload = t.encode_payload();
+  const std::string path = ::testing::TempDir() + "/legacy.rsim";
+  {
+    std::ofstream os(path, std::ios::binary);
+    os.write(kContainerMagic, sizeof kContainerMagic);
+    write_u32le(os, 1);
+    write_u32le(os, static_cast<std::uint32_t>(t.name.size()));
+    os.write(t.name.data(), static_cast<std::streamsize>(t.name.size()));
+    write_u64le(os, t.start_pc);
+    write_u64le(os, t.records.size());
+    write_u64le(os, payload.size());
+    os.write(reinterpret_cast<const char*>(payload.data()),
+             static_cast<std::streamsize>(payload.size()));
+  }
+  const auto expect_refused = [&path](const char* reader, const auto& open) {
+    try {
+      open();
+      ADD_FAILURE() << reader << " accepted a version-1 container";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("unsupported version 1"), std::string::npos) << reader << ": " << what;
+      EXPECT_NE(what.find(path), std::string::npos) << reader << ": " << what;
+    }
+  };
+  expect_refused("load_trace", [&path] { (void)load_trace(path); });
+  expect_refused("FileTraceSource", [&path] { FileTraceSource src(path); });
+  expect_refused("SharedBatchCache", [&path] { SharedBatchCache cache(path); });
   std::remove(path.c_str());
 }
 
@@ -901,19 +918,12 @@ TEST(ChunkDecoder, RoundTripAtEveryTailOffset) {
         const edge::StoredChunk c = edge::store_chunk(records, how);
         const std::unique_ptr<std::uint8_t[]> exact(new std::uint8_t[c.payload.size()]);
         std::memcpy(exact.get(), c.payload.data(), c.payload.size());
-        dec.open({exact.get(), c.payload.size()}, c.header, 0, 0);
-        // Decode in random pieces: a piece boundary must not disturb the
-        // bit position or the delta state.
-        std::uint64_t next = 0;
-        while (dec.left() > 0) {
-          dec.decode_next(1 + rng.below(n), batch);
-          for (std::size_t i = 0; i < batch.size(); ++i, ++next) {
-            ASSERT_TRUE(records_equal(batch[i], records[next]))
-                << "seed " << seed << " n " << n << " stored " << int(how) << " record "
-                << next;
-          }
+        dec.decode({exact.get(), c.payload.size()}, c.header, 0, 0, batch);
+        ASSERT_EQ(batch.size(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_TRUE(records_equal(batch[i], records[i]))
+              << "seed " << seed << " n " << n << " stored " << int(how) << " record " << i;
         }
-        ASSERT_EQ(next, n);
       }
     }
   }
@@ -967,22 +977,16 @@ Outcome loaded(const std::string& path) {
 }
 
 /// The shared cache's reader, which scans the whole chunk directory
-/// before it decodes; std::nullopt where the cache declines a container
-/// that parses as v1 (std::invalid_argument, by design).
-std::optional<Outcome> shared(const std::string& path) {
-  try {
-    return outcome_of([&path](std::vector<TraceRecord>& out) {
-      BatchTraceSource src(std::make_shared<SharedBatchCache>(path));
-      drain(src, [&out](const TraceRecord& r) { out.push_back(r); });
-    });
-  } catch (const std::invalid_argument&) {
-    return std::nullopt;
-  }
+/// before it decodes.
+Outcome shared(const std::string& path) {
+  return outcome_of([&path](std::vector<TraceRecord>& out) {
+    BatchTraceSource src(std::make_shared<SharedBatchCache>(path));
+    drain(src, [&out](const TraceRecord& r) { out.push_back(r); });
+  });
 }
 
 /// File offsets of a valid container's framing (container and chunk
-/// headers; v1: its header) and of its payloads (v1: the rest of the
-/// file), plus the flags its chunks carry.
+/// headers) and of its chunk payloads, plus the flags its chunks carry.
 struct Layout {
   std::vector<std::uint64_t> framing;
   std::vector<std::uint64_t> payload;
@@ -994,10 +998,6 @@ Layout layout_of(const std::string& path) {
   ByteSource f(path);
   const ContainerHeader hdr = read_container_header(f);
   for (std::uint64_t off = 0; off < f.pos(); ++off) l.framing.push_back(off);
-  if (hdr.version == kContainerV1) {
-    for (std::uint64_t off = f.pos(); off < f.size(); ++off) l.payload.push_back(off);
-    return l;
-  }
   std::uint64_t left = hdr.record_count;
   for (std::uint32_t c = 0; c < hdr.chunk_count; ++c) {
     const std::uint64_t start = f.pos();
@@ -1025,14 +1025,14 @@ void write_file(const std::string& path, const std::vector<char>& bytes) {
 
 TEST(TraceFileMutation, EveryReaderAgreesOnEveryMutant) {
   // Bit flips, byte overwrites and truncations, in the framing and in
-  // the payloads of valid v1, v2, v3 and v4 containers. Each mutant must
+  // the payloads of valid v2, v3 and v4 containers. Each mutant must
   // load or throw std::runtime_error, and load_trace (the file reader)
   // and the shared cache's reader must agree on which, and on the
-  // records. The shared reader declines every mutant that parses as v1.
+  // records. A mutant whose version field reads 1 is refused by both.
   const std::string path = ::testing::TempDir() + "/mutant.rsim";
   int loads = 0;
   int rejections = 0;
-  int shared_checked = 0;
+  int version_1 = 0;
   for (const std::uint64_t seed : {11u, 12u, 13u}) {
     TraceGenConfig g;
     g.max_insts = 700;
@@ -1040,51 +1040,52 @@ TEST(TraceFileMutation, EveryReaderAgreesOnEveryMutant) {
     p.seed = seed;
     const auto& name = workload::suite_names()[seed % workload::suite_names().size()];
     const Trace t = TraceGenerator(workload::make_workload(name, p), g).generate();
-    for (const std::uint32_t version : {kContainerV1, kContainerV2, kContainerV3, kContainerV4}) {
-      if (version == kContainerV1) {
-        testutil::write_v1(path, t, t.records.size());
-      } else {
-        save_trace(t, path, /*chunk_records=*/160, /*compress=*/version >= kContainerV3,
-                   /*prefilter=*/version == kContainerV4);
-      }
+    for (const std::uint32_t version : {kContainerV2, kContainerV3, kContainerV4}) {
+      save_trace(t, path, /*chunk_records=*/160, /*compress=*/version >= kContainerV3,
+                 /*prefilter=*/version == kContainerV4);
       const mutate::Layout layout = mutate::layout_of(path);
       // The v3 and v4 files really hold LZ and delta chunks.
       EXPECT_EQ((layout.flags_seen & kChunkFlagCompressed) != 0, version >= kContainerV3);
       EXPECT_EQ((layout.flags_seen & kChunkFlagDelta) != 0, version == kContainerV4);
       const std::vector<char> valid = mutate::read_file(path);
       Rng rng(seed * 8 + version);
-      for (int m = 0; m < 48; ++m) {
-        const auto& region = m % 2 == 0 ? layout.framing : layout.payload;
-        const auto off = static_cast<std::size_t>(region[rng.below(region.size())]);
+      // 48 random mutants, then the version field rewritten to 1 (the
+      // retired unframed layout), so that case always occurs.
+      for (int m = 0; m <= 48; ++m) {
         std::vector<char> bytes = valid;
-        switch (m / 2 % 3) {
-          case 0: bytes[off] = static_cast<char>(bytes[off] ^ (1 << rng.below(8))); break;
-          case 1: bytes[off] = static_cast<char>(rng.below(256)); break;
-          default: bytes.resize(off); break;
+        std::size_t off = 4;
+        if (m == 48) {
+          bytes[off] = 1;  // u32 little-endian: 2..4 -> 1
+        } else {
+          const auto& region = m % 2 == 0 ? layout.framing : layout.payload;
+          off = static_cast<std::size_t>(region[rng.below(region.size())]);
+          switch (m / 2 % 3) {
+            case 0: bytes[off] = static_cast<char>(bytes[off] ^ (1 << rng.below(8))); break;
+            case 1: bytes[off] = static_cast<char>(rng.below(256)); break;
+            default: bytes.resize(off); break;
+          }
         }
         mutate::write_file(path, bytes);
         const mutate::Outcome by_load = mutate::loaded(path);
-        const std::optional<mutate::Outcome> by_shared = mutate::shared(path);
+        const mutate::Outcome by_shared = mutate::shared(path);
         const std::string what = "seed " + std::to_string(seed) + " v" +
                                  std::to_string(version) + " mutant " + std::to_string(m) +
                                  " at byte " + std::to_string(off);
         (by_load.loaded ? loads : rejections) += 1;
-        if (by_shared) {
-          ++shared_checked;
-          ASSERT_TRUE(*by_shared == by_load) << what;
-        } else {
-          ByteSource f(path);
-          ASSERT_EQ(read_container_header(f).version, kContainerV1) << what;
+        ASSERT_TRUE(by_shared == by_load) << what;
+        if (bytes.size() >= 8 && bytes[4] == 1 && bytes[5] == 0 && bytes[6] == 0 &&
+            bytes[7] == 0) {
+          ++version_1;
+          ASSERT_FALSE(by_load.loaded) << what;
         }
       }
     }
   }
   std::remove(path.c_str());
-  // Both outcomes occur, and the shared reader read mutants, so no
-  // comparison above was vacuous.
+  // Both outcomes occur, so no comparison above was vacuous.
   EXPECT_GT(loads, 0);
   EXPECT_GT(rejections, 0);
-  EXPECT_GT(shared_checked, 0);
+  EXPECT_GE(version_1, 9);
 }
 
 #if defined(__unix__)
@@ -1111,8 +1112,7 @@ TEST(ChunkDecoder, RawPayloadEndingAtAGuardPageIsNotReadPast) {
       ASSERT_LE(c.payload.size(), page);
       std::uint8_t* at = base + page - c.payload.size();
       std::memcpy(at, c.payload.data(), c.payload.size());
-      dec.open({at, c.payload.size()}, c.header, 0, 0);
-      dec.decode_next(n, batch);
+      dec.decode({at, c.payload.size()}, c.header, 0, 0, batch);
       ASSERT_EQ(batch.size(), n);
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_TRUE(records_equal(batch[i], records[i])) << "n " << n << " record " << i;

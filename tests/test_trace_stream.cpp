@@ -40,16 +40,15 @@ Trace generate(const std::string& bench, std::uint64_t insts) {
 // ---- source equivalence ----------------------------------------------------
 //
 // One test for every reader: the vector, stream and shared-batch
-// sources over container v1 (file reader only), v2, v3 and v4, driven
-// through SegmentedTraceSource by seeded (skip, warmup, window) draws and
+// sources over containers v2, v3 and v4, driven through
+// SegmentedTraceSource by seeded (skip, warmup, window) draws and
 // drained by all three reading styles (peek/next, partial views, a
 // ViewCursor). Every source must hand over exactly the records a plain
 // index walk over the trace predicts, with identical records_consumed;
 // the chunk cursors must also agree on chunks_skipped, and hold at most
-// one chunk decoded (a v1 payload, one unframed chunk, is decoded in
-// kDefaultChunkRecords-record pieces: two here). Wire bits are counted
-// by the engine's cursor alone; EngineResultsMatchOverAWindow
-// checks that count on every source.
+// one chunk decoded. Wire bits are counted by the engine's cursor
+// alone; EngineResultsMatchOverAWindow checks that count on every
+// source.
 
 constexpr std::uint32_t kChunk = 512;
 constexpr std::uint64_t kRecords = 5000;  // 9 full chunks + a 392-record tail
@@ -73,15 +72,11 @@ class SourceEquivalence : public ::testing::TestWithParam<std::uint32_t> {
     ASSERT_GE(trace_.records.size(), kRecords);
     trace_.records.resize(kRecords);
     path_.emplace("equiv_v" + std::to_string(GetParam()) + ".rsim");
-    if (GetParam() == kContainerV1) {
-      testutil::write_v1(*path_, trace_, trace_.records.size());
-    } else {
-      save_trace(trace_, *path_, kChunk, /*compress=*/GetParam() >= kContainerV3,
-                 /*prefilter=*/GetParam() == kContainerV4);
-    }
+    save_trace(trace_, *path_, kChunk, /*compress=*/GetParam() >= kContainerV3,
+               /*prefilter=*/GetParam() == kContainerV4);
   }
 
-  /// Fresh readers; the shared cache declines v1.
+  /// Fresh readers.
   std::vector<Reader> open_all() const {
     std::vector<Reader> out;
     out.push_back({"vector", std::make_unique<VectorTraceSource>(trace_), nullptr});
@@ -90,9 +85,7 @@ class SourceEquivalence : public ::testing::TestWithParam<std::uint32_t> {
       out.push_back({name, std::move(c), raw});
     };
     add("stream", std::make_unique<FileTraceSource>(*path_));
-    if (GetParam() != kContainerV1) {
-      add("shared", std::make_unique<BatchTraceSource>(std::make_shared<SharedBatchCache>(*path_)));
-    }
+    add("shared", std::make_unique<BatchTraceSource>(std::make_shared<SharedBatchCache>(*path_)));
     for (const auto& r : out) {
       if (r.cursor == nullptr) continue;
       EXPECT_EQ(r.cursor->trace_name(), trace_.name) << r.name;
@@ -101,11 +94,6 @@ class SourceEquivalence : public ::testing::TestWithParam<std::uint32_t> {
       EXPECT_EQ(r.src->total_records(), trace_.records.size()) << r.name;
     }
     return out;
-  }
-
-  /// The most records a chunk cursor may hold decoded at once.
-  [[nodiscard]] std::size_t decoded_bound() const {
-    return GetParam() == kContainerV1 ? kDefaultChunkRecords : kChunk;
   }
 
   Trace trace_;
@@ -227,7 +215,7 @@ TEST_P(SourceEquivalence, EverySourceAgreesOnSeededWindows) {
       }
       EXPECT_EQ(g.counters, want.counters);
       if (rd.cursor == nullptr) continue;
-      EXPECT_LE(rd.cursor->max_batch_records(), decoded_bound());
+      EXPECT_LE(rd.cursor->max_batch_records(), kChunk);
       if (cursor_ref == nullptr) {
         cursor_ref = &g;
       } else {
@@ -245,20 +233,18 @@ TEST_P(SourceEquivalence, EverySourceAgreesOnSeededWindows) {
 
 TEST_P(SourceEquivalence, SkipHopsWholeChunksUnread) {
   // 2100 records = 4 whole 512-record chunks + 52: the chunks are hopped
-  // by their stored size, never decoded, and only the 5th is opened. A
-  // v1 payload has no framing to hop by, so its pieces are decoded.
-  const bool chunked = GetParam() != kContainerV1;
+  // by their stored size, never decoded, and only the 5th is opened.
   for (Reader& rd : open_all()) {
     if (rd.cursor == nullptr) continue;
     SCOPED_TRACE(rd.name);
     EXPECT_EQ(rd.src->skip(2100), 2100u);
-    EXPECT_EQ(rd.cursor->chunks_skipped(), chunked ? 4u : 0u);
+    EXPECT_EQ(rd.cursor->chunks_skipped(), 4u);
     EXPECT_EQ(rd.cursor->chunks_decoded(), 1u);
     EXPECT_TRUE(records_equal(rd.src->next(), trace_.records[2100]));
     // Past the end: an empty view, a refused consume, a throwing next().
     EXPECT_EQ(rd.src->skip(~std::uint64_t{0}), trace_.records.size() - 2101);
-    EXPECT_EQ(rd.cursor->chunks_skipped(), chunked ? 9u : 0u);
-    EXPECT_EQ(rd.cursor->chunks_decoded(), chunked ? 1u : 2u);
+    EXPECT_EQ(rd.cursor->chunks_skipped(), 9u);
+    EXPECT_EQ(rd.cursor->chunks_decoded(), 1u);
     EXPECT_TRUE(rd.src->fetch_view().empty());
     EXPECT_THROW(rd.src->consume_view(1), std::logic_error);
     EXPECT_THROW((void)rd.src->next(), std::out_of_range);
@@ -299,7 +285,7 @@ TEST_P(SourceEquivalence, EngineResultsMatchOverAWindow) {
         r = core::ReSimEngine(cfg, seg).run();
         want_records = 2000;
         want_bits = bits_of(trace_, 2100, 2000);
-        if (rd.cursor != nullptr && GetParam() != kContainerV1) {
+        if (rd.cursor != nullptr) {
           EXPECT_EQ(rd.cursor->chunks_skipped(), 4u);
         }
       } else {
@@ -314,7 +300,7 @@ TEST_P(SourceEquivalence, EngineResultsMatchOverAWindow) {
       EXPECT_EQ(r.trace_records, want_records);
       EXPECT_EQ(r.trace_bits, want_bits);
       if (rd.cursor != nullptr) {
-        EXPECT_LE(rd.cursor->max_batch_records(), decoded_bound());
+        EXPECT_LE(rd.cursor->max_batch_records(), kChunk);
       }
       results.push_back(r);
     }
@@ -330,8 +316,7 @@ TEST_P(SourceEquivalence, EngineResultsMatchOverAWindow) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Containers, SourceEquivalence,
-                         ::testing::Values(kContainerV1, kContainerV2, kContainerV3,
-                                           kContainerV4),
+                         ::testing::Values(kContainerV2, kContainerV3, kContainerV4),
                          [](const auto& info) { return "v" + std::to_string(info.param); });
 
 // ---- file-reader edge cases ------------------------------------------------
@@ -464,10 +449,9 @@ TEST(BatchRunnerStream, TracePathJobsMatchSharedPreparedTrace) {
 TEST(BatchRunnerBackend, EveryBackendYieldsIdenticalCsvRows) {
   // The tentpole contract: trace.backend is a host knob, never a result
   // knob. Generated jobs, prepared-trace jobs and trace_path jobs (raw
-  // v2, compressed v3, and legacy v1, which the shared cache declines so
-  // the group falls back to private readers) must produce byte-identical
-  // CSV rows on memory and stream, at any thread count, with decode
-  // sharing on or off, and through run_one() as through run().
+  // v2 and compressed v3) must produce byte-identical CSV rows on memory
+  // and stream, at any thread count, with decode sharing on or off, and
+  // through run_one() as through run().
   const std::uint64_t insts = 4000;
   std::vector<SimJob> jobs;
   for (unsigned width : {2u, 4u}) {
@@ -480,17 +464,15 @@ TEST(BatchRunnerBackend, EveryBackendYieldsIdenticalCsvRows) {
 
   const TempPath raw_path("backend_raw.rsim");
   const TempPath lz_path("backend_lz.rsim");
-  const TempPath v1_path("backend_v1.rsim");
   const auto prepared = std::make_shared<const trace::Trace>(
       trace::TraceGenerator(workload::make_workload("gzip"), jobs[0].gen).generate());
   trace::save_trace(*prepared, raw_path);
   trace::save_trace(*prepared, lz_path, trace::kDefaultChunkRecords, /*compress=*/true);
-  trace::testutil::write_v1(v1_path, *prepared, prepared->records.size());
 
   for (const auto backend : {core::TraceBackend::kMemory, core::TraceBackend::kStream}) {
     // "" generates, "prepared" shares the decoded trace, the rest are files.
     for (const std::string& path :
-         {std::string(), std::string("prepared"), raw_path.str(), lz_path.str(), v1_path.str()}) {
+         {std::string(), std::string("prepared"), raw_path.str(), lz_path.str()}) {
       for (const bool shared : {true, false}) {
         std::vector<SimJob> variant = jobs;
         for (auto& job : variant) {

@@ -2,12 +2,7 @@
 #ifndef RESIM_TESTS_TRACE_TEST_UTIL_H
 #define RESIM_TESTS_TRACE_TEST_UTIL_H
 
-#include <cstdint>
-#include <fstream>
-#include <string>
-
-#include "trace/container.hpp"
-#include "trace/writer.hpp"
+#include "trace/record.hpp"
 
 namespace resim::trace::testutil {
 
@@ -25,29 +20,6 @@ inline bool records_equal(const TraceRecord& a, const TraceRecord& b) {
              a.target == b.target && a.in1 == b.in1 && a.in2 == b.in2 && a.out == b.out;
   }
   return false;
-}
-
-/// Hand-writes a legacy v1 container (little-endian header fields, one
-/// monolithic payload) so the v1 read path stays covered now that
-/// save_trace emits v2. The `*_override` parameters inject corrupt
-/// header fields for the loader-hardening tests.
-inline void write_v1(const std::string& path, const Trace& t, std::uint64_t count,
-                     std::uint64_t payload_len_override = ~std::uint64_t{0},
-                     std::uint32_t name_len_override = ~std::uint32_t{0}) {
-  const auto payload = t.encode_payload();
-  std::ofstream os(path, std::ios::binary);
-  os.write("RSIM", 4);
-  write_u32le(os, 1);
-  write_u32le(os, name_len_override != ~std::uint32_t{0}
-                      ? name_len_override
-                      : static_cast<std::uint32_t>(t.name.size()));
-  os.write(t.name.data(), static_cast<std::streamsize>(t.name.size()));
-  write_u64le(os, t.start_pc);
-  write_u64le(os, count);
-  write_u64le(os, payload_len_override != ~std::uint64_t{0} ? payload_len_override
-                                                            : payload.size());
-  os.write(reinterpret_cast<const char*>(payload.data()),
-           static_cast<std::streamsize>(payload.size()));
 }
 
 }  // namespace resim::trace::testutil

@@ -93,6 +93,23 @@ test "$status" -eq 1
 grep -qx "resim_cli serve: no listener configured (need a unix socket path)" err.txt
 ! LC_ALL=C "$cli" client --socket none.sock --ping 2> err.txt
 grep -qx "resim_cli client: connect none.sock: No such file or directory" err.txt
+# A number its flag's type cannot hold exits 1 naming the flag, before
+# anything is written, run or connected (2^32 + 1 once narrowed to 1).
+exits_1() {
+  local status=0
+  "$@" 2> err.txt || status=$?
+  test "$status" -eq 1
+}
+exits_1 "$cli" vhdl --out vhdl_big --pht 4294967297
+grep -q -- "--pht: 4294967297" err.txt
+test ! -e vhdl_big
+exits_1 "$cli" sweep -j 4294967297 --spec "$configs/paper_sweep.spec" --out big_j.csv
+grep -q -- "-j: 4294967297" err.txt
+test ! -e big_j.csv
+exits_1 "$cli" schedule --width 4294967297
+grep -q -- "--width: 4294967297" err.txt
+exits_1 "$cli" client --socket none.sock --sim --trace ci.rsim --priority 4294967305
+grep -q -- "--priority: 4294967305" err.txt
 
 echo "== config plane"
 "$cli" sim --trace ci.rsim --config "$configs/paper_4wide_perfect.cfg"

@@ -11,7 +11,9 @@
 #    container while the skip hops whole (compressed) chunks unread,
 #    plus a spec sweep with --json/--csv-full exports;
 #  * decode-once: a same-trace stream-backend sweep decodes every chunk
-#    exactly once at any -j (tools/check_decode_once.py).
+#    exactly once at any -j (tools/check_decode_once.py);
+#  * version 1 refused: a container header naming the retired unframed
+#    version exits 1 on every reader, naming the version and the file.
 #
 # Usage: tools/check_trace_gates.sh path/to/resim_cli
 # Works in a scratch directory it deletes on exit; any mismatch fails.
@@ -102,4 +104,19 @@ printf 'pipeline.variant = optimized\ncore.width = 2,4\ncore.rob_size = 16,32\nb
 cmp dec1.csv decN.csv
 python3 "$tools/check_decode_once.py" --stats dec1.json --min-groups 1
 python3 "$tools/check_decode_once.py" --stats decN.json --min-groups 1
+
+echo "== version 1 refused"
+printf 'RSIM\001\000\000\000' > old.rsim
+refused_v1() {
+  local status=0
+  "$cli" "$@" > /dev/null 2> err.txt || status=$?
+  cat err.txt
+  test "$status" -eq 1
+  grep -q "unsupported version 1 in old.rsim" err.txt
+}
+refused_v1 sim --trace old.rsim
+refused_v1 sim --trace old.rsim --backend stream
+refused_v1 stats --trace old.rsim
+refused_v1 sweep --trace old.rsim --spec w.spec
+refused_v1 sweep --trace old.rsim --backend stream --spec w.spec
 echo "trace gates: PASS"

@@ -15,12 +15,14 @@
 #include <fstream>
 #include <iterator>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -121,9 +123,22 @@ std::string get(const Args& a, const std::string& key, const std::string& def) {
 
 bool has(const Args& a, const std::string& key) { return a.kv.count(key) != 0; }
 
-std::uint64_t get_u64(const Args& a, const std::string& key, std::uint64_t def) {
+/// The flag as it is spelled on the command line: -j, --insts.
+std::string flag_name(const std::string& key) { return (key.size() == 1 ? "-" : "--") + key; }
+
+/// The flag's value as a T, or `def` when it is absent. A value T cannot
+/// hold is refused by flag name, never narrowed.
+template <class T = std::uint64_t>
+T get_num(const Args& a, const std::string& key, std::type_identity_t<T> def) {
   const auto it = a.kv.find(key);
-  return it == a.kv.end() ? def : config::parse_u64(it->second, "--" + key);
+  if (it == a.kv.end()) return def;
+  const std::uint64_t v = config::parse_u64(it->second, flag_name(key));
+  constexpr auto kMax = static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+  if (v > kMax) {
+    throw std::invalid_argument(flag_name(key) + ": " + it->second + " exceeds " +
+                                std::to_string(kMax));
+  }
+  return static_cast<T>(v);
 }
 
 /// Every `--set` the command line names: the aliases, then each --set.
@@ -163,9 +178,9 @@ int cmd_gen(const Args& a) {
   const std::string bench = get(a, "bench", "gzip");
   const std::string out = get(a, "out", bench + ".rsim");
   trace::TraceGenConfig g;
-  g.max_insts = get_u64(a, "insts", 1'000'000);
+  g.max_insts = get_num(a, "insts", 1'000'000);
   g.bp.kind = config::dir_kind_of(get(a, "bp", "2lev"));
-  const std::uint64_t chunk = get_u64(a, "chunk", trace::kDefaultChunkRecords);
+  const std::uint64_t chunk = get_num(a, "chunk", trace::kDefaultChunkRecords);
   if (chunk == 0 || chunk > trace::kMaxChunkRecords) {
     // Guard before any work: chunk_records sizes every chunk-count
     // division downstream, so 0 must die here, loudly, not as a
@@ -224,9 +239,9 @@ int cmd_stats(const Args& a) {
 int cmd_sim(const Args& a) {
   const auto cfg = validated_machine_of(a);
   driver::RunSpec spec;
-  spec.skip = get_u64(a, "skip", 0);
-  spec.warmup = get_u64(a, "warmup", 0);
-  if (has(a, "max-records")) spec.max_records = get_u64(a, "max-records", 0);
+  spec.skip = get_num(a, "skip", 0);
+  spec.warmup = get_num(a, "warmup", 0);
+  if (has(a, "max-records")) spec.max_records = get_num(a, "max-records", 0);
   if (has(a, "plan")) spec.plan = get(a, "plan", "");
   spec.validate(cfg);  // before the trace is opened
   if (has(a, "intervals") && cfg.sample.interval_insts == 0) {
@@ -335,13 +350,14 @@ int cmd_sweep(const Args& a) {
   if (!has(a, "spec")) {
     throw std::invalid_argument("needs --spec FILE (sweep-spec grammar: docs/CONFIG.md)");
   }
+  const driver::BatchRunner runner(get_num<unsigned>(a, "j", 1));
   // --resume warns about the --config parameters no CSV column records.
   std::vector<std::string> named;
   const core::CoreConfig base = machine_of(a, &named);
   const std::string spec_path = get(a, "spec", "");
   std::istringstream spec_text(slurp_file(spec_path));
   const std::optional<std::uint64_t> insts =
-      has(a, "insts") ? std::optional(get_u64(a, "insts", 0)) : std::nullopt;
+      has(a, "insts") ? std::optional(get_num(a, "insts", 0)) : std::nullopt;
   const config::SweepSpec spec =
       driver::resolve_sweep(spec_text, spec_path, base, sets_of(a), insts);
 
@@ -448,7 +464,6 @@ int cmd_sweep(const Args& a) {
     std::filesystem::rename(tmp, resume);
   }
 
-  const driver::BatchRunner runner(static_cast<unsigned>(get_u64(a, "j", 1)));
   // --decode-stats FILE: per-group decode-work accounting (chunks in the
   // trace vs decode events) as JSON. A side channel on purpose — the
   // CSV/JSON result exports stay byte-identical with sharing on or off,
@@ -558,17 +573,17 @@ int cmd_params(const Args& a) {
 int cmd_schedule(const Args& a) {
   const auto s = core::PipelineSchedule::make(
       config::variant_of(get(a, "variant", "optimized")),
-      static_cast<unsigned>(get_u64(a, "width", 4)));
+      get_num<unsigned>(a, "width", 4));
   std::cout << s.render();
   return 0;
 }
 
 int cmd_vhdl(const Args& a) {
   bpred::BPredConfig cfg = bpred::BPredConfig::paper_default();
-  cfg.pht_entries = static_cast<std::uint32_t>(get_u64(a, "pht", cfg.pht_entries));
-  cfg.hist_bits = static_cast<std::uint32_t>(get_u64(a, "hist", cfg.hist_bits));
-  cfg.btb_entries = static_cast<std::uint32_t>(get_u64(a, "btb", cfg.btb_entries));
-  cfg.ras_entries = static_cast<std::uint32_t>(get_u64(a, "ras", cfg.ras_entries));
+  cfg.pht_entries = get_num<std::uint32_t>(a, "pht", cfg.pht_entries);
+  cfg.hist_bits = get_num<std::uint32_t>(a, "hist", cfg.hist_bits);
+  cfg.btb_entries = get_num<std::uint32_t>(a, "btb", cfg.btb_entries);
+  cfg.ras_entries = get_num<std::uint32_t>(a, "ras", cfg.ras_entries);
   const std::string out = get(a, "out", "resim_vhdl");
   std::filesystem::create_directories(out);
   const auto files = codegen::generate_bpred_vhdl(cfg);
@@ -597,7 +612,7 @@ int cmd_serve(const Args& a) {
   const auto cfg = validated_machine_of(a);
   serve::ServeOptions opts;
   opts.unix_path = get(a, "socket", "");
-  opts.threads = static_cast<unsigned>(get_u64(a, "j", 1));
+  opts.threads = get_num<unsigned>(a, "j", 1);
   opts.max_pending = cfg.serve_max_pending;
   opts.idle_timeout_s = cfg.serve_idle_timeout_s;
   opts.log = [](const std::string& line) { std::cerr << line << '\n'; };
@@ -614,6 +629,7 @@ int cmd_serve(const Args& a) {
 
 int cmd_client(const Args& a) {
   if (!has(a, "socket")) throw std::invalid_argument("needs --socket PATH");
+  const int priority = get_num<int>(a, "priority", 0);
   serve::Client client = serve::Client::connect_to_unix(get(a, "socket", ""));
   const std::string id = get(a, "id", "req-1");
 
@@ -640,23 +656,23 @@ int cmd_client(const Args& a) {
   } else if (has(a, "sim")) {
     serve::SimRequestSpec spec;
     spec.id = id;
-    spec.priority = static_cast<int>(get_u64(a, "priority", 0));
+    spec.priority = priority;
     spec.trace_path = get(a, "trace", "trace.rsim");
     if (has(a, "config")) spec.config_text = slurp_file(get(a, "config", ""));
     spec.sets = a.sets;
-    spec.skip = get_u64(a, "skip", 0);
-    spec.warmup = get_u64(a, "warmup", 0);
-    if (has(a, "max-records")) spec.max_records = get_u64(a, "max-records", 0);
+    spec.skip = get_num(a, "skip", 0);
+    spec.warmup = get_num(a, "warmup", 0);
+    if (has(a, "max-records")) spec.max_records = get_num(a, "max-records", 0);
     payload = serve::build_sim_request(spec);
   } else if (has(a, "sweep")) {
     serve::SweepRequestSpec spec;
     spec.id = id;
-    spec.priority = static_cast<int>(get_u64(a, "priority", 0));
+    spec.priority = priority;
     spec.spec_text = slurp_file(get(a, "spec", ""));
     if (has(a, "config")) spec.config_text = slurp_file(get(a, "config", ""));
     spec.sets = a.sets;
     spec.trace_path = get(a, "trace", "");
-    if (has(a, "insts")) spec.insts = get_u64(a, "insts", 0);
+    if (has(a, "insts")) spec.insts = get_num(a, "insts", 0);
     spec.format = get(a, "format", "");
     payload = serve::build_sweep_request(spec);
   } else {
